@@ -29,7 +29,7 @@ from .diffops import (make_x, hbar_field, h_field, commutator, QuatDiffOp,
 from . import szego
 from . import greens
 
-__all__ = ["CheckResult", "run_suite", "SUITE_NAMES", "report_to_json"]
+__all__ = ["CheckResult", "run_suite", "SUITE_NAMES"]
 
 
 @dataclass
@@ -205,12 +205,12 @@ def _group(spec: QuadratureSpec):
         return _bound_check("dilation_norm_homogeneity", worst, 1e-11)
 
     def polar_gauss():
-        v = polar_constant(lambda s: math.exp(-s * s), spec)
+        v = polar_constant(lambda s: np.exp(-s * s), spec)
         return _value_check("polar_constant_gaussian", v, 2.0 * math.pi ** 3 / 3.0,
                             1e-9, "rel", "radial profile exp(-s^2)")
 
     def polar_exp():
-        v = polar_constant(lambda s: math.exp(-s), spec)
+        v = polar_constant(lambda s: np.exp(-s), spec)
         return _value_check("polar_constant_exponential", v,
                             2.0 * math.pi ** 3 / 3.0, 1e-9, "rel",
                             "profile-independence of the polar factor")
@@ -624,7 +624,6 @@ def run_suite(name: str, spec: QuadratureSpec, threads: int = 1) -> dict:
             "abs_tol": spec.abs_tol,
             "max_subdivisions": spec.max_subdivisions,
             "sphere_order": spec.sphere_order,
-            "transform": spec.transform,
         },
         "checks": checks,
         "counts": {
@@ -637,15 +636,3 @@ def run_suite(name: str, spec: QuadratureSpec, threads: int = 1) -> dict:
     }
     return report
 
-
-def report_to_json(report: dict) -> str:
-    import json
-
-    def default(o):
-        if isinstance(o, (np.floating, np.integer)):
-            return float(o)
-        if isinstance(o, Quaternion):
-            return list(o.components())
-        raise TypeError(f"not JSON-serializable: {type(o)}")
-
-    return json.dumps(report, indent=2, default=default, allow_nan=True)

@@ -66,7 +66,7 @@ def _add_spec_flags(p: argparse.ArgumentParser):
     p.add_argument("--sphere-order", type=int, default=32,
                    help="Gauss-Legendre order of the sphere rules (default 32)")
     p.add_argument("--max-subdiv", type=int, default=4000,
-                   help="subdivision/level budget before giving up (default 4000)")
+                   help="integrand evaluations allowed per 1-D integral before giving up (default 4000)")
 
 
 # ---------------------------------------------------------------------------

@@ -301,10 +301,15 @@ def _heis_panels(side_rate: float, first_width: float, spec: QuadratureSpec):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _sech_sq_shifted(u: np.ndarray, phi: float) -> np.ndarray:
-    """sech^2(u + i phi) for u >= 0, via 4 e^{-2(u+i phi)}/(1+e^{-2(u+i phi)})^2."""
-    e = np.exp(-2.0 * u) * complex(math.cos(2.0 * phi), -math.sin(2.0 * phi))
-    return 4.0 * e / (1.0 + e) ** 2
+def _damped_sech_sq(u: np.ndarray, phi: float, lam: float) -> np.ndarray:
+    """e^{-lam u} sech^2(u + i phi) for u >= 0, |lam| < 2.
+
+    Computed as 4 c e^{-(2+lam) u}/(1 + c e^{-2u})^2 with c = e^{-2i phi}:
+    the growing factor e^{-lam u} (lam < 0) is folded into the decaying
+    one, so the far end of the u-grid gives 0, not inf * 0 = nan.
+    """
+    c = complex(math.cos(2.0 * phi), -math.sin(2.0 * phi))
+    return 4.0 * c * np.exp(-(2.0 + lam) * u) / (1.0 + c * np.exp(-2.0 * u)) ** 2
 
 
 def heis_k_quadrature(x, t: float, lam: float, spec: QuadratureSpec) -> Quaternion:
@@ -330,10 +335,10 @@ def heis_k_quadrature(x, t: float, lam: float, spec: QuadratureSpec) -> Quaterni
     acc = 0.0 + 0.0j
     # u >= 0 side: e^{-lam u} sech^2(u+i phi) decays like e^{-(2+lam)u}
     u, w = _heis_panels(2.0 + lam, first, spec)
-    acc += np.dot(w, np.exp(-lam * u) * _sech_sq_shifted(u, phi))
+    acc += np.dot(w, _damped_sech_sq(u, phi, lam))
     # u < 0 side: substitute u -> -u; sech^2(-u + i phi) = sech^2(u - i phi)
     u, w = _heis_panels(2.0 - lam, first, spec)
-    acc += np.dot(w, np.exp(lam * u) * _sech_sq_shifted(u, -phi))
+    acc += np.dot(w, _damped_sech_sq(u, -phi, -lam))
     val = acc / (8.0 * math.pi ** 3 * (xsq * xsq + t * t))
     return Quaternion(val.real, val.imag, 0.0, 0.0)
 

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .quat import Quaternion
 from .quad import QuadratureSpec, QuadratureError, integrate_1d, integrate_nested
 
@@ -81,7 +83,7 @@ def homogeneous_norm(g: GroupElement) -> float:
     return math.sqrt(g.w.norm_sq() + math.hypot(*g.t))
 
 
-def polar_constant(f: Callable[[float], float], spec: QuadratureSpec) -> float:
+def polar_constant(f: Callable, spec: QuadratureSpec) -> float:
     """Polar-coordinate constant of the gauge.
 
     For a decaying radial profile f the Lebesgue integral of
@@ -92,16 +94,16 @@ def polar_constant(f: Callable[[float], float], spec: QuadratureSpec) -> float:
 
     alpha and beta being the surface measures of S^3 and S^2.  Dividing
     by int_0^inf f(s) s^9 ds gives a constant that must be independent
-    of the profile.  Runs under the tanh-sinh transform: the reduced
-    integrands may decay only algebraically, which the exponential map
-    does not handle.
+    of the profile; its value is 2 pi^3 / 3.  ``f`` is an array profile
+    (an ndarray of radii to an ndarray of values, e.g. ``np.exp(-s)``);
+    the double-exponential engine also resolves profiles that decay only
+    algebraically.
     """
-    spec = _ts(spec)
     alpha = 2.0 * math.pi ** 2   # surface measure of S^3 in R^4
     beta = 4.0 * math.pi         # surface measure of S^2 in R^3
     num = integrate_nested(
         ((0.0, math.inf), (0.0, math.inf)),
-        lambda rho, r: f(math.sqrt(rho * rho + r)) * rho ** 3 * r * r,
+        lambda rho, r: f(np.sqrt(rho * rho + r)) * rho ** 3 * r * r,
         spec)
     den = integrate_1d(lambda s: f(s) * s ** 9, (0.0, math.inf), spec)
     if not (num.converged and den.converged):
@@ -109,8 +111,3 @@ def polar_constant(f: Callable[[float], float], spec: QuadratureSpec) -> float:
     if den.value == 0.0:
         raise ZeroDivisionError("degenerate radial profile")
     return alpha * beta * num.value / den.value
-
-
-def _ts(spec: QuadratureSpec):
-    from dataclasses import replace
-    return replace(spec, transform="tanh_sinh")

@@ -1,14 +1,15 @@
 """Deterministic quadrature engine.
 
-One `QuadratureSpec` controls every numerical integral in the package:
-adaptive Gauss-Legendre panels on finite intervals, an exponential or
-tanh-sinh-family transform for (semi-)infinite ones, tensor-product rules
-on the spheres S^2 and S^3, nested iterated integration, and a Lanczos
-gamma function for closed-form targets.
+One `QuadratureSpec` controls every numerical integral in the package: a
+vectorized double-exponential rule for 1-D integrals (tanh-sinh on finite
+intervals, exp-sinh on half-lines, sinh-sinh on the full line), nested
+iterated integration on top of it, tensor-product rules on the spheres S^2
+and S^3, and a Lanczos gamma function for closed-form targets.
 
 Identical spec + integrand give bit-identical results across runs: the
-engine is single-threaded, panel processing order is fixed, and final
-sums are accumulated with `math.fsum`.
+engine is single-threaded, its node tables are built from scalar formulas
+in a fixed order, and every level sum is accumulated with `math.fsum`,
+which is correctly rounded and so independent of the order of the terms.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "QuadResult",
     "integrate_1d",
     "integrate_nested",
-    "integrate_sphere2",
     "gauss_rule",
     "sphere2_nodes",
     "sphere3_angles",
@@ -40,36 +40,30 @@ class QuadratureError(Exception):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Rule, tolerances and node budget for the quadrature engine.
+    """Tolerances and budgets for the quadrature engine.
 
     Attributes
     ----------
     rel_tol, abs_tol : float
-        Target relative/absolute error; a panel set is accepted once the
-        summed error estimate is below max(abs_tol, rel_tol*|value|).
+        Target relative/absolute error; a 1-D integral is accepted once the
+        difference of two successive double-exponential levels is below
+        max(abs_tol, rel_tol*|value|).
     max_subdivisions : int
-        Budget of panel splits (adaptive rule) or node evaluations
-        (tanh-sinh levels) before giving up with converged=False.
+        Budget of distinct integrand evaluations (nodes) of one 1-D
+        integral.  A level is evaluated only while it fits in the budget
+        (the first level, at most 55 nodes, always runs); an integral that
+        runs out returns its best estimate with converged=False.
     sphere_order : int
         Order of the Gauss-Legendre factor of the product rules on S^2
         and S^3; the azimuthal factor uses 2*sphere_order equispaced nodes.
-    transform : str
-        Map applied to infinite intervals: "exp_map" substitutes
-        u = -log(1-s) (Gauss-Legendre panels on (0,1)), "tanh_sinh"
-        selects the double-exponential family (tanh-sinh on finite
-        intervals, exp-sinh on half-lines, sinh-sinh on the full line),
-        and "none" rejects infinite intervals.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_subdivisions: int = 4000
     sphere_order: int = 32
-    transform: str = "exp_map"
 
     def __post_init__(self):
-        if self.transform not in ("none", "exp_map", "tanh_sinh"):
-            raise ValueError(f"unknown transform {self.transform!r}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1 or self.sphere_order < 2:
@@ -106,137 +100,123 @@ def gauss_rule(n: int, a: float, b: float):
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Legendre on a finite interval
+# double-exponential rules, nested levels
+#
+# Level L uses the nodes t = j h, h = 2^-L, |t| <= _DE_TMAX.  Level L + 1
+# keeps every node of level L (the even j) and adds the odd j, so each level
+# evaluates the integrand only at its new nodes.
 
-_GL_LO = 15
-_GL_HI = 31
-
-
-def _panel(f, a, b):
-    """Return (refined integral, error estimate) on [a, b]."""
-    xs, ws = gauss_rule(_GL_LO, a, b)
-    lo = sum(w * np.asarray(f(x), dtype=float) for x, w in zip(xs, ws))
-    xs, ws = gauss_rule(_GL_HI, a, b)
-    hi = sum(w * np.asarray(f(x), dtype=float) for x, w in zip(xs, ws))
-    return hi, _mag(hi - lo)
+_DE_TMAX = 6.8
+_DE_LEVEL_MIN = 2
+_DE_LEVEL_MAX = 12
 
 
-def _adaptive_gl(f, a, b, spec: QuadratureSpec) -> QuadResult:
-    vals = {}
-    errs = {}
-    key = (a, b)
-    vals[key], errs[key] = _panel(f, a, b)
-    splits = 0
-    while True:
-        total_err = math.fsum(errs.values())
-        scale = _mag(sum(vals.values()))
-        if total_err <= max(spec.abs_tol, spec.rel_tol * scale):
-            converged = True
-            break
-        if splits >= spec.max_subdivisions:
-            converged = False
-            break
-        worst = max(errs, key=lambda k: (errs[k], -k[0]))
-        a0, b0 = worst
-        m = 0.5 * (a0 + b0)
-        if m <= a0 or m >= b0:
-            # interval below float resolution, cannot refine further
-            converged = False
-            break
-        del vals[worst], errs[worst]
-        for child in ((a0, m), (m, b0)):
-            vals[child], errs[child] = _panel(f, *child)
-        splits += 1
-    order = sorted(vals)
-    parts = [vals[k] for k in order]
-    if parts and np.ndim(parts[0]):
-        value = np.array([math.fsum(p[i] for p in parts)
-                          for i in range(len(parts[0]))])
-    else:
-        value = math.fsum(parts)
-    return QuadResult(value, math.fsum(errs.values()), converged)
+def _de_factors(kind: str, t: float):
+    """Reference factors of the node at t, independent of the interval.
 
-
-# ---------------------------------------------------------------------------
-# tanh-sinh family (double-exponential), level doubling
-
-_TS_TMAX = 6.8
-_TS_LEVEL_MAX = 12
-
-
-def _de_map(kind, a, b):
-    """Node/weight map t -> (x, dx/dt) for the double-exponential rules."""
+    "finite": (tanh u, cosh t, cosh^2 u) with u = (pi/2) sinh t; the node
+    on (a, b) is mid + half*tanh u, its weight half*(pi/2)*cosh t/cosh^2 u.
+    "up"/"down" (a half-line): (e, e*(pi/2)*cosh t) with e = exp(u); the
+    node is a + e or b - e.  "full": (sinh u, cosh u*(pi/2)*cosh t).
+    """
+    u = 0.5 * math.pi * math.sinh(t)
     if kind == "finite":
+        ch = math.cosh(u)
+        return math.tanh(u), math.cosh(t), ch * ch
+    if kind == "full":
+        return math.sinh(u), math.cosh(u) * 0.5 * math.pi * math.cosh(t)
+    e = math.exp(u)
+    return e, e * 0.5 * math.pi * math.cosh(t)
+
+
+@lru_cache(maxsize=None)
+def _de_table(kind: str, level: int):
+    """Factor arrays of the nodes that ``level`` adds (all of them at the
+    first level, the odd multiples of h after it), built lazily from the
+    scalar formulas of ``_de_factors``."""
+    h = 2.0 ** (-level)
+    nmax = int(_DE_TMAX / h)
+    rows = []
+    for j in range(-nmax, nmax + 1):
+        if level > _DE_LEVEL_MIN and j % 2 == 0:
+            continue
+        try:
+            rows.append(_de_factors(kind, j * h))
+        except OverflowError:
+            continue
+    cols = tuple(np.array(c, dtype=float) for c in zip(*rows))
+    for c in cols:
+        c.setflags(write=False)
+    return cols
+
+
+def _de_rule(kind: str, level: int, a: float, b: float):
+    """Nodes and weights that ``level`` adds on the interval (a, b)."""
+    cols = _de_table(kind, level)
+    if kind == "finite":
+        y, ct, chsq = cols
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-
-        def m(t):
-            u = 0.5 * math.pi * math.sinh(t)
-            ch = math.cosh(u)
-            return mid + half * math.tanh(u), half * 0.5 * math.pi * math.cosh(t) / (ch * ch)
-    elif kind == "up":     # (a, inf)
-        def m(t):
-            e = math.exp(0.5 * math.pi * math.sinh(t))
-            return a + e, e * 0.5 * math.pi * math.cosh(t)
-    elif kind == "down":   # (-inf, b)
-        def m(t):
-            e = math.exp(0.5 * math.pi * math.sinh(t))
-            return b - e, e * 0.5 * math.pi * math.cosh(t)
-    else:                  # full line
-        def m(t):
-            u = 0.5 * math.pi * math.sinh(t)
-            return math.sinh(u), math.cosh(u) * 0.5 * math.pi * math.cosh(t)
-    return m
+        x = mid + half * y
+        w = half * 0.5 * math.pi * ct / chsq
+        keep = (a < x) & (x < b)
+    else:
+        e, w = cols
+        x = a + e if kind == "up" else (b - e if kind == "down" else e)
+        keep = np.isfinite(x)
+    keep &= np.isfinite(w) & (w != 0.0)
+    return x[keep], w[keep]
 
 
-def _tanh_sinh(f, kind, a, b, spec: QuadratureSpec) -> QuadResult:
-    m = _de_map(kind, a, b)
-    prev = None
+def _eval_masked(f, x, w):
+    """Terms w*f(x) at the nodes where f is finite.  An OverflowError or
+    ZeroDivisionError raised by a scalar factor of f masks the batch."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            fx = np.asarray(f(x))
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if np.iscomplexobj(fx):
+        raise TypeError("complex integrand: return real and imaginary parts as columns")
+    if fx.ndim not in (1, 2) or fx.shape[0] != x.size:
+        raise ValueError(f"integrand returned shape {fx.shape} for {x.size} nodes")
+    fx = fx.astype(float, copy=False)
+    if fx.ndim == 1:
+        ok = np.isfinite(fx)
+        return w[ok] * fx[ok]
+    ok = np.isfinite(fx).all(axis=1)
+    return w[ok, None] * fx[ok]
+
+
+def _double_exponential(f, kind, a, b, spec: QuadratureSpec) -> QuadResult:
+    terms = []            # w*f(x) at every node evaluated so far
     evals = 0
-    value, err = None, math.inf
-    for level in range(2, _TS_LEVEL_MAX + 1):
+    prev, err = None, math.inf
+    for level in range(_DE_LEVEL_MIN, _DE_LEVEL_MAX + 1):
+        x, w = _de_rule(kind, level, a, b)
+        if prev is not None and evals + x.size > spec.max_subdivisions:
+            break
+        evals += x.size
+        if x.size:
+            t = _eval_masked(f, x, w)
+            if t is not None:
+                terms.append(t)
         h = 2.0 ** (-level)
-        nmax = int(_TS_TMAX / h)
-        parts = []
-        for j in range(-nmax, nmax + 1):
-            try:
-                x, w = m(j * h)
-            except OverflowError:
-                continue
-            if not (math.isfinite(x) and math.isfinite(w)) or w == 0.0:
-                continue
-            if kind == "finite" and not (a < x < b):
-                continue
-            # Extreme nodes may overflow inside f even though their
-            # double-exponential weight makes the contribution negligible;
-            # treat them like the non-finite values they would round to.
-            try:
-                fx = np.asarray(f(x), dtype=float)
-            except (OverflowError, ZeroDivisionError):
-                continue
-            if not np.all(np.isfinite(fx)):
-                continue
-            parts.append(w * fx)
-            evals += 1
-        if parts and np.ndim(parts[0]):
-            cur = np.array([h * math.fsum(p[i] for p in parts)
-                            for i in range(len(parts[0]))])
+        if not terms:
+            cur = 0.0
+        elif terms[0].ndim == 1:
+            cur = h * math.fsum(np.concatenate(terms).tolist())
         else:
-            cur = h * math.fsum(parts)
+            cur = np.array([h * math.fsum(col) for col in np.concatenate(terms).T.tolist()])
         if prev is not None:
             err = _mag(cur - prev)
-            value = cur
             if err <= max(spec.abs_tol, spec.rel_tol * _mag(cur)):
-                return QuadResult(value, err, True)
-        else:
-            value = cur
+                return QuadResult(cur, err, True)
         prev = cur
-        if evals > 64 * spec.max_subdivisions:
-            break
-    return QuadResult(value, err, False)
+    return QuadResult(prev, err, False)
 
 
 # ---------------------------------------------------------------------------
-# public 1-D driver
+# public entry points
 
 def integrate_1d(f: Callable, interval: Sequence[float],
                  spec: QuadratureSpec) -> QuadResult:
@@ -245,53 +225,51 @@ def integrate_1d(f: Callable, interval: Sequence[float],
     Parameters
     ----------
     f : callable
-        Maps a float to a float or a 1-D ndarray (integrated componentwise,
-        with the max-abs norm driving adaptivity).
+        Array integrand: maps an ndarray of N nodes to shape (N,), or to
+        (N, k) for a vector-valued integrand (integrated componentwise,
+        with the max-abs norm driving convergence).  Nodes where f is not
+        finite are left out, as are all N when f raises OverflowError or
+        ZeroDivisionError.  For a decaying integrand that happens only at
+        extreme nodes, where the double-exponential weight makes the term
+        negligible.  Complex values raise TypeError.
     interval : (a, b)
-        Endpoints; either may be infinite, in which case the transform
-        selected by ``spec.transform`` is applied ("none" raises).
+        Endpoints; either may be infinite.
     spec : QuadratureSpec
+        ``max_subdivisions`` bounds the number of nodes f is evaluated at.
 
     Returns
     -------
     QuadResult
-        ``(value, error, converged)``; on budget exhaustion the best
-        estimate is returned with ``converged=False``.
+        ``(value, error, converged)``: the last level and its distance to
+        the level before.  On budget exhaustion the best estimate is
+        returned with ``converged=False``.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError(f"empty interval ({a}, {b})")
     inf_a, inf_b = math.isinf(a), math.isinf(b)
-    if not (inf_a or inf_b):
-        if spec.transform == "tanh_sinh":
-            return _tanh_sinh(f, "finite", a, b, spec)
-        return _adaptive_gl(f, a, b, spec)
-    if spec.transform == "none":
-        raise ValueError("infinite interval requires a transform")
-    if spec.transform == "tanh_sinh":
-        kind = "full" if (inf_a and inf_b) else ("up" if inf_b else "down")
-        return _tanh_sinh(f, kind, a, b, spec)
-    # exp_map: u = -log(1-s) maps (0,1) onto (0,inf)
     if inf_a and inf_b:
-        left = integrate_1d(lambda u: f(-u), (0.0, math.inf), spec)
-        right = integrate_1d(f, (0.0, math.inf), spec)
-        return QuadResult(left.value + right.value, left.error + right.error,
-                          left.converged and right.converged)
-    if inf_b:
-        g = lambda s: np.asarray(f(a - math.log1p(-s)), dtype=float) / (1.0 - s)
+        kind = "full"
+    elif inf_b:
+        kind = "up"
+    elif inf_a:
+        kind = "down"
     else:
-        g = lambda s: np.asarray(f(b + math.log1p(-s)), dtype=float) / (1.0 - s)
-    return _adaptive_gl(g, 0.0, 1.0, spec)
+        kind = "finite"
+    return _double_exponential(f, kind, a, b, spec)
 
 
 def integrate_nested(dims: Sequence[Sequence[float]], f: Callable,
                      spec: QuadratureSpec) -> QuadResult:
     """Iterated integral over a box, outermost dimension first.
 
-    ``f`` takes ``len(dims)`` floats.  Inner levels run with tolerances
-    tightened by 10x; the error estimate combines the outer panel error
-    with the worst sampled relative error of the inner levels, and the
-    converged flag is the conjunction across levels.
+    ``f`` takes ``len(dims)`` arguments: a float for each outer dimension
+    and, last, the ndarray of nodes of the innermost one, with the return
+    shape of an ``integrate_1d`` integrand.  Each new outer node gets one
+    vectorized inner integral, run with tolerances tightened by 10x; the
+    error estimate combines the outer error with the worst relative error
+    of the inner integrals, and the converged flag is the conjunction
+    across levels.
     """
     dims = [tuple(d) for d in dims]
     if not dims:
@@ -302,12 +280,15 @@ def integrate_nested(dims: Sequence[Sequence[float]], f: Callable,
     inner_rel = 0.0
     all_conv = True
 
-    def g(x):
+    def g(xs):
         nonlocal inner_rel, all_conv
-        res = integrate_nested(dims[1:], lambda *rest: f(x, *rest), inner_spec)
-        all_conv = all_conv and res.converged
-        inner_rel = max(inner_rel, res.error / max(_mag(res.value), spec.abs_tol))
-        return res.value
+        vals = []
+        for x in xs.tolist():
+            res = integrate_nested(dims[1:], lambda *rest: f(x, *rest), inner_spec)
+            all_conv = all_conv and res.converged
+            inner_rel = max(inner_rel, res.error / max(_mag(res.value), spec.abs_tol))
+            vals.append(res.value)
+        return np.array(vals, dtype=float)
 
     outer = integrate_1d(g, dims[0], spec)
     err = outer.error + inner_rel * _mag(outer.value)
@@ -358,40 +339,6 @@ def sphere3_angles(order: int):
     for arr in (psi, wpsi, theta, wtheta, phi, wphi):
         arr.setflags(write=False)
     return psi, wpsi, theta, wtheta, phi, wphi
-
-
-def integrate_sphere2(f: Callable, spec: QuadratureSpec) -> tuple:
-    """Integrate f(n) over S^2; f may return a float or a Quaternion.
-
-    Uses the product rule at ``spec.sphere_order`` and at order + 8; the
-    refined value is returned together with the componentwise max-abs
-    difference as the error estimate.
-    """
-    def run(order):
-        nodes, w = sphere2_nodes(order)
-        terms = [w[i] * _to_comp(f(nodes[i])) for i in range(len(w))]
-        return np.array([math.fsum(t[i] for t in terms)
-                         for i in range(len(terms[0]))])
-
-    base = run(spec.sphere_order)
-    fine = run(spec.sphere_order + 8)
-    err = float(np.max(np.abs(fine - base)))
-    return _from_comp(fine), err
-
-
-def _to_comp(v):
-    if hasattr(v, "components"):
-        return np.array(v.components(), dtype=float)
-    return np.atleast_1d(np.asarray(v, dtype=float))
-
-
-def _from_comp(arr):
-    if arr.shape == (4,):
-        from .quat import Quaternion
-        return Quaternion(*arr)
-    if arr.shape == (1,):
-        return float(arr[0])
-    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ k-chain by a factor 2 and is surfaced as a diagnostic in the check suite.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .quat import Quaternion, real_power
 from .quad import QuadratureSpec, QuadratureError, integrate_1d, integrate_nested
@@ -91,7 +91,7 @@ def k_eps(g: GroupElement, eps: float,
 def gamma_integral(spec: QuadratureSpec) -> float:
     """int_0^inf r^2 (r^2+1)^-5 dr; closed form 5 pi/256."""
     res = integrate_1d(lambda r: r * r * (r * r + 1.0) ** -5,
-                       (0.0, math.inf), _ts(spec))
+                       (0.0, math.inf), spec)
     _require(res, "gamma integral")
     return res.value
 
@@ -99,7 +99,7 @@ def gamma_integral(spec: QuadratureSpec) -> float:
 def delta_integral(spec: QuadratureSpec) -> float:
     """int_0^inf rho^3 (rho^2+1)^-7 drho; closed form 1/60."""
     res = integrate_1d(lambda rho: rho ** 3 * (rho * rho + 1.0) ** -7,
-                       (0.0, math.inf), _ts(spec))
+                       (0.0, math.inf), spec)
     _require(res, "delta integral")
     return res.value
 
@@ -113,7 +113,7 @@ def radial_kernel_integral(spec: QuadratureSpec) -> float:
     res = integrate_nested(
         ((0.0, math.inf), (0.0, math.inf)),
         lambda rho, r: r * r * rho ** 3 * (r * r + (rho * rho + 1.0) ** 2) ** -5,
-        _ts(spec))
+        spec)
     _require(res, "radial kernel integral")
     return res.value
 
@@ -137,11 +137,6 @@ def verify_reproducing(spec: QuadratureSpec, k: float = K_ANALYTIC) -> float:
     beyond quadrature error indicates a normalization inconsistency.
     """
     return 32.0 * k * _ALPHA * _BETA * radial_kernel_integral(spec)
-
-
-def _ts(spec: QuadratureSpec) -> QuadratureSpec:
-    # radial tails here decay algebraically; run them double-exponentially
-    return replace(spec, transform="tanh_sinh")
 
 
 def _require(res, what):

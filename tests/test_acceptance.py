@@ -79,9 +79,9 @@ def test_criterion_02_group_geometry(spec):
                     (p.q2 - p2.q2).norm() / max(1.0, p.q2.norm()))
 
     def mass(delta):
-        r4 = integrate_1d(lambda r: math.exp(-(delta * r) ** 2) * r ** 3,
+        r4 = integrate_1d(lambda r: np.exp(-(delta * r) ** 2) * r ** 3,
                           (0.0, math.inf), spec)
-        r3 = integrate_1d(lambda s: math.exp(-(delta ** 2 * s) ** 2) * s * s,
+        r3 = integrate_1d(lambda s: np.exp(-(delta ** 2 * s) ** 2) * s * s,
                           (0.0, math.inf), spec)
         return r4.value * r3.value
 

@@ -98,6 +98,11 @@ def test_nonconvergence_exit_code(monkeypatch):
     assert cli.main(["verify", "--suite", "algebra"]) == 3
 
 
+def test_evaluation_budget_exit_code(capsys):
+    # 100 evaluations cover only the first double-exponential level
+    assert cli.main(["verify", "--suite", "szego", "--max-subdiv", "100"]) == 3
+
+
 def test_table_heis_single_row(tmp_path):
     out = tmp_path / "heis.csv"
     rc = cli.main(["table", "--kind", "heis", "--out", str(out),

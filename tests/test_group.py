@@ -89,12 +89,12 @@ def test_norm_symmetric_under_inverse(rng):
 
 
 def test_polar_constant_gaussian(spec):
-    v = polar_constant(lambda s: math.exp(-s * s), spec)
+    v = polar_constant(lambda s: np.exp(-s * s), spec)
     assert abs(v - 2.0 * math.pi ** 3 / 3.0) <= 1e-9 * v
 
 
 def test_polar_constant_profile_independent(spec):
-    v = polar_constant(lambda s: math.exp(-s), spec)
+    v = polar_constant(lambda s: np.exp(-s), spec)
     w = polar_constant(lambda s: (1.0 + s * s) ** -6, spec)
     assert abs(v - 2.0 * math.pi ** 3 / 3.0) <= 1e-8 * v
     assert abs(w - 2.0 * math.pi ** 3 / 3.0) <= 1e-7 * w
@@ -104,9 +104,9 @@ def test_haar_dilation_factor(spec):
     # Lebesgue measure on (w, t) picks up delta^Q under dilation; measure
     # it from the two radial reductions of a product Gaussian
     def mass(delta):
-        r4 = integrate_1d(lambda r: math.exp(-(delta * r) ** 2) * r ** 3,
+        r4 = integrate_1d(lambda r: np.exp(-(delta * r) ** 2) * r ** 3,
                           (0.0, math.inf), spec)
-        r3 = integrate_1d(lambda s: math.exp(-(delta ** 2 * s) ** 2) * s * s,
+        r3 = integrate_1d(lambda s: np.exp(-(delta ** 2 * s) ** 2) * s * s,
                           (0.0, math.inf), spec)
         return (2.0 * math.pi ** 2 * r4.value) * (4.0 * math.pi * r3.value)
 
