@@ -20,6 +20,14 @@ coordinate form
     + 4 sum_k ((w i_k . d/dx) + lambda_k i_k) d/dt_k,
 
 both of which agree within stencil error.
+
+Fields and integrands follow one array contract: a field maps a point of
+R^7 to a float or a Quaternion, and written with elementwise operations
+(numpy functions, Quaternion arithmetic) it equally maps a (7, M) array of
+points, coordinates on axis 0, to a (M,) array or a Quaternion with (M,)
+components.  The direct form of Delta_lambda evaluates its whole stencil
+in one such call, and the Cauchy-Fueter integral passes one row of sphere
+nodes at a time as a Quaternion with array components.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,7 +43,6 @@ from .quad import QuadratureSpec, QuadratureError, sphere3_angles
 
 __all__ = [
     "Lambda",
-    "Field",
     "QPoly",
     "QuatDiffOp",
     "make_x",
@@ -44,7 +50,6 @@ __all__ = [
     "h_field",
     "hbar_field",
     "apply_op",
-    "apply_exact",
     "delta_lambda_apply",
     "box_b_identity_residual",
     "crf_tangency_residual",
@@ -76,22 +81,17 @@ class Lambda:
         return Lambda(a, b, c)
 
 
-@dataclass(frozen=True)
-class Field:
-    """Scalar- or quaternion-valued function on R^7, with optional
-    analytic gradient (7 partials, same value type)."""
-
-    func: Callable
-    grad: Optional[Callable] = None
-
-    def __call__(self, p):
-        return self.func(p)
-
-
 def _as_quat(v) -> Quaternion:
     if isinstance(v, Quaternion):
         return v
     return Quaternion(float(v))
+
+
+def _as_components(v, m: int) -> np.ndarray:
+    """(4, m) components of an array field's value at m points: a
+    Quaternion or a real, each part a scalar or an (m,) array."""
+    comps = v.components() if isinstance(v, Quaternion) else (v, 0.0, 0.0, 0.0)
+    return np.array([np.broadcast_to(np.asarray(c, dtype=float), (m,)) for c in comps])
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +312,11 @@ def _check_steps(p, h):
 
 
 class _StencilCache:
-    """Caches field values on the lattice p + sum_j k_j h_j e_j."""
+    """Caches field values on the lattice p + sum_j k_j h_j e_j.
+
+    ``fill`` evaluates many offsets in one field call; a lookup of an
+    offset not yet cached evaluates the field at that single point.
+    """
 
     __slots__ = ("f", "p", "steps", "vals")
 
@@ -332,6 +336,17 @@ class _StencilCache:
             self.vals[offsets] = v
         return v
 
+    def fill(self, offsets):
+        """Evaluate the field once at M distinct offsets, passed as a (7, M)
+        array of points with coordinates on axis 0."""
+        k = np.array(offsets, dtype=float).T
+        q = self.p[:, None] + self.steps[:, None] * k
+        vals = _as_components(self.f(q), len(offsets))
+        if not np.isfinite(vals).all():
+            raise ValueError("field evaluated to a non-finite value")
+        for off, comp in zip(offsets, vals.T.tolist()):
+            self.vals[off] = Quaternion(*comp)
+
 
 def _offset(j, s):
     off = [0] * N_COORDS
@@ -350,13 +365,17 @@ def _d2(cache, j):
     return (cache(_offset(j, 1)) - center * 2.0 + cache(_offset(j, -1))) * (1.0 / (h * h))
 
 
+def _cross_offset(j, k, sj, sk):
+    off = [0] * N_COORDS
+    off[j], off[k] = sj, sk
+    return tuple(off)
+
+
 def _dcross(cache, j, k):
     hj, hk = cache.steps[j], cache.steps[k]
 
     def at(sj, sk):
-        off = [0] * N_COORDS
-        off[j], off[k] = sj, sk
-        return cache(tuple(off))
+        return cache(_cross_offset(j, k, sj, sk))
 
     return (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) * (0.25 / (hj * hk))
 
@@ -367,8 +386,10 @@ def apply_op(op: QuatDiffOp, f, p, h=1e-4) -> Quaternion:
     Parameters
     ----------
     op : QuatDiffOp
-    f : callable or Field
-        Maps a length-7 array to a float or Quaternion.
+    f : callable
+        Maps a length-7 array to a float or Quaternion.  It is called once
+        per stencil point, with a (7,) array; a field written for the
+        array contract of this module works unchanged.
     p : array-like, length 7
     h : float or length-7 array
         Step per coordinate; the default 1e-4 is scaled by nothing, pass
@@ -398,50 +419,48 @@ def apply_op(op: QuatDiffOp, f, p, h=1e-4) -> Quaternion:
     return total
 
 
-def apply_exact(op: QuatDiffOp, f: Field, p) -> Quaternion:
-    """Apply a first-order operator using the field's analytic gradient."""
-    if f.grad is None:
-        raise ValueError("field carries no analytic gradient")
-    if op.order() > 1:
-        raise ValueError("exact application is for first-order operators")
-    p = np.asarray(p, dtype=float)
-    grad = f.grad(p)
-    total = ZERO
-    for key, poly in op.terms.items():
-        if sum(key) == 0:
-            total = total + poly.eval(p[:4]) * _as_quat(f(p))
-        else:
-            total = total + poly.eval(p[:4]) * _as_quat(grad[key.index(1)])
-    return total
-
-
-def delta_lambda_apply(f, p, lam: Lambda, h=1e-4, form: str = "direct") -> Quaternion:
+def delta_lambda_apply(f, p, lam: Lambda, h=1e-4, form: str = "direct",
+                       with_value: bool = False):
     """Apply Delta_lambda at p by finite differences.
 
-    form="direct" assembles the expanded coordinate form (69 field
-    evaluations); form="nested" applies each X_l twice as first-order
-    stencils and adds the lambda term, which is the independent route the
-    two-form consistency checks compare against.
+    form="direct" assembles the expanded coordinate form from at most 63
+    distinct stencil points and evaluates f once on all of them: f gets a
+    (7, M) array of points, coordinates on axis 0, and returns a Quaternion
+    or a real, each part an (M,) array or a constant that broadcasts.  A
+    non-finite value at any point raises ValueError.
+    form="nested" applies each X_l twice as first-order stencils and adds
+    the lambda term, calling f on one (7,) point at a time; it is the
+    independent route the two-form consistency checks compare against.
+    A field written with elementwise operations serves both forms.
+
+    with_value=True returns (Delta_lambda f(p), f(p)); the direct form has
+    f(p) among its stencil values already.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (N_COORDS,):
         raise ValueError("point must have 7 coordinates")
     steps = _check_steps(p, h)
+    cache = _StencilCache(f, p, steps)
+    centre = (0,) * N_COORDS
     if form == "nested":
         total = ZERO
         for l in range(4):
             xl = make_x(l)
             inner = lambda q, _xl=xl: apply_op(_xl, f, q, h)
             total = total + apply_op(xl, inner, p, h)
-        cache = _StencilCache(f, p, steps)
         for k in range(3):
             total = total + _IMAG[k] * _d1(cache, 4 + k) * (4.0 * lam.as_tuple()[k])
-        return total
+        return (total, cache(centre)) if with_value else total
     if form != "direct":
         raise ValueError(f"unknown form {form!r}")
-    cache = _StencilCache(f, p, steps)
     w = Quaternion(*p[:4])
     xsq = w.norm_sq()
+    wik = [(w * _IMAG[k]).components() for k in range(3)]
+    cross = [(l, 4 + k) for k in range(3) for l in range(4) if wik[k][l] != 0.0]
+    cache.fill([centre]
+               + [_offset(j, s) for j in range(N_COORDS) for s in (1, -1)]
+               + [_cross_offset(j, k, sj, sk)
+                  for j, k in cross for sj in (1, -1) for sk in (1, -1)])
     total = ZERO
     for l in range(4):
         total = total + _d2(cache, l)
@@ -449,13 +468,12 @@ def delta_lambda_apply(f, p, lam: Lambda, h=1e-4, form: str = "direct") -> Quate
         total = total + _d2(cache, 4 + k) * (4.0 * xsq)
     lam_t = lam.as_tuple()
     for k in range(3):
-        wik = w * _IMAG[k]
-        for l, comp in enumerate(wik.components()):
+        for l, comp in enumerate(wik[k]):
             if comp != 0.0:
                 total = total + _dcross(cache, l, 4 + k) * (4.0 * comp)
         if lam_t[k] != 0.0:
             total = total + _IMAG[k] * _d1(cache, 4 + k) * (4.0 * lam_t[k])
-    return total
+    return (total, cache(centre)) if with_value else total
 
 
 def box_b_identity_residual(f, p, h=1e-3) -> float:
@@ -569,35 +587,37 @@ def _qmul_arrays(a, b):
 
 def _cf_run(f, q0: Quaternion, radius: float, order: int):
     psi, wpsi, theta, wtheta, phi, wphi = sphere3_angles(order)
-    P, T, M = np.meshgrid(psi, theta, phi, indexing="ij")
     W = (wpsi[:, None, None] * wtheta[None, :, None] * wphi[None, None, :]).ravel()
-    sp, cp = np.sin(P).ravel(), np.cos(P).ravel()
+    T, M = np.meshgrid(theta, phi, indexing="ij")
     st, ct = np.sin(T).ravel(), np.cos(T).ravel()
     sf, cf = np.sin(M).ravel(), np.cos(M).ravel()
-
-    n = (cp, sp * ct, sp * st * cf, sp * st * sf)
-    tp = tuple(radius * c for c in (-sp, cp * ct, cp * st * cf, cp * st * sf))
-    tt = tuple(radius * c for c in (np.zeros_like(sp), -sp * st, sp * ct * cf, sp * ct * sf))
-    tf = tuple(radius * c for c in (np.zeros_like(sp), np.zeros_like(sp), -sp * st * sf, sp * st * cf))
-
-    # minors of the rows (tp, tt, tf); Dq = (M0, -M1, M2, -M3)
+    zero = np.zeros_like(st)
     cols = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-    minors = [_det3([[tp[c] for c in cs], [tt[c] for c in cs], [tf[c] for c in cs]])
-              for cs in cols]
-    dq = (minors[0], -minors[1], minors[2], -minors[3])
 
-    d = tuple(radius * c for c in n)
-    q_pts = tuple(dc + qc for dc, qc in zip(d, q0.components()))
-    nsq = d[0] ** 2 + d[1] ** 2 + d[2] ** 2 + d[3] ** 2
-    kern = (d[0] / nsq ** 2, -d[1] / nsq ** 2, -d[2] / nsq ** 2, -d[3] / nsq ** 2)
+    # one psi-row of nodes at a time: its geometry, one call of f on the
+    # whole row, and the integrand written into its slice of ``integrand``
+    row = st.size
+    integrand = np.empty((4, psi.size * row))
+    for i, (sin_psi, cos_psi) in enumerate(zip(np.sin(psi), np.cos(psi))):
+        sp, cp = np.full(row, sin_psi), np.full(row, cos_psi)
+        n = (cp, sp * ct, sp * st * cf, sp * st * sf)
+        tp = tuple(radius * c for c in (-sp, cp * ct, cp * st * cf, cp * st * sf))
+        tt = tuple(radius * c for c in (zero, -sp * st, sp * ct * cf, sp * ct * sf))
+        tf = tuple(radius * c for c in (zero, zero, -sp * st * sf, sp * st * cf))
 
-    count = len(W)
-    fvals = np.empty((4, count))
-    for i in range(count):
-        v = _as_quat(f(Quaternion(q_pts[0][i], q_pts[1][i], q_pts[2][i], q_pts[3][i])))
-        fvals[0, i], fvals[1, i], fvals[2, i], fvals[3, i] = v.components()
+        # minors of the rows (tp, tt, tf); Dq = (M0, -M1, M2, -M3)
+        minors = [_det3([[tp[c] for c in cs], [tt[c] for c in cs], [tf[c] for c in cs]])
+                  for cs in cols]
+        dq = (minors[0], -minors[1], minors[2], -minors[3])
 
-    integrand = _qmul_arrays(_qmul_arrays(kern, dq), tuple(fvals))
+        d = tuple(radius * c for c in n)
+        q_pts = tuple(dc + qc for dc, qc in zip(d, q0.components()))
+        nsq = d[0] ** 2 + d[1] ** 2 + d[2] ** 2 + d[3] ** 2
+        kern = (d[0] / nsq ** 2, -d[1] / nsq ** 2, -d[2] / nsq ** 2, -d[3] / nsq ** 2)
+
+        fvals = _as_components(f(Quaternion(*q_pts)), row)
+        integrand[:, i * row:(i + 1) * row] = _qmul_arrays(_qmul_arrays(kern, dq), fvals)
+
     scale = 1.0 / (2.0 * math.pi ** 2)
     return np.array([float(np.dot(W, comp)) * scale for comp in integrand])
 
@@ -610,6 +630,12 @@ def cauchy_fueter_sphere(f, q0: Quaternion, radius: float,
     the product rule of sphere3_angles; the non-commutative product order
     kernel * Dq * f is essential.  Reproduces f(q0) for Fueter-regular f
     (and for affine f by symmetry).
+
+    ``f`` is an array integrand: it is called once per psi-row of nodes
+    (2*sphere_order + 4 calls for the two rules), with a Quaternion whose
+    components are (M,) arrays of node coordinates, and returns a
+    Quaternion or a real, each part an (M,) array or a constant that
+    broadcasts.  Write it with elementwise operations.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")

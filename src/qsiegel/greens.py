@@ -36,22 +36,26 @@ Three evaluators and their cross-checks:
   with the sign of lambda (equivalently of t) flipped, which
   ``heis_contour_sign_check`` surfaces.
 
-All integrals run on fixed Gauss-Legendre panels doubling away from 0 and
-truncated where e^{-(2-|lambda|) u*} < abs_tol/10, so evaluations are
-deterministic and vary smoothly with (x, t) inside finite-difference
-stencils.  Large-u factors are computed in the form
-4 e^{-(2+a)u} / (1-e^{-2u})^2, which neither overflows nor cancels.
+All integrals run on fixed Gauss-Legendre panels doubling away from 0
+(``quad.panel_grid``, cached per grid) and truncated where
+e^{-(2-|lambda|) u*} < abs_tol/10, so evaluations are deterministic and
+vary smoothly with (x, t) inside finite-difference stencils.  The stencils
+of ``hermite_residual`` and ``delta_lambda_residual_on_k`` evaluate all
+their points in one call that builds the lambda-dependent tables once;
+each point keeps the arithmetic of a single evaluation, so the values are
+those of ``k_tilde_lambda`` and ``k_lambda`` bit for bit.  Large-u factors
+are computed in the form 4 e^{-(2+a)u} / (1-e^{-2u})^2, which neither
+overflows nor cancels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .quat import Quaternion
-from .quad import QuadratureSpec, QuadratureError, gauss_rule, sphere2_nodes, gamma
+from .quad import QuadratureSpec, QuadratureError, panel_grid, sphere2_nodes, gamma
 from .diffops import Lambda, delta_lambda_apply
 
 __all__ = [
@@ -65,9 +69,6 @@ __all__ = [
     "fourier_consistency",
     "delta_lambda_residual_on_k",
 ]
-
-_U_NODES_PER_PANEL = 24
-
 
 def _coerce_lambda(lam) -> Lambda:
     if isinstance(lam, Lambda):
@@ -95,22 +96,10 @@ def _t3(t) -> np.ndarray:
     return t
 
 
-def _u_grid(decay_rate: float, spec: QuadratureSpec):
-    """Panelized Gauss-Legendre nodes on (0, u*), doubling panel widths.
-
-    u* is set by e^{-decay_rate * u*} = abs_tol/10, the relative level at
-    which the integrand tail is discarded.
-    """
-    ustar = math.log(10.0 / spec.abs_tol) / decay_rate
-    edges = [0.0, 0.5]
-    while edges[-1] < ustar:
-        edges.append(min(2.0 * edges[-1], ustar))
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs, ws = gauss_rule(_U_NODES_PER_PANEL, a, b)
-        nodes.append(xs)
-        weights.append(ws)
-    return np.concatenate(nodes), np.concatenate(weights)
+def _tail_end(decay_rate: float, spec: QuadratureSpec, slack: float = 10.0) -> float:
+    """u* with e^{-decay_rate * u*} = abs_tol/slack, the relative level at
+    which the integrand tail is discarded."""
+    return math.log(slack / spec.abs_tol) / decay_rate
 
 
 def _coth(u: np.ndarray) -> np.ndarray:
@@ -118,34 +107,35 @@ def _coth(u: np.ndarray) -> np.ndarray:
     return (2.0 + em) / (-em)
 
 
-def _sinh_weight(a, u):
-    """e^{-a u} / sinh^2 u as 4 e^{-(a+2)u} / (1 - e^{-2u})^2, stable in u."""
-    em = np.expm1(-2.0 * u)
-    return 4.0 * np.exp(-(a + 2.0) * u) / (em * em)
-
-
 # ---------------------------------------------------------------------------
 # Hermite-space kernel
 
-def k_tilde_lambda(x, tau, lam, spec: QuadratureSpec) -> float:
-    """Evaluate K~_lambda(x, tau) on the fixed u-panel rule."""
-    x = _x4(x)
+def _k_tilde_rows(xs: np.ndarray, tau, lam: Lambda, spec: QuadratureSpec) -> list:
+    """K~_lambda(x, tau) at every row x of ``xs`` (shape (N, 4)) on the
+    fixed u-panel rule, which the rows share since tau and lambda do."""
     tau = _t3(tau)
-    lam = _coerce_lambda(lam)
     _check_lambda_ball(lam)
-    xsq = float(x @ x)
+    xsq = [float(x @ x) for x in xs]
     tnorm = float(np.linalg.norm(tau))
-    if xsq == 0.0:
+    if 0.0 in xsq:
         raise ValueError("x = 0 outside reduced-representation domain")
     if tnorm == 0.0:
         raise ValueError("tau must be nonzero")
     a = float(np.dot(lam.as_tuple(), tau)) / tnorm
     if a <= -2.0:
         raise ValueError(f"lambda decay condition fails on this ray: {a:.6g} <= -2")
-    u, w = _u_grid(2.0 + a, spec)
+    u, w = panel_grid(0.0, 0.5, _tail_end(2.0 + a, spec))
     em = np.expm1(-2.0 * u)
-    vals = 4.0 * np.exp(-(a + 2.0) * u - tnorm * xsq * _coth(u)) / (em * em)
-    return tnorm / (4.0 * math.pi ** 2) * float(np.dot(w, vals))
+    decay = np.multiply.outer(tnorm * np.array(xsq), _coth(u))
+    vals = 4.0 * np.exp(-(a + 2.0) * u - decay) / (em * em)
+    pref = tnorm / (4.0 * math.pi ** 2)
+    return [pref * float(np.dot(w, v)) for v in vals]
+
+
+def k_tilde_lambda(x, tau, lam, spec: QuadratureSpec) -> float:
+    """Evaluate K~_lambda(x, tau) on the fixed u-panel rule."""
+    x = _x4(x)
+    return _k_tilde_rows(x[None, :], tau, _coerce_lambda(lam), spec)[0]
 
 
 def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float = 1e-3) -> float:
@@ -158,14 +148,12 @@ def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float = 1e-3) -> floa
         raise ValueError("|x| >= 0.3 required away from the singular support")
     if h <= 0.0:
         raise ValueError("step must be positive")
-    center = k_tilde_lambda(x, tau, lam, spec)
+    e = h * np.eye(4)
+    k = _k_tilde_rows(np.vstack([x, x + e, x - e]), tau, lam, spec)
+    center = k[0]
     lap = 0.0
     for l in range(4):
-        e = np.zeros(4)
-        e[l] = h
-        lap += (k_tilde_lambda(x + e, tau, lam, spec)
-                - 2.0 * center
-                + k_tilde_lambda(x - e, tau, lam, spec)) / (h * h)
+        lap += (k[1 + l] - 2.0 * center + k[5 + l]) / (h * h)
     xsq = float(x @ x)
     tsq = float(tau @ tau)
     lt = float(np.dot(lam.as_tuple(), tau))
@@ -175,8 +163,8 @@ def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float = 1e-3) -> floa
 # ---------------------------------------------------------------------------
 # group-space kernel, polar-reduced
 
-def _k_lambda_components(x, t, lam: Lambda, spec: QuadratureSpec):
-    """Polar-reduced kernel components.
+def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
+    """Polar-reduced kernel components at the points (xs[i], ts[i]).
 
     Writing P(n, u) = (|x|^2 coth u - i t.n)^-4 (principal complex power)
     and g(n) = |(lambda_1 n_1, lambda_2 n_2, lambda_3 n_3)|,
@@ -196,34 +184,55 @@ def _k_lambda_components(x, t, lam: Lambda, spec: QuadratureSpec):
     the imaginary units involved commute); in the three-dimensional case
     it fails the defining equation, which ``delta_lambda_residual_on_k``
     makes measurable.
+
+    ``xs`` and ``ts`` hold one point per row, shapes (N, 4) and (N, 3).
+    The lambda-dependent tables (sphere nodes, u-grid, the cosh/sinh
+    weights and the odd axes) are built once per call and shared by the
+    rows; each row then costs one complex power on the node grid.
+    Returns c0 of shape (N,) and ck of shape (N, 3).
     """
-    xsq = float(x @ x)
     nodes, wS = sphere2_nodes(spec.sphere_order)
     lamv = np.asarray(lam.as_tuple())
     ln = nodes * lamv[None, :]                        # (lambda o n) per node
     g = np.linalg.norm(ln, axis=1)
-    u, wu = _u_grid(2.0 - lam.norm(), spec)
+    u, wu = panel_grid(0.0, 0.5, _tail_end(2.0 - lam.norm(), spec))
     coth = _coth(u)
-
-    tn = nodes @ t                                    # signed t.n per node
-    z = xsq * coth[None, :] - 1j * tn[:, None]
-    p = z ** -4.0
 
     # cosh(g u)/sinh^2 u and sinh(g u)/sinh^2 u, overflow-free:
     # 4 e^{-2u} cosh(g u) = 2(e^{-(2-g)u} + e^{-(2+g)u}), same with a minus
     # for sinh; the slow rate 2-g stays positive because g <= |lambda| < 2.
+    # The (node, u) tables are built in place: a fresh temporary of that
+    # size costs more than the arithmetic on it.  Negations are exact, so
+    # the values are those of 2 e^{-(2 -+ g)u} / (em^2) evaluated directly.
     em = np.expm1(-2.0 * u)
-    slow = 2.0 * np.exp(-np.outer(2.0 - g, u)) / (em * em)[None, :]
-    fast = 2.0 * np.exp(-np.outer(2.0 + g, u)) / (em * em)[None, :]
-
+    emsq = (em * em)[None, :]
+    slow = np.exp(np.outer(g - 2.0, u))
+    slow *= 2.0
+    slow /= emsq
+    fast = np.exp(np.outer(-(2.0 + g), u))
+    fast *= 2.0
+    fast /= emsq
     base = wS[:, None] * wu[None, :]
+    even = slow + fast
+    even *= base
+    odd = slow
+    odd -= fast
+    odd *= base
+    del slow, fast, base
+
     scale = 6.0 / (2.0 * math.pi) ** 5
-    c0 = scale * float(np.sum(base * (slow + fast) * p.real))
-    odd_rows = np.sum(base * (slow - fast) * p.imag, axis=1)
     with np.errstate(invalid="ignore"):
         axis = np.where(g[:, None] > 0.0,
                         ln / np.where(g[:, None] > 0.0, g[:, None], 1.0), 0.0)
-    ck = -scale * (axis.T @ odd_rows)
+    c0 = np.empty(len(xs))
+    ck = np.empty((len(xs), 3))
+    for i, (x, t) in enumerate(zip(xs, ts)):
+        xsq = float(x @ x)
+        tn = nodes @ t                                # signed t.n per node
+        z = xsq * coth[None, :] - 1j * tn[:, None]
+        p = np.power(z, -4.0, out=z)
+        c0[i] = scale * float(np.sum(even * p.real))
+        ck[i] = -scale * (axis.T @ np.sum(odd * p.imag, axis=1))
     return c0, ck
 
 
@@ -240,8 +249,8 @@ def k_lambda(x, t, lam, spec: QuadratureSpec) -> Quaternion:
     _check_lambda_ball(lam)
     if float(x @ x) == 0.0:
         raise ValueError("x = 0 outside reduced-representation domain")
-    c0, ck = _k_lambda_components(x, t, lam, spec)
-    return Quaternion(c0, float(ck[0]), float(ck[1]), float(ck[2]))
+    c0, ck = _k_lambda_components(x[None, :], t[None, :], lam, spec)
+    return Quaternion(float(c0[0]), float(ck[0, 0]), float(ck[0, 1]), float(ck[0, 2]))
 
 
 def k0_sphere(x, t, spec: QuadratureSpec) -> float:
@@ -288,19 +297,6 @@ def heis_k_closed(x, t: float, lam: float) -> Quaternion:
     return Quaternion(val.real, val.imag, 0.0, 0.0)
 
 
-def _heis_panels(side_rate: float, first_width: float, spec: QuadratureSpec):
-    ustar = math.log(40.0 / spec.abs_tol) / side_rate
-    edges = [0.0, first_width]
-    while edges[-1] < ustar:
-        edges.append(min(2.0 * edges[-1], ustar))
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs, ws = gauss_rule(_U_NODES_PER_PANEL, a, b)
-        nodes.append(xs)
-        weights.append(ws)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def _damped_sech_sq(u: np.ndarray, phi: float, lam: float) -> np.ndarray:
     """e^{-lam u} sech^2(u + i phi) for u >= 0, |lam| < 2.
 
@@ -334,10 +330,10 @@ def heis_k_quadrature(x, t: float, lam: float, spec: QuadratureSpec) -> Quaterni
     first = 0.5 * min(1.0, cphi)
     acc = 0.0 + 0.0j
     # u >= 0 side: e^{-lam u} sech^2(u+i phi) decays like e^{-(2+lam)u}
-    u, w = _heis_panels(2.0 + lam, first, spec)
+    u, w = panel_grid(0.0, first, _tail_end(2.0 + lam, spec, 40.0))
     acc += np.dot(w, _damped_sech_sq(u, phi, lam))
     # u < 0 side: substitute u -> -u; sech^2(-u + i phi) = sech^2(u - i phi)
-    u, w = _heis_panels(2.0 - lam, first, spec)
+    u, w = panel_grid(0.0, first, _tail_end(2.0 - lam, spec, 40.0))
     acc += np.dot(w, _damped_sech_sq(u, -phi, -lam))
     val = acc / (8.0 * math.pi ** 3 * (xsq * xsq + t * t))
     return Quaternion(val.real, val.imag, 0.0, 0.0)
@@ -363,7 +359,7 @@ def heis_contour_sign_check(x, t: float, lam: float, spec: QuadratureSpec) -> di
 
     def side(sign):
         # u and -u branches; bracket^2 at large |u| grows like e^{2|u|}/4
-        u, w = _heis_panels(2.0 + sign * lam, 0.5, spec)
+        u, w = panel_grid(0.0, 0.5, _tail_end(2.0 + sign * lam, spec, 40.0))
         em = np.exp(-2.0 * u)
         # e^{-u} (|x|^2 cosh u - i t sinh u) at u>0 equals
         # (|x|^2 (1+e^{-2u}) - i t (1-e^{-2u}))/2; for the -u branch flip t
@@ -417,20 +413,9 @@ def fourier_consistency(x, t, lam, spec: QuadratureSpec,
     g = np.linalg.norm(ln, axis=1)
     axis = np.where(g[:, None] > 0.0,
                     ln / np.where(g[:, None] > 0.0, g[:, None], 1.0), 0.0)
-    u, wu = _u_grid(2.0 - lam.norm(), spec)
+    u, wu = panel_grid(0.0, 0.5, _tail_end(2.0 - lam.norm(), spec))
     em = np.expm1(-2.0 * u)
     coth = _coth(u)
-
-    def radial_block(r_lo, r_hi):
-        rs, wr = [], []
-        edges = [r_lo, r_lo + 0.5]
-        while edges[-1] < r_hi:
-            edges.append(min(edges[-1] * 2.0 if edges[-1] > 0 else 0.5, r_hi))
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            xs, ws = gauss_rule(_U_NODES_PER_PANEL, lo, hi)
-            rs.append(xs)
-            wr.append(ws)
-        return np.concatenate(rs), np.concatenate(wr)
 
     def transform_sums(r, wr):
         # K~(x, r n; a) = (r/4pi^2) sum_u T[r,u] E_a[n,u] at a = +-g(n)
@@ -448,9 +433,9 @@ def fourier_consistency(x, t, lam, spec: QuadratureSpec,
         ck = -(wgt * odd * np.sin(ang)).sum(axis=0) @ axis
         return c0, ck, float(np.sum(wgt * (np.abs(even) + np.abs(odd))))
 
-    r, wr = radial_block(0.0, tau_radius)
+    r, wr = panel_grid(0.0, 0.5, tau_radius)
     c0, ck, _ = transform_sums(r, wr)
-    rshell, wshell = radial_block(tau_radius, tau_radius + 2.0)
+    rshell, wshell = panel_grid(tau_radius, 0.5, tau_radius + 2.0)
     _, _, shell_mass = transform_sums(rshell, wshell)
     scale = 1.0 / (2.0 * math.pi) ** 3
     tail_bound = 2.0 * scale * shell_mass
@@ -468,8 +453,9 @@ def delta_lambda_residual_on_k(x, t, lam, spec: QuadratureSpec,
     The kernel annihilates under Delta_lambda away from the origin, so the
     return is pure stencil truncation + quadrature noise; with the fixed
     node rule the noise term stays far below the O(h^2) truncation at the
-    default step.  ``details=True`` also returns the raw residual and the
-    normalization scale.
+    default step.  The stencil's points are evaluated in one batched
+    kernel call, and |K| is its centre value.  ``details=True`` also
+    returns the raw residual and the normalization scale.
     """
     x = _x4(x)
     t = _t3(t)
@@ -479,12 +465,16 @@ def delta_lambda_residual_on_k(x, t, lam, spec: QuadratureSpec,
     if math.sqrt(hnorm_sq) < 0.5 or float(np.linalg.norm(x)) <= 0.3:
         raise ValueError("probe point too close to the kernel singularity")
 
-    def f(p):
-        return k_lambda(p[:4], p[4:], lam, spec)
+    def f(q):
+        # the direct form passes the whole stencil, coordinates on axis 0
+        pts = np.ascontiguousarray(q.T)
+        c0, ck = _k_lambda_components(pts[:, :4], pts[:, 4:], lam, spec)
+        return Quaternion(c0, *ck.T)
 
     p = np.concatenate([x, t])
-    raw = delta_lambda_apply(f, p, lam, h=h, form="direct").norm()
-    scale = k_lambda(x, t, lam, spec).norm() / hnorm_sq
+    value, centre = delta_lambda_apply(f, p, lam, h=h, form="direct", with_value=True)
+    raw = value.norm()
+    scale = centre.norm() / hnorm_sq
     if details:
         return raw / scale, {"raw": raw, "scale": scale}
     return raw / scale

@@ -50,13 +50,6 @@ class GroupElement:
     def inverse(self) -> "GroupElement":
         return GroupElement(-self.w, tuple(-v for v in self.t))
 
-    def to_dict(self) -> dict:
-        return {"w": self.w.to_list(), "t": list(self.t)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "GroupElement":
-        return GroupElement(Quaternion.from_seq(d["w"]), tuple(d["t"]))
-
 
 IDENTITY = GroupElement(Quaternion(), (0.0, 0.0, 0.0))
 

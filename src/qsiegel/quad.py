@@ -3,8 +3,10 @@
 One `QuadratureSpec` controls every numerical integral in the package: a
 vectorized double-exponential rule for 1-D integrals (tanh-sinh on finite
 intervals, exp-sinh on half-lines, sinh-sinh on the full line), nested
-iterated integration on top of it, tensor-product rules on the spheres S^2
-and S^3, and a Lanczos gamma function for closed-form targets.
+iterated integration on top of it, cached composite Gauss-Legendre grids
+with panels doubling away from an endpoint (``panel_grid``), tensor-product
+rules on the spheres S^2 and S^3, and a Lanczos gamma function for
+closed-form targets.
 
 Identical spec + integrand give bit-identical results across runs: the
 engine is single-threaded, its node tables are built from scalar formulas
@@ -28,6 +30,7 @@ __all__ = [
     "integrate_1d",
     "integrate_nested",
     "gauss_rule",
+    "panel_grid",
     "sphere2_nodes",
     "sphere3_angles",
     "gamma",
@@ -97,6 +100,30 @@ def gauss_rule(n: int, a: float, b: float):
     x, w = _leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
+
+
+@lru_cache(maxsize=128)
+def panel_grid(lo: float, first: float, hi: float, n: int = 24):
+    """Composite Gauss-Legendre rule on [lo, hi] with panels doubling away
+    from lo.
+
+    The panel edges are lo, lo + first, then twice the previous edge until
+    hi is reached (the last panel is cut at hi).  Returns read-only
+    (nodes, weights) with n nodes per panel; the result is cached, so
+    callers must not modify it.
+    """
+    edges = [lo, lo + first]
+    while edges[-1] < hi:
+        edges.append(min(2.0 * edges[-1], hi))
+    a, b = np.array(edges[:-1]), np.array(edges[1:])
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    x, w = _leggauss(n)
+    # gauss_rule's mapping, all panels at once (one row per panel)
+    nodes = (mid[:, None] + half[:, None] * x).ravel()
+    weights = (half[:, None] * w).ravel()
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ __all__ = [
     "I1",
     "I2",
     "I3",
-    "conj_norm_inv",
     "scalar_product",
     "to_matrix",
     "exp_imag",
@@ -139,11 +138,6 @@ ONE = Quaternion(1.0)
 I1 = Quaternion(0.0, 1.0)
 I2 = Quaternion(0.0, 0.0, 1.0)
 I3 = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def conj_norm_inv(q: Quaternion) -> tuple:
-    """Return (conjugate, modulus, inverse); raises on the zero quaternion."""
-    return (q.conj(), q.norm(), q.inverse())
 
 
 def scalar_product(q: Quaternion, h: Quaternion) -> float:

@@ -52,13 +52,6 @@ class SiegelPoint:
     q1: Quaternion
     q2: Quaternion
 
-    def to_dict(self) -> dict:
-        return {"q1": self.q1.to_list(), "q2": self.q2.to_list()}
-
-    @staticmethod
-    def from_dict(d: dict) -> "SiegelPoint":
-        return SiegelPoint(Quaternion.from_seq(d["q1"]), Quaternion.from_seq(d["q2"]))
-
 
 @dataclass(frozen=True)
 class BallPoint:

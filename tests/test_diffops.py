@@ -138,7 +138,7 @@ def test_delta_lambda_forms_agree():
     lam = Lambda(0.5, 0.2, -0.1)
 
     def f(q):
-        return Quaternion(math.sin(q[0]) * q[4], 0.0, q[2] * q[5], 0.0)
+        return Quaternion(np.sin(q[0]) * q[4], 0.0, q[2] * q[5], 0.0)
 
     a = delta_lambda_apply(f, p, lam, h=1e-3, form="direct")
     b = delta_lambda_apply(f, p, lam, h=1e-3, form="nested")
@@ -192,3 +192,113 @@ def test_cauchy_fueter_translated_regular(spec):
     shift = Quaternion(1.0, 2.0, -1.0, 0.5)
     v = cauchy_fueter_sphere(lambda q: q - shift, q0, radius=0.8, spec=spec)
     assert (v - (q0 - shift)).norm() <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the array contract: one field call per stencil, one integrand call per row
+
+P_GENERIC = np.array([0.7, -0.4, 0.2, 0.5, 0.3, -0.6, 0.1])
+
+
+@pytest.mark.parametrize("p, points", [
+    # centre, two per coordinate, four per mixed (x_l, t_k) pair: 1 + 14 + 48
+    (P_GENERIC, 63),
+    # at x = (1, 0, 0, 0) the pair (x_l, t_k) enters only for l = k
+    (np.array([1.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0]), 27),
+])
+def test_delta_lambda_direct_one_call_per_stencil(p, points):
+    calls = []
+
+    def f(q):
+        calls.append(q)
+        return Quaternion(np.sin(q[0]) * q[4], q[1] * q[5], 0.0, q[6] ** 2)
+
+    delta_lambda_apply(f, p, Lambda(0.5, 0.2, -0.1), h=1e-3)
+    assert len(calls) == 1
+    q = calls[0]
+    assert q.shape == (N_COORDS, points)
+    assert len({tuple(col) for col in q.T}) == points
+
+
+def test_delta_lambda_real_array_field():
+    lam = Lambda(0.8, -0.3, 0.4)
+    a = delta_lambda_apply(lambda q: q[0] * q[4], P_GENERIC, lam, h=1e-4)
+    b = delta_lambda_apply(lambda q: Quaternion(q[0] * q[4]), P_GENERIC, lam, h=1e-4)
+    assert a == b
+
+
+@pytest.mark.parametrize("const", [ONE, 2.5])
+def test_delta_lambda_constant_field_broadcasts(const):
+    got = delta_lambda_apply(lambda q: const, P_GENERIC, Lambda(0.5, 0.2, -0.1), h=1e-3)
+    assert got.norm() == 0.0
+
+
+def test_delta_lambda_non_finite_batch_entry_raises():
+    def f(q):
+        t = q[0].copy()
+        t[-1] = np.nan                # one stencil point of the batch
+        return Quaternion(t, q[1], q[2], q[3])
+
+    with pytest.raises(ValueError, match="non-finite"):
+        delta_lambda_apply(f, P_GENERIC, Lambda(0.5, 0.2, -0.1), h=1e-3)
+
+
+def test_delta_lambda_with_value_returns_centre():
+    def f(q):
+        return Quaternion(q[0] * q[4], q[1], 0.0, q[6])
+
+    for form in ("direct", "nested"):
+        value, centre = delta_lambda_apply(f, P_GENERIC, Lambda(0.3, 0.0, 0.0),
+                                           h=1e-3, form=form, with_value=True)
+        assert value == delta_lambda_apply(f, P_GENERIC, Lambda(0.3, 0.0, 0.0),
+                                           h=1e-3, form=form)
+        assert centre == f(P_GENERIC)
+
+
+Q0 = Quaternion(0.2, -0.1, 0.3, 0.05)
+
+
+def _affine(q):
+    """q a + b, reproduced by symmetry of the rule."""
+    return q * Quaternion(0.5, -0.25, 1.0, 0.75) + Quaternion(0.3, 0.1, -0.2, 0.4)
+
+
+def _fueter(q):
+    """The left-regular P12 = (x1 x2, -x0 x2, -x0 x1, 0)."""
+    return Quaternion(q.a * q.b, -q.t * q.b, -q.t * q.a, 0.0)
+
+
+@pytest.mark.parametrize("f, want", [
+    (_affine, (0.03749999999999998, 0.17499999999999946,
+               0.21249999999999938, 0.5499999999999985)),
+    (_fueter, (-0.029999999999999916, -0.059999999999999845,
+               0.01999999999999988, 3.155143546333317e-19)),
+])
+def test_cauchy_fueter_values_pinned(spec, f, want):
+    # the values of the node-by-node integrand, which the row-chunked
+    # integral reproduces bit for bit
+    v = cauchy_fueter_sphere(f, Q0, radius=0.9, spec=spec)
+    assert v.components() == want
+    assert (v - f(Q0)).norm() <= 1e-12
+
+
+@pytest.mark.parametrize("f, want", [
+    (lambda q: 2.5, Quaternion(2.5)),           # a constant broadcasts
+    (lambda q: q.t, Quaternion(Q0.t)),          # a real array-valued f
+])
+def test_cauchy_fueter_real_valued_f(spec, f, want):
+    v = cauchy_fueter_sphere(f, Q0, radius=1.0, spec=spec)
+    assert (v - want).norm() <= 1e-12
+
+
+def test_cauchy_fueter_one_call_per_psi_row(spec):
+    sizes = []
+
+    def f(q):
+        sizes.append(q.t.shape)
+        return q
+
+    cauchy_fueter_sphere(f, Q0, radius=1.0, spec=spec)
+    n = spec.sphere_order
+    assert len(sizes) == 2 * n + 4
+    assert sizes == [(2 * n * n,)] * n + [(2 * (n + 4) ** 2,)] * (n + 4)

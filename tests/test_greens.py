@@ -8,10 +8,12 @@ import pytest
 
 from qsiegel.quat import Quaternion
 from qsiegel.quad import QuadratureError, integrate_1d
+from qsiegel.diffops import Lambda
 from qsiegel.greens import (k_tilde_lambda, hermite_residual, k_lambda,
                             k0_sphere, heis_k_closed, heis_k_quadrature,
                             heis_contour_sign_check, fourier_consistency,
-                            delta_lambda_residual_on_k)
+                            delta_lambda_residual_on_k,
+                            _k_lambda_components, _k_tilde_rows)
 
 X_UNIT = np.array([1.0, 0.0, 0.0, 0.0])
 T_ZERO = np.array([0.0, 0.0, 0.0])
@@ -161,6 +163,36 @@ def test_delta_residual_lambda(spec):
     r = delta_lambda_residual_on_k(X_UNIT, np.array([0.5, 0.0, 0.0]),
                                    (0.5, 0.3, 0.0), spec)
     assert r <= 1e-2
+
+
+def test_delta_residual_verify_values_pinned(spec):
+    # the two kernel_annihilation points of the verify suite, at the values
+    # of 64 single-point k_lambda evaluations: the one batched stencil call
+    # and the centre value taken from it change no bit
+    t = np.array([0.5, 0.0, 0.0])
+    assert delta_lambda_residual_on_k(X_UNIT, t, LAM0, spec) == 0.006623797310926411
+    assert (delta_lambda_residual_on_k(X_UNIT, t, (0.5, 0.3, 0.0), spec)
+            == 0.007120983533095873)
+
+
+def test_hermite_residual_values_pinned(spec):
+    # values of nine single-point k_tilde_lambda evaluations per residual
+    assert (hermite_residual(X_UNIT, np.array([1.0, 0.0, 0.0]), (0.5, 0.0, 0.0), spec)
+            == 3.563089936500785e-07)
+    assert (hermite_residual(np.array([0.8, -0.3, 0.5, 0.2]), np.array([0.4, -0.7, 0.3]),
+                             (0.3, -0.2, 0.4), spec)
+            == 3.373634558517802e-08)
+
+
+def test_batched_rows_match_single_points(spec, rng):
+    xs = rng.normal(size=(5, 4))
+    ts = rng.normal(size=(5, 3))
+    lam = Lambda(0.4, -0.3, 0.2)
+    c0, ck = _k_lambda_components(xs, ts, lam, spec)
+    kt = _k_tilde_rows(xs, ts[0], lam, spec)
+    for i in range(5):
+        assert k_lambda(xs[i], ts[i], lam, spec).components() == (c0[i], *ck[i])
+        assert k_tilde_lambda(xs[i], ts[0], lam, spec) == kt[i]
 
 
 def test_delta_residual_second_order(spec):

@@ -9,7 +9,7 @@ import pytest
 from qsiegel import szego
 from qsiegel.group import polar_constant
 from qsiegel.quad import (QuadratureSpec, integrate_1d, integrate_nested,
-                          gauss_rule, sphere2_nodes, gamma)
+                          gauss_rule, panel_grid, sphere2_nodes, gamma)
 
 
 def test_spec_validates_budgets():
@@ -25,6 +25,22 @@ def test_gauss_rule_polynomial_exactness():
     for deg in range(12):
         exact = (2.0 ** (deg + 1) - (-1.0) ** (deg + 1)) / (deg + 1)
         assert abs(np.sum(w * x ** deg) - exact) <= 1e-12 * abs(exact)
+
+
+def test_panel_grid_doubles_panels_and_is_cached():
+    x, w = panel_grid(0.0, 0.5, 5.0, 4)
+    edges = (0.0, 0.5, 1.0, 2.0, 4.0, 5.0)          # the last panel cut at 5
+    rules = [gauss_rule(4, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    assert np.array_equal(x, np.concatenate([r[0] for r in rules]))
+    assert np.array_equal(w, np.concatenate([r[1] for r in rules]))
+    assert abs(np.dot(w, x ** 7) - 5.0 ** 8 / 8.0) <= 1e-12 * 5.0 ** 8
+    assert panel_grid(0.0, 0.5, 5.0, 4)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 1.0
+    # off zero the first panel is [lo, lo + first], then edges double
+    x, w = panel_grid(16.0, 0.5, 18.0)
+    assert x.size == 2 * 24 and abs(w.sum() - 2.0) <= 1e-14
+    assert np.all((16.0 < x) & (x < 18.0))
 
 
 def test_integrate_1d_smooth(spec):

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qsiegel.quat import (Quaternion, ZERO, ONE, I1, I2, I3, conj_norm_inv,
-                          scalar_product, to_matrix, exp_imag, real_power)
+from qsiegel.quat import (Quaternion, ZERO, ONE, I1, I2, I3, scalar_product,
+                          to_matrix, exp_imag, real_power)
 
 
 def _rand(rng):
@@ -56,14 +56,6 @@ def test_inverse(rng):
         assert (q.inverse() * q - ONE).norm() <= 1e-12
     with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
-
-
-def test_conj_norm_inv_bundle():
-    q = Quaternion(1.0, 2.0, -2.0, 4.0)
-    c, n, i = conj_norm_inv(q)
-    assert c == q.conj()
-    assert n == 5.0
-    assert (i - q.inverse()).norm() == 0.0
 
 
 def test_scalar_product_is_real_part_of_qhbar(rng):
