@@ -348,6 +348,13 @@ class _StencilCache:
             self.vals[off] = Quaternion(*comp)
 
 
+def _stencil_cache(f, p, h) -> _StencilCache:
+    p = np.asarray(p, dtype=float)
+    if p.shape != (N_COORDS,):
+        raise ValueError("point must have 7 coordinates")
+    return _StencilCache(f, p, _check_steps(p, h))
+
+
 def _offset(j, s):
     off = [0] * N_COORDS
     off[j] = s
@@ -395,11 +402,8 @@ def apply_op(op: QuatDiffOp, f, p, h=1e-4) -> Quaternion:
         Step per coordinate; the default 1e-4 is scaled by nothing, pass
         h*(1 + |p|) explicitly for large points.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (N_COORDS,):
-        raise ValueError("point must have 7 coordinates")
-    steps = _check_steps(p, h)
-    cache = _StencilCache(f, p, steps)
+    cache = _stencil_cache(f, p, h)
+    p = cache.p
     total = ZERO
     for key, poly in op.terms.items():
         order = sum(key)
@@ -419,41 +423,12 @@ def apply_op(op: QuatDiffOp, f, p, h=1e-4) -> Quaternion:
     return total
 
 
-def delta_lambda_apply(f, p, lam: Lambda, h=1e-4, form: str = "direct",
-                       with_value: bool = False):
-    """Apply Delta_lambda at p by finite differences.
-
-    form="direct" assembles the expanded coordinate form from at most 63
-    distinct stencil points and evaluates f once on all of them: f gets a
-    (7, M) array of points, coordinates on axis 0, and returns a Quaternion
-    or a real, each part an (M,) array or a constant that broadcasts.  A
-    non-finite value at any point raises ValueError.
-    form="nested" applies each X_l twice as first-order stencils and adds
-    the lambda term, calling f on one (7,) point at a time; it is the
-    independent route the two-form consistency checks compare against.
-    A field written with elementwise operations serves both forms.
-
-    with_value=True returns (Delta_lambda f(p), f(p)); the direct form has
-    f(p) among its stencil values already.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (N_COORDS,):
-        raise ValueError("point must have 7 coordinates")
-    steps = _check_steps(p, h)
-    cache = _StencilCache(f, p, steps)
+def _delta_lambda_direct(f, p, lam: Lambda, h):
+    """(Delta_lambda f(p), f(p)) by the direct form of delta_lambda_apply;
+    f(p) is the centre value of its stencil."""
+    cache = _stencil_cache(f, p, h)
     centre = (0,) * N_COORDS
-    if form == "nested":
-        total = ZERO
-        for l in range(4):
-            xl = make_x(l)
-            inner = lambda q, _xl=xl: apply_op(_xl, f, q, h)
-            total = total + apply_op(xl, inner, p, h)
-        for k in range(3):
-            total = total + _IMAG[k] * _d1(cache, 4 + k) * (4.0 * lam.as_tuple()[k])
-        return (total, cache(centre)) if with_value else total
-    if form != "direct":
-        raise ValueError(f"unknown form {form!r}")
-    w = Quaternion(*p[:4])
+    w = Quaternion(*cache.p[:4])
     xsq = w.norm_sq()
     wik = [(w * _IMAG[k]).components() for k in range(3)]
     cross = [(l, 4 + k) for k in range(3) for l in range(4) if wik[k][l] != 0.0]
@@ -473,7 +448,35 @@ def delta_lambda_apply(f, p, lam: Lambda, h=1e-4, form: str = "direct",
                 total = total + _dcross(cache, l, 4 + k) * (4.0 * comp)
         if lam_t[k] != 0.0:
             total = total + _IMAG[k] * _d1(cache, 4 + k) * (4.0 * lam_t[k])
-    return (total, cache(centre)) if with_value else total
+    return total, cache(centre)
+
+
+def delta_lambda_apply(f, p, lam: Lambda, h=1e-4, form: str = "direct") -> Quaternion:
+    """Apply Delta_lambda at p by finite differences.
+
+    form="direct" assembles the expanded coordinate form from at most 63
+    distinct stencil points and evaluates f once on all of them: f gets a
+    (7, M) array of points, coordinates on axis 0, and returns a Quaternion
+    or a real, each part an (M,) array or a constant that broadcasts.  A
+    non-finite value at any point raises ValueError.
+    form="nested" applies each X_l twice as first-order stencils and adds
+    the lambda term, calling f on one (7,) point at a time; it is the
+    independent route the two-form consistency checks compare against.
+    A field written with elementwise operations serves both forms.
+    """
+    if form == "direct":
+        return _delta_lambda_direct(f, p, lam, h)[0]
+    cache = _stencil_cache(f, p, h)
+    if form != "nested":
+        raise ValueError(f"unknown form {form!r}")
+    total = ZERO
+    for l in range(4):
+        xl = make_x(l)
+        inner = lambda q, _xl=xl: apply_op(_xl, f, q, h)
+        total = total + apply_op(xl, inner, cache.p, h)
+    for k in range(3):
+        total = total + _IMAG[k] * _d1(cache, 4 + k) * (4.0 * lam.as_tuple()[k])
+    return total
 
 
 def box_b_identity_residual(f, p, h=1e-3) -> float:

@@ -56,7 +56,7 @@ import numpy as np
 
 from .quat import Quaternion
 from .quad import QuadratureSpec, QuadratureError, panel_grid, sphere2_nodes, gamma
-from .diffops import Lambda, delta_lambda_apply
+from .diffops import Lambda, _delta_lambda_direct
 
 __all__ = [
     "k_tilde_lambda",
@@ -472,7 +472,7 @@ def delta_lambda_residual_on_k(x, t, lam, spec: QuadratureSpec,
         return Quaternion(c0, *ck.T)
 
     p = np.concatenate([x, t])
-    value, centre = delta_lambda_apply(f, p, lam, h=h, form="direct", with_value=True)
+    value, centre = _delta_lambda_direct(f, p, lam, h)
     raw = value.norm()
     scale = centre.norm() / hnorm_sq
     if details:

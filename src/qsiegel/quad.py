@@ -102,22 +102,25 @@ def gauss_rule(n: int, a: float, b: float):
     return mid + half * x, half * w
 
 
+_PANEL_NODES = 24
+
+
 @lru_cache(maxsize=128)
-def panel_grid(lo: float, first: float, hi: float, n: int = 24):
+def panel_grid(lo: float, first: float, hi: float):
     """Composite Gauss-Legendre rule on [lo, hi] with panels doubling away
     from lo.
 
     The panel edges are lo, lo + first, then twice the previous edge until
     hi is reached (the last panel is cut at hi).  Returns read-only
-    (nodes, weights) with n nodes per panel; the result is cached, so
-    callers must not modify it.
+    (nodes, weights) with _PANEL_NODES nodes per panel; the result is
+    cached, so callers must not modify it.
     """
     edges = [lo, lo + first]
     while edges[-1] < hi:
         edges.append(min(2.0 * edges[-1], hi))
     a, b = np.array(edges[:-1]), np.array(edges[1:])
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x, w = _leggauss(n)
+    x, w = _leggauss(_PANEL_NODES)
     # gauss_rule's mapping, all panels at once (one row per panel)
     nodes = (mid[:, None] + half[:, None] * x).ravel()
     weights = (half[:, None] * w).ravel()

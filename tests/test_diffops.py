@@ -11,7 +11,7 @@ from qsiegel.diffops import (N_COORDS, Lambda, make_x, hbar_field, h_field,
                              commutator, QuatDiffOp, QPoly, apply_op,
                              delta_lambda_apply, box_b_identity_residual,
                              crf_tangency_residual, dq_eval,
-                             cauchy_fueter_sphere)
+                             cauchy_fueter_sphere, _delta_lambda_direct)
 from qsiegel.siegel import boundary_point
 
 
@@ -243,16 +243,14 @@ def test_delta_lambda_non_finite_batch_entry_raises():
         delta_lambda_apply(f, P_GENERIC, Lambda(0.5, 0.2, -0.1), h=1e-3)
 
 
-def test_delta_lambda_with_value_returns_centre():
+def test_delta_lambda_direct_returns_centre_value():
     def f(q):
         return Quaternion(q[0] * q[4], q[1], 0.0, q[6])
 
-    for form in ("direct", "nested"):
-        value, centre = delta_lambda_apply(f, P_GENERIC, Lambda(0.3, 0.0, 0.0),
-                                           h=1e-3, form=form, with_value=True)
-        assert value == delta_lambda_apply(f, P_GENERIC, Lambda(0.3, 0.0, 0.0),
-                                           h=1e-3, form=form)
-        assert centre == f(P_GENERIC)
+    lam = Lambda(0.3, 0.0, 0.0)
+    value, centre = _delta_lambda_direct(f, P_GENERIC, lam, 1e-3)
+    assert value == delta_lambda_apply(f, P_GENERIC, lam, h=1e-3)
+    assert centre == f(P_GENERIC)
 
 
 Q0 = Quaternion(0.2, -0.1, 0.3, 0.05)
