@@ -52,6 +52,22 @@ def _vector(text: str, n: int, what: str) -> np.ndarray:
     return np.array(vals)
 
 
+# Work memory of the sphere rules grows as order^2 (the K_lambda grid of
+# an order-128 rule holds 16384 nodes per u-node).
+_MAX_SPHERE_ORDER = 128
+
+
+def _sphere_order(text: str) -> int:
+    try:
+        order = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if not 2 <= order <= _MAX_SPHERE_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"sphere order {order} outside 2..{_MAX_SPHERE_ORDER}")
+    return order
+
+
 def _build_spec(args) -> QuadratureSpec:
     return QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
                           max_subdivisions=args.max_subdiv,
@@ -63,8 +79,9 @@ def _add_spec_flags(p: argparse.ArgumentParser):
                    help="relative quadrature tolerance (default 1e-9)")
     p.add_argument("--abs-tol", type=float, default=1e-12,
                    help="absolute quadrature tolerance (default 1e-12)")
-    p.add_argument("--sphere-order", type=int, default=32,
-                   help="Gauss-Legendre order of the sphere rules (default 32)")
+    p.add_argument("--sphere-order", type=_sphere_order, default=32,
+                   help="Gauss-Legendre order of the sphere rules, 2 to "
+                        f"{_MAX_SPHERE_ORDER}; work memory grows as its square (default 32)")
     p.add_argument("--max-subdiv", type=int, default=4000,
                    help="integrand evaluations allowed per 1-D integral before giving up (default 4000)")
 

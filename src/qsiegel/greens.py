@@ -15,9 +15,12 @@ Three evaluators and their cross-checks:
       K_lambda(x, t) = (6/(2 pi)^5) int_{S^2} int_0^inf sinh^-2 u *
                        [ cosh(g u) Re P - g^ sinh(g u) Im P ] du dsigma,
 
-  where P = (|x|^2 coth u - i t.n)^-4 is a principal complex power,
-  g(n) = |lambda o n| is the componentwise-product norm, and
-  g^ = sum_k (lambda_k n_k / g) i_k.  The real part of the construction
+  where P = (|x|^2 coth u - i t.n)^-4, g(n) = |lambda o n| is the
+  componentwise-product norm, and g^ = sum_k (lambda_k n_k / g) i_k.
+  Both terms are even under n -> -n, so the S^2 integral runs on the
+  product rule folded onto antipodal pairs (half the nodes, weights
+  doubled), and P is computed in real arithmetic as w^4 with
+  w = 1/(|x|^2 coth u - i t.n).  The real part of the construction
   at lambda = 0 is the classical inverse Fourier transform of the radial
   Hermite kernel; the lambda-coupling is derived in
   ``_k_lambda_components``.  The reduced representation needs |x| > 0
@@ -166,7 +169,7 @@ def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float = 1e-3) -> floa
 def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
     """Polar-reduced kernel components at the points (xs[i], ts[i]).
 
-    Writing P(n, u) = (|x|^2 coth u - i t.n)^-4 (principal complex power)
+    Writing P(n, u) = (|x|^2 coth u - i t.n)^-4
     and g(n) = |(lambda_1 n_1, lambda_2 n_2, lambda_3 n_3)|,
 
         K_0  =  c int int  cosh(g u) sinh^-2 u  Re P  du dsigma
@@ -185,13 +188,22 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
     it fails the defining equation, which ``delta_lambda_residual_on_k``
     makes measurable.
 
+    Both integrands are even under n -> -n: g and the cosh/sinh weights
+    are even, Re P is even in b = t.n, and Im P and the axis
+    (lambda o n)/g are both odd.  So the sphere rule is the one folded
+    onto antipodal pairs (``sphere2_nodes(order, fold=True)``, half the
+    nodes).
+
     ``xs`` and ``ts`` hold one point per row, shapes (N, 4) and (N, 3).
     The lambda-dependent tables (sphere nodes, u-grid, the cosh/sinh
     weights and the odd axes) are built once per call and shared by the
-    rows; each row then costs one complex power on the node grid.
+    rows.  Each row then computes P in real arithmetic on the folded
+    (node, u) grid: with a = |x|^2 coth u and b = t.n, w = 1/z =
+    (a + i b)/(a^2 + b^2) and P = w^4 by two complex squarings, written
+    into work arrays allocated once per call.
     Returns c0 of shape (N,) and ck of shape (N, 3).
     """
-    nodes, wS = sphere2_nodes(spec.sphere_order)
+    nodes, wS = sphere2_nodes(spec.sphere_order, fold=True)
     lamv = np.asarray(lam.as_tuple())
     ln = nodes * lamv[None, :]                        # (lambda o n) per node
     g = np.linalg.norm(ln, axis=1)
@@ -226,13 +238,23 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
                         ln / np.where(g[:, None] > 0.0, g[:, None], 1.0), 0.0)
     c0 = np.empty(len(xs))
     ck = np.empty((len(xs), 3))
+    re, im, tmp = np.empty((3,) + even.shape)
     for i, (x, t) in enumerate(zip(xs, ts)):
-        xsq = float(x @ x)
-        tn = nodes @ t                                # signed t.n per node
-        z = xsq * coth[None, :] - 1j * tn[:, None]
-        p = np.power(z, -4.0, out=z)
-        c0[i] = scale * float(np.sum(even * p.real))
-        ck[i] = -scale * (axis.T @ np.sum(odd * p.imag, axis=1))
+        a = float(x @ x) * coth
+        b = (nodes @ t)[:, None]                      # signed t.n per node
+        # w = 1/(a - i b) = (a + i b)/(a^2 + b^2)
+        np.add(b * b, a * a, out=tmp)
+        np.divide(a, tmp, out=re)
+        np.divide(b, tmp, out=im)
+        for _ in range(2):                            # w -> w^2 -> w^4
+            np.multiply(re, im, out=tmp)
+            np.square(re, out=re)
+            np.square(im, out=im)
+            np.subtract(re, im, out=re)
+            np.add(tmp, tmp, out=im)
+        # einsum, not a BLAS dot, whose sum depends on the thread count
+        c0[i] = scale * float(np.einsum("ij,ij->", even, re))
+        ck[i] = -scale * (axis.T @ np.einsum("ij,ij->i", odd, im))
     return c0, ck
 
 
@@ -259,14 +281,15 @@ def k0_sphere(x, t, spec: QuadratureSpec) -> float:
         K_0(x,t) = (2/((2 pi)^5 |x|^2)) int_{S^2} [|x|^2 - i_n (t.n)]^-3 dsigma
 
     (real part; the imaginary part cancels under n -> -n).  The sign is
-    the quadrature-verified positive one.
+    the quadrature-verified positive one.  The real part is even in n, so
+    the rule is the one folded onto antipodal pairs.
     """
     x = _x4(x)
     t = _t3(t)
     xsq = float(x @ x)
     if xsq == 0.0:
         raise ValueError("x = 0 outside reduced-representation domain")
-    nodes, wS = sphere2_nodes(spec.sphere_order)
+    nodes, wS = sphere2_nodes(spec.sphere_order, fold=True)
     z = xsq + 1j * np.abs(nodes @ t)
     p = z ** -3.0
     return 2.0 / ((2.0 * math.pi) ** 5 * xsq) * float(np.dot(wS, p.real))
@@ -394,7 +417,9 @@ def fourier_consistency(x, t, lam, spec: QuadratureSpec,
     the even half pairs with cos(r t.n) into the real component, the odd
     half with sin(r t.n) along the unit axis (lambda o n)/|lambda o n|.
     A dot-product weight exp(-(lambda.n) u) with the naive phase axis n
-    reproduces the kernel only when the center is one-dimensional.
+    reproduces the kernel only when the center is one-dimensional.  Every
+    sphere sum is of a term even in n (odd half, sine and axis are odd
+    together), so the rule is the one folded onto antipodal pairs.
 
     Raises QuadratureError when the estimated truncation tail exceeds the
     tolerance the check runs at (the deviation target is 1e-2).
@@ -408,7 +433,7 @@ def fourier_consistency(x, t, lam, spec: QuadratureSpec,
         raise ValueError("|x| >= 1 keeps the oscillatory integral tame")
     ref = k_lambda(x, t, lam, spec)
 
-    nodes, wS = sphere2_nodes(spec.sphere_order)
+    nodes, wS = sphere2_nodes(spec.sphere_order, fold=True)
     ln = nodes * np.asarray(lam.as_tuple())[None, :]
     g = np.linalg.norm(ln, axis=1)
     axis = np.where(g[:, None] > 0.0,

@@ -5,7 +5,8 @@ vectorized double-exponential rule for 1-D integrals (tanh-sinh on finite
 intervals, exp-sinh on half-lines, sinh-sinh on the full line), nested
 iterated integration on top of it, cached composite Gauss-Legendre grids
 with panels doubling away from an endpoint (``panel_grid``), tensor-product
-rules on the spheres S^2 and S^3, and a Lanczos gamma function for
+rules on the spheres S^2 and S^3 (on S^2 also folded onto antipodal pairs,
+for integrands even under n -> -n), and a Lanczos gamma function for
 closed-form targets.
 
 Identical spec + integrand give bit-identical results across runs: the
@@ -329,12 +330,26 @@ def integrate_nested(dims: Sequence[Sequence[float]], f: Callable,
 # sphere rules
 
 @lru_cache(maxsize=32)
-def sphere2_nodes(order: int):
+def sphere2_nodes(order: int, fold: bool = False):
     """Product rule on S^2: Gauss-Legendre in cos(theta) x trapezoid in phi.
 
-    Returns (nodes, weights) with nodes of shape (N, 3); weights sum to
-    4*pi and the rule is exact for spherical polynomials up to the order.
+    Returns read-only (nodes, weights) with nodes of shape (N, 3); weights
+    sum to 4*pi and the rule is exact for spherical polynomials up to the
+    order.
+
+    ``fold=True`` gives the rule folded onto antipodal pairs, for
+    integrands even under n -> -n: half the nodes, weights doubled.  Node
+    (i, k) (ring i, azimuth k) has its antipode at (order-1-i,
+    (k+order) mod 2*order), so the first order^2 nodes -- the rings with
+    cos(theta) < 0 and, for odd order, the half k < order of the equator
+    -- hold one node of each pair.
     """
+    if fold:
+        n, w = sphere2_nodes(order)
+        half = order * order
+        w2 = 2.0 * w[:half]
+        w2.setflags(write=False)
+        return n[:half], w2
     mu, wmu = _leggauss(order)
     m = 2 * order
     phi = 2.0 * math.pi * np.arange(m) / m

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from qsiegel import checks, cli
+from qsiegel import checks, cli, quad
 from qsiegel.quad import QuadratureError, QuadratureSpec
 
 
@@ -183,3 +183,15 @@ def test_eval_bad_vector_length():
     with pytest.raises(SystemExit) as e:
         cli.main(["eval", "klambda", "--x", "1,2,3"])
     assert e.value.code == 2
+
+
+def test_sphere_order_bound_is_usage_error():
+    before = quad.sphere2_nodes.cache_info()
+    for order in ("129", "100000", "1"):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["eval", "klambda", "--x", "1,0,0,0", "--sphere-order", order])
+        assert e.value.code == 2
+    assert quad.sphere2_nodes.cache_info() == before    # no grid was built
+    args = cli._build_parser().parse_args(
+        ["verify", "--suite", "greens", "--sphere-order", "128"])
+    assert args.sphere_order == 128

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qsiegel.quat import Quaternion
-from qsiegel.quad import QuadratureError, integrate_1d
+from qsiegel.quad import (QuadratureError, QuadratureSpec, integrate_1d,
+                          panel_grid, sphere2_nodes)
 from qsiegel.diffops import Lambda
 from qsiegel.greens import (k_tilde_lambda, hermite_residual, k_lambda,
                             k0_sphere, heis_k_closed, heis_k_quadrature,
@@ -100,6 +101,68 @@ def test_k_lambda_value_at_unit(spec):
     assert v.imag_norm() <= 1e-12 * want
 
 
+def test_k_lambda_matches_kaplan_closed_form(spec):
+    # at lambda = 0 the kernel is Kaplan's 1/(4 pi^4 (|x|^4 + |t|^2)^2); an
+    # oracle that shares no node with the sphere rule
+    rng = np.random.default_rng(7)
+    for xn in (0.2, 0.7, 1.0, 2.3, 5.0):
+        for ratio in (0.0, 0.1, 0.25, 0.5, 0.75, 1.0):      # |t|/|x|^2
+            x = rng.normal(size=4)
+            x *= xn / np.linalg.norm(x)
+            t = rng.normal(size=3)
+            t *= ratio * xn * xn / np.linalg.norm(t)
+            v = k_lambda(x, t, LAM0, spec)
+            want = 1.0 / (4.0 * math.pi ** 4 * (xn ** 4 + float(t @ t)) ** 2)
+            assert abs(v.t - want) <= 1e-10 * want
+            assert v.imag_norm() <= 1e-10 * want
+
+
+def _k_lambda_full_sphere(x, t, lam, order):
+    """The polar-reduced kernel term by term, as written in the greens
+    docstring: the full product rule and numpy's complex power."""
+    spec = QuadratureSpec(sphere_order=order)
+    nodes, w_s = sphere2_nodes(order)
+    ln = nodes * np.asarray(lam)
+    g = np.linalg.norm(ln, axis=1)
+    u, w_u = panel_grid(0.0, 0.5, math.log(10.0 / spec.abs_tol) / (2.0 - np.linalg.norm(lam)))
+    em = np.expm1(-2.0 * u)
+    coth = (2.0 + em) / (-em)
+    # cosh(g u)/sinh^2 u and sinh(g u)/sinh^2 u without overflow
+    slow = 2.0 * np.exp(np.outer(g - 2.0, u)) / (em * em)
+    fast = 2.0 * np.exp(-np.outer(2.0 + g, u)) / (em * em)
+    p = np.power(float(x @ x) * coth[None, :] - 1j * (nodes @ t)[:, None], -4.0)
+    w = w_s[:, None] * w_u[None, :]
+    c = 6.0 / (2.0 * math.pi) ** 5
+    axis = ln / np.where(g > 0.0, g, 1.0)[:, None]
+    c0 = c * np.sum(w * (slow + fast) * p.real)
+    ck = -c * (axis.T @ np.sum(w * (slow - fast) * p.imag, axis=1))
+    return np.array([c0, *ck])
+
+
+@pytest.mark.parametrize("order", [7, 32])
+def test_k_lambda_components_match_full_sphere_power(order):
+    # the folded rule and the real w^4 arithmetic against the full rule
+    # with a complex power, at lambda up to |lambda| = 1.95
+    rng = np.random.default_rng(11)
+    lams = [(0.4, -0.3, 0.2), (1.95, 0.0, 0.0), (0.0, 1.17, 1.56),
+            tuple(1.95 * np.array([1.2, -0.9, 1.1]) / math.sqrt(3.46))]
+    xs, ts = [], []
+    for ratio in (0.0, 0.3, 1.0, 2.0):                 # |t|/|x|^2
+        x = rng.normal(size=4)
+        x *= rng.uniform(0.5, 2.0) / np.linalg.norm(x)
+        t = rng.normal(size=3)
+        ts.append(t * ratio * float(x @ x) / np.linalg.norm(t))
+        xs.append(x)
+    spec = QuadratureSpec(sphere_order=order)
+    for lam in lams:
+        assert 0.0 < np.linalg.norm(lam) <= 1.95 + 1e-12
+        c0, ck = _k_lambda_components(np.array(xs), np.array(ts), Lambda(*lam), spec)
+        for i in range(len(xs)):
+            want = _k_lambda_full_sphere(xs[i], ts[i], lam, order)
+            got = np.array([c0[i], *ck[i]])
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_k_lambda_matches_sphere_form(spec, rng):
     for _ in range(5):
         x = rng.normal(size=4)
@@ -170,9 +233,9 @@ def test_delta_residual_verify_values_pinned(spec):
     # of 64 single-point k_lambda evaluations: the one batched stencil call
     # and the centre value taken from it change no bit
     t = np.array([0.5, 0.0, 0.0])
-    assert delta_lambda_residual_on_k(X_UNIT, t, LAM0, spec) == 0.006623797310926411
+    assert delta_lambda_residual_on_k(X_UNIT, t, LAM0, spec) == 0.006623797405976443
     assert (delta_lambda_residual_on_k(X_UNIT, t, (0.5, 0.3, 0.0), spec)
-            == 0.007120983533095873)
+            == 0.007120982019978409)
 
 
 def test_hermite_residual_values_pinned(spec):

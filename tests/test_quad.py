@@ -227,6 +227,29 @@ def test_sphere_rule_spherical_harmonic_exactness():
     assert abs(np.sum(w * nodes[:, 0] ** 4) - 4.0 * math.pi / 5.0) <= 1e-12
 
 
+@pytest.mark.parametrize("order", [7, 8])
+def test_sphere_rule_fold_onto_antipodal_pairs(order):
+    nodes, w = sphere2_nodes(order)
+    half, wh = sphere2_nodes(order, fold=True)
+    assert half.shape == (len(w) // 2, 3) and wh.shape == (len(w) // 2,)
+    assert abs(np.sum(wh) - 4.0 * math.pi) <= 1e-12
+    # one node of each antipodal pair: the fold and its mirror image give
+    # back the full node set
+    both = np.vstack([half, -half])
+    dist = np.linalg.norm(nodes[:, None, :] - both[None, :, :], axis=2)
+    assert np.all(dist.min(axis=1) <= 1e-14)
+    assert np.all(np.sort(dist, axis=1)[:, 1] > 1e-3)
+    # even moments of the full rule
+    n1, n2 = nodes[:, 0], nodes[:, 1]
+    h1, h2 = half[:, 0], half[:, 1]
+    for full, folded in ((n1 ** 2, h1 ** 2), (n1 ** 4, h1 ** 4),
+                         (n1 ** 2 * n2 ** 2, h1 ** 2 * h2 ** 2)):
+        assert abs(np.dot(wh, folded) - np.dot(w, full)) <= 1e-13
+    assert sphere2_nodes(order, fold=True)[1] is wh
+    with pytest.raises(ValueError):
+        wh[0] = 1.0
+
+
 def test_gamma_against_stdlib():
     for x in (0.5, 1.0, 1.5, 2.0, 3.7, 7.25, 11.0, 0.1, 20.5):
         assert abs(gamma(x) - math.gamma(x)) <= 1e-12 * math.gamma(x)
