@@ -86,8 +86,29 @@ def _rand_quat(rng) -> Quaternion:
     return Quaternion(*rng.normal(size=4))
 
 
-def _rand_group(rng) -> GroupElement:
-    return GroupElement(_rand_quat(rng), tuple(rng.normal(size=3)))
+# Randomized checks draw all samples at once and evaluate them as batches
+# (Quaternions with array components, one sample per entry), drawing the
+# stream in the same order as a loop over samples.
+
+def _draw(rng, n: int, width: int) -> np.ndarray:
+    """n samples of ``width`` normals each: one row per coordinate, one
+    column per sample."""
+    return rng.normal(size=(n, width)).T
+
+
+def _group_rows(x) -> GroupElement:
+    """Batch element [w, t] from seven rows of draws, w first."""
+    return GroupElement(Quaternion(*x[:4]), x[4:7])
+
+
+def _interior_rows(x) -> SiegelPoint:
+    """Batch point (q1, q2) with Re q2 = 5 + |normal| from eight rows."""
+    return SiegelPoint(Quaternion(*x[:4]), Quaternion(5.0 + np.abs(x[4]), *x[5:8]))
+
+
+def _worst(*defects) -> float:
+    """Largest defect over all samples, 0.0 for none; a NaN propagates."""
+    return float(np.max(np.array(defects), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -114,32 +135,24 @@ def _algebra(spec: QuadratureSpec):
                             "i1i2=i3 cycle, squares -1")
 
     def norm_mult():
-        rng = np.random.default_rng(20260819)
-        worst = 0.0
-        for _ in range(10_000):
-            q, h = _rand_quat(rng), _rand_quat(rng)
-            worst = max(worst, abs((q * h).norm() - q.norm() * h.norm())
-                        / max(q.norm() * h.norm(), 1e-300))
+        x = _draw(np.random.default_rng(20260819), 10_000, 8)
+        q, h = Quaternion(*x[:4]), Quaternion(*x[4:])
+        nn = q.norm() * h.norm()
+        worst = _worst(np.abs((q * h).norm() - nn) / np.maximum(nn, 1e-300))
         return _bound_check("norm_multiplicativity", worst, 1e-12,
                             "max relative defect over 1e4 random pairs")
 
     def matrix_hom():
-        rng = np.random.default_rng(7)
-        worst = 0.0
-        for _ in range(500):
-            q, h = _rand_quat(rng), _rand_quat(rng)
-            worst = max(worst, float(np.max(np.abs(
-                to_matrix(q) @ to_matrix(h) - to_matrix(q * h)))))
+        x = _draw(np.random.default_rng(7), 500, 8)
+        q, h = Quaternion(*x[:4]), Quaternion(*x[4:])
+        worst = _worst(np.abs(to_matrix(q) @ to_matrix(h) - to_matrix(q * h)))
         return _bound_check("matrix_homomorphism", worst, 1e-12,
                             "M(q)M(h) = M(qh), max entry defect")
 
     def matrix_det():
-        rng = np.random.default_rng(11)
-        worst = 0.0
-        for _ in range(500):
-            q = _rand_quat(rng)
-            worst = max(worst, abs(np.linalg.det(to_matrix(q)) - q.norm() ** 4)
-                        / q.norm() ** 4)
+        q = Quaternion(*_draw(np.random.default_rng(11), 500, 4))
+        n4 = q.norm() ** 4
+        worst = _worst(np.abs(np.linalg.det(to_matrix(q)) - n4) / n4)
         return _bound_check("matrix_determinant", worst, 1e-12,
                             "det M(q) = |q|^4, relative")
 
@@ -176,32 +189,29 @@ def _algebra(spec: QuadratureSpec):
 
 def _group(spec: QuadratureSpec):
     def assoc():
-        rng = np.random.default_rng(101)
-        worst = 0.0
-        for _ in range(2000):
-            g, h, k = (_rand_group(rng) for _ in range(3))
-            a, b = gmul(gmul(g, h), k), gmul(g, gmul(h, k))
-            worst = max(worst, (a.w - b.w).norm(),
-                        max(abs(x - y) for x, y in zip(a.t, b.t)))
+        x = _draw(np.random.default_rng(101), 2000, 21)
+        g, h, k = _group_rows(x[:7]), _group_rows(x[7:14]), _group_rows(x[14:])
+        a, b = gmul(gmul(g, h), k), gmul(g, gmul(h, k))
+        worst = _worst((a.w - b.w).norm(),
+                       *(np.abs(u - v) for u, v in zip(a.t, b.t)))
         return _bound_check("associativity", worst, 1e-11)
 
     def inverse():
-        rng = np.random.default_rng(103)
-        worst = 0.0
-        for _ in range(2000):
-            g = _rand_group(rng)
-            e = gmul(g, g.inverse())
-            worst = max(worst, e.w.norm(), max(abs(x) for x in e.t))
+        g = _group_rows(_draw(np.random.default_rng(103), 2000, 7))
+        e = gmul(g, g.inverse())
+        worst = _worst(e.w.norm(), *np.abs(e.t))
         return _bound_check("inverse_identity", worst, 1e-11)
 
     def dil_norm():
         rng = np.random.default_rng(107)
-        worst = 0.0
-        for _ in range(2000):
-            g = _rand_group(rng)
-            r = float(rng.uniform(0.1, 3.0))
-            worst = max(worst, abs(homogeneous_norm(dilate(r, g))
-                                   - r * homogeneous_norm(g)))
+        # each sample draws its factor after its element: draw per sample
+        x = np.empty((2000, 8))
+        for row in x:
+            row[:7] = rng.normal(size=7)
+            row[7] = rng.uniform(0.1, 3.0)
+        g, r = _group_rows(x.T), x[:, 7]
+        worst = _worst(np.abs(homogeneous_norm(dilate(r, g))
+                              - r * homogeneous_norm(g)))
         return _bound_check("dilation_norm_homogeneity", worst, 1e-11)
 
     def polar_gauss():
@@ -227,47 +237,32 @@ def _group(spec: QuadratureSpec):
 
 def _siegel(spec: QuadratureSpec):
     def roundtrip():
-        rng = np.random.default_rng(211)
-        worst = 0.0
-        for _ in range(1000):
-            h = 0.4 * rng.normal(size=8)
-            b = BallPoint(Quaternion(*h[:4]), Quaternion(*h[4:]))
-            if b.h1.norm_sq() + b.h2.norm_sq() >= 0.96:
-                continue
-            p = cayley_to_siegel(b)
-            b2 = cayley_to_ball(p)
-            worst = max(worst, (b.h1 - b2.h1).norm(), (b.h2 - b2.h2).norm())
+        x = 0.4 * _draw(np.random.default_rng(211), 1000, 8)
+        b = BallPoint(Quaternion(*x[:4]), Quaternion(*x[4:]))
+        keep = b.h1.norm_sq() + b.h2.norm_sq() < 0.96
+        b = BallPoint(Quaternion(*x[:4, keep]), Quaternion(*x[4:, keep]))
+        b2 = cayley_to_ball(cayley_to_siegel(b))
+        worst = _worst((b.h1 - b2.h1).norm(), (b.h2 - b2.h2).norm())
         return _bound_check("cayley_roundtrip", worst, 1e-11)
 
     def action_comp():
-        rng = np.random.default_rng(223)
-        worst = 0.0
-        for _ in range(1000):
-            g, h = _rand_group(rng), _rand_group(rng)
-            p = SiegelPoint(_rand_quat(rng),
-                            Quaternion(5.0 + abs(rng.normal()), *rng.normal(size=3)))
-            a, b = act(gmul(g, h), p), act(g, act(h, p))
-            worst = max(worst, (a.q1 - b.q1).norm(), (a.q2 - b.q2).norm())
+        x = _draw(np.random.default_rng(223), 1000, 22)
+        g, h, p = _group_rows(x[:7]), _group_rows(x[7:14]), _interior_rows(x[14:])
+        a, b = act(gmul(g, h), p), act(g, act(h, p))
+        worst = _worst((a.q1 - b.q1).norm(), (a.q2 - b.q2).norm())
         return _bound_check("action_composition", worst, 1e-10)
 
     def height_inv():
-        rng = np.random.default_rng(227)
-        worst = 0.0
-        for _ in range(1000):
-            g = _rand_group(rng)
-            p = SiegelPoint(_rand_quat(rng),
-                            Quaternion(5.0 + abs(rng.normal()), *rng.normal(size=3)))
-            worst = max(worst, abs(height(act(g, p)) - height(p)))
+        x = _draw(np.random.default_rng(227), 1000, 15)
+        g, p = _group_rows(x[:7]), _interior_rows(x[7:])
+        worst = _worst(np.abs(height(act(g, p)) - height(p)))
         return _bound_check("action_height_invariance", worst, 1e-10)
 
     def boundary_roundtrip():
-        rng = np.random.default_rng(229)
-        worst = 0.0
-        for _ in range(1000):
-            w, t = _rand_quat(rng), tuple(rng.normal(size=3))
-            bw, bt = boundary_coords(boundary_point(w, t))
-            worst = max(worst, (bw - w).norm(),
-                        max(abs(a - b) for a, b in zip(bt, t)))
+        x = _draw(np.random.default_rng(229), 1000, 7)
+        w, t = Quaternion(*x[:4]), x[4:]
+        bw, bt = boundary_coords(boundary_point(w, t))
+        worst = _worst((bw - w).norm(), *(np.abs(u - v) for u, v in zip(bt, t)))
         return _bound_check("boundary_coordinate_roundtrip", worst, 1e-12)
 
     def rotation_height():

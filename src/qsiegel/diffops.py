@@ -576,18 +576,6 @@ def dq_eval(h2: Quaternion, h3: Quaternion, h4: Quaternion) -> Quaternion:
     return Quaternion(minors[0], -minors[1], minors[2], -minors[3]) * sign
 
 
-def _qmul_arrays(a, b):
-    """Componentwise quaternion product of two (t, a, b, c) array tuples."""
-    t1, a1, b1, c1 = a
-    t2, a2, b2, c2 = b
-    return (
-        t1 * t2 - a1 * a2 - b1 * b2 - c1 * c2,
-        t1 * a2 + t2 * a1 + (b1 * c2 - c1 * b2),
-        t1 * b2 + t2 * b1 + (c1 * a2 - a1 * c2),
-        t1 * c2 + t2 * c1 + (a1 * b2 - b1 * a2),
-    )
-
-
 def _cf_run(f, q0: Quaternion, radius: float, order: int):
     psi, wpsi, theta, wtheta, phi, wphi = sphere3_angles(order)
     W = (wpsi[:, None, None] * wtheta[None, :, None] * wphi[None, None, :]).ravel()
@@ -611,18 +599,22 @@ def _cf_run(f, q0: Quaternion, radius: float, order: int):
         # minors of the rows (tp, tt, tf); Dq = (M0, -M1, M2, -M3)
         minors = [_det3([[tp[c] for c in cs], [tt[c] for c in cs], [tf[c] for c in cs]])
                   for cs in cols]
-        dq = (minors[0], -minors[1], minors[2], -minors[3])
+        dq = Quaternion(minors[0], -minors[1], minors[2], -minors[3])
 
         d = tuple(radius * c for c in n)
         q_pts = tuple(dc + qc for dc, qc in zip(d, q0.components()))
         nsq = d[0] ** 2 + d[1] ** 2 + d[2] ** 2 + d[3] ** 2
-        kern = (d[0] / nsq ** 2, -d[1] / nsq ** 2, -d[2] / nsq ** 2, -d[3] / nsq ** 2)
+        kern = Quaternion(d[0] / nsq ** 2, -d[1] / nsq ** 2,
+                          -d[2] / nsq ** 2, -d[3] / nsq ** 2)
 
-        fvals = _as_components(f(Quaternion(*q_pts)), row)
-        integrand[:, i * row:(i + 1) * row] = _qmul_arrays(_qmul_arrays(kern, dq), fvals)
+        fvals = Quaternion(*_as_components(f(Quaternion(*q_pts)), row))
+        integrand[:, i * row:(i + 1) * row] = (kern * dq * fvals).components()
 
     scale = 1.0 / (2.0 * math.pi ** 2)
-    return np.array([float(np.dot(W, comp)) * scale for comp in integrand])
+    # numpy's pairwise sum along each row: a BLAS dot splits its sum by
+    # thread count, and einsum here accumulates sequentially (40x the error)
+    integrand *= W
+    return integrand.sum(axis=1) * scale
 
 
 def cauchy_fueter_sphere(f, q0: Quaternion, radius: float,

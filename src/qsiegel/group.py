@@ -8,6 +8,13 @@ where Im takes the three imaginary components.  Left and right translations
 preserve Lebesgue measure on R^7 (the group is nilpotent), the dilations
 delta_r[w, t] = [r w, r^2 t] scale it by r^10, and the gauge
 ``homogeneous_norm`` is homogeneous of degree 1 under them.
+
+A GroupElement whose w has ndarray components and whose t holds ndarrays
+(e.g. a (3, N) array) is a batch of N elements.  ``gmul``, ``inverse``,
+``dilate`` (with a scalar or an (N,) array of factors) and
+``homogeneous_norm`` act on it row by row with the scalar formulas, so each
+row equals the scalar result bit for bit; scalar elements give Python
+floats as before.  ``dilate`` raises when any factor is not positive.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quat import Quaternion
+from .quat import Quaternion, _any
 from .quad import QuadratureSpec, QuadratureError, integrate_1d, integrate_nested
 
 __all__ = [
@@ -34,15 +41,28 @@ __all__ = [
 HOMOGENEOUS_DIM = 10
 
 
+def _real(v):
+    """A float, or a float ndarray for a batch entry."""
+    if isinstance(v, np.ndarray) and v.ndim:
+        return v.astype(float, copy=False)
+    return float(v)
+
+
+# math.hypot row by row: np.hypot and the square root of the sum of squares
+# round differently from it in a sizeable share of rows
+_hypot3 = np.vectorize(math.hypot, otypes=[float])
+
+
 @dataclass(frozen=True)
 class GroupElement:
-    """Group element [w, t]; ``t`` is stored as an immutable 3-tuple."""
+    """Group element [w, t]; ``t`` is stored as an immutable 3-tuple of
+    floats, or of float ndarrays for a batch."""
 
     w: Quaternion
     t: tuple
 
     def __post_init__(self):
-        t = tuple(float(v) for v in self.t)
+        t = tuple(_real(v) for v in self.t)
         if len(t) != 3:
             raise ValueError("central component must have 3 entries")
         object.__setattr__(self, "t", t)
@@ -64,16 +84,21 @@ def gmul(g: GroupElement, h: GroupElement) -> GroupElement:
 
 
 def dilate(r: float, g: GroupElement) -> GroupElement:
-    """Anisotropic dilation [w, t] -> [r w, r^2 t], r > 0."""
-    if r <= 0.0:
+    """Anisotropic dilation [w, t] -> [r w, r^2 t], r > 0 (per row for an
+    array r)."""
+    if _any(r <= 0.0):
         raise ValueError("dilation factor must be positive")
-    r = float(r)
+    r = _real(r)
     return GroupElement(g.w * r, tuple(r * r * v for v in g.t))
 
 
 def homogeneous_norm(g: GroupElement) -> float:
     """Gauge (|w|^2 + |t|)^(1/2), 1-homogeneous under dilations."""
-    return math.sqrt(g.w.norm_sq() + math.hypot(*g.t))
+    n2 = g.w.norm_sq()
+    x, y, z = g.t
+    if isinstance(n2 + x + y + z, np.ndarray):      # a batch
+        return np.sqrt(n2 + _hypot3(x, y, z))
+    return math.sqrt(n2 + math.hypot(x, y, z))
 
 
 def polar_constant(f: Callable, spec: QuadratureSpec) -> float:

@@ -4,6 +4,14 @@ Components are IEEE doubles in the order (t, a, b, c) for q = t + a*i1 + b*i2 + 
 The multiplication table is i1*i2 = i3, i2*i3 = i1, i3*i1 = i2 (anticommuting),
 i_k**2 = -1, equivalently q*h = (t*s - u.v) + (t*v + s*u + u x v) for q = t + u,
 h = s + v with u, v the imaginary 3-vectors.
+
+A Quaternion whose components are equal-shape ndarrays (or broadcast against
+them) is a batch of quaternions, one per row: ``+``, ``-``, ``*`` (by a
+Quaternion, a real or an ndarray of reals), ``conj``, ``norm_sq``, ``norm``
+and ``inverse`` then act row by row with the same formulas, so each row
+equals the scalar result bit for bit, and ``to_matrix`` of (N,) components
+is the (N, 4, 4) stack of the rows' matrices.  Scalar components give
+Python floats as before; ``inverse`` raises when any row is zero.
 """
 
 from __future__ import annotations
@@ -36,6 +44,10 @@ class Quaternion:
     b: float = 0.0
     c: float = 0.0
 
+    # an ndarray operand defers to Quaternion's reflected operators, so
+    # ``r * q`` with r an ndarray scales a batch like ``q * r``
+    __array_ufunc__ = None
+
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other):
@@ -57,7 +69,7 @@ class Quaternion:
         return Quaternion(-self.t, -self.a, -self.b, -self.c)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, _REAL):
             return Quaternion(self.t * other, self.a * other,
                               self.b * other, self.c * other)
         t, a, b, c = self.t, self.a, self.b, self.c
@@ -70,7 +82,7 @@ class Quaternion:
         )
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, _REAL):
             return self * other
         return NotImplemented
 
@@ -86,13 +98,14 @@ class Quaternion:
         return self.t * self.t + self.a * self.a + self.b * self.b + self.c * self.c
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        n2 = self.norm_sq()
+        return np.sqrt(n2) if isinstance(n2, np.ndarray) else math.sqrt(n2)
 
     __abs__ = norm
 
     def inverse(self) -> "Quaternion":
         n2 = self.norm_sq()
-        if n2 == 0.0:
+        if _any(n2 == 0.0):
             raise ZeroDivisionError("inverse of the zero quaternion")
         return Quaternion(self.t / n2, -self.a / n2, -self.b / n2, -self.c / n2)
 
@@ -125,6 +138,16 @@ class Quaternion:
         return f"Quaternion({self.t!r}, {self.a!r}, {self.b!r}, {self.c!r})"
 
 
+# reals a Quaternion multiplies component by component; an ndarray scales
+# each row of a batch
+_REAL = (int, float, np.ndarray)
+
+
+def _any(cond) -> bool:
+    """A scalar condition, or whether it holds in any row of a batch."""
+    return bool(cond.any() if isinstance(cond, np.ndarray) else cond)
+
+
 def _coerce(v) -> Quaternion:
     if isinstance(v, Quaternion):
         return v
@@ -149,15 +172,20 @@ def to_matrix(q: Quaternion) -> np.ndarray:
     """4x4 real matrix of left multiplication by q on column components.
 
     to_matrix(q) @ h.to_array() equals (q*h).to_array(); the transpose
-    represents the conjugate, and det = |q|**4.
+    represents the conjugate, and det = |q|**4.  For a batch whose four
+    components are (N,) arrays the result is the (N, 4, 4) stack of the
+    rows' matrices.
     """
     t, a, b, c = q.components()
-    return np.array([
+    m = np.array([
         [t, -a, -b, -c],
         [a, t, -c, b],
         [b, c, t, -a],
         [c, -b, a, t],
     ])
+    if m.ndim > 2:      # a batch: (4, 4, N) entries to an (N, 4, 4) stack
+        m = np.ascontiguousarray(np.moveaxis(m, (0, 1), (-2, -1)))
+    return m
 
 
 def exp_imag(v) -> Quaternion:

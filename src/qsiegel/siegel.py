@@ -6,6 +6,13 @@ A Cayley pair exchanges it with the unit ball |h1|^2 + |h2|^2 < 1, the
 H-type group acts by height-preserving affine maps, and the boundary is
 parametrized by (q1, Im q2), on which the action restricts to the group
 translation with unit Jacobian.
+
+Points whose quaternions have ndarray components (and group elements of
+the same batch shape) are batches, one point per row: ``height``, ``act``,
+both Cayley maps, ``boundary_point`` and ``boundary_coords`` act on them
+row by row with the scalar formulas, so each row equals the scalar result
+bit for bit.  The pole and boundary guards raise when any single row
+violates them.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat import Quaternion, ONE
-from .group import GroupElement
+from .quat import Quaternion, ONE, _any
+from .group import GroupElement, _real
 
 __all__ = [
     "SiegelPoint",
@@ -67,7 +74,7 @@ def height(p: SiegelPoint) -> float:
 def cayley_to_siegel(b: BallPoint) -> SiegelPoint:
     """(h1, h2) -> (h1 (1+h2)^-1, (1-h2)(1+h2)^-1); pole at h2 = -1."""
     den = ONE + b.h2
-    if den.norm_sq() < 1e-300:
+    if _any(den.norm_sq() < 1e-300):
         raise PoleError("Cayley pole: 1 + h2 = 0")
     inv = den.inverse()
     return SiegelPoint(b.h1 * inv, (ONE - b.h2) * inv)
@@ -76,7 +83,7 @@ def cayley_to_siegel(b: BallPoint) -> SiegelPoint:
 def cayley_to_ball(p: SiegelPoint) -> BallPoint:
     """(q1, q2) -> (q1 (1+h2), (1+q2)^-1 (1-q2)); pole at q2 = -1."""
     den = ONE + p.q2
-    if den.norm_sq() < 1e-300:
+    if _any(den.norm_sq() < 1e-300):
         raise PoleError("Cayley pole: 1 + q2 = 0")
     h2 = den.inverse() * (ONE - p.q2)
     return BallPoint(p.q1 * (ONE + h2), h2)
@@ -98,17 +105,21 @@ def act(g: GroupElement, p: SiegelPoint) -> SiegelPoint:
 def boundary_coords(p: SiegelPoint) -> tuple:
     """Boundary parametrization (q1, Im q2) as a (Quaternion, 3-tuple).
 
-    Requires |height(p)| <= 1e-9 * (1 + |q2|), else BoundaryError.
+    Requires |height(p)| <= 1e-9 * (1 + |q2|), else BoundaryError, which
+    for a batch carries the height of the first row off the boundary.
     """
     r = height(p)
-    if abs(r) > BOUNDARY_RTOL * (1.0 + p.q2.norm()):
+    off = abs(r) > BOUNDARY_RTOL * (1.0 + p.q2.norm())
+    if _any(off):
+        if isinstance(off, np.ndarray):
+            r = float(r[off][0])
         raise BoundaryError(f"point is off the boundary (height {r})", r)
     return (p.q1, p.q2.imag())
 
 
 def boundary_point(w: Quaternion, t) -> SiegelPoint:
     """Inverse of boundary_coords: (w, t) -> (w, |w|^2 + i.t)."""
-    t = tuple(float(v) for v in t)
+    t = tuple(_real(v) for v in t)
     return SiegelPoint(w, Quaternion(w.norm_sq(), *t))
 
 

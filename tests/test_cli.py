@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +48,24 @@ def test_reports_byte_identical_across_runs_and_threads(tmp_path):
     ra = json.loads(a.read_text())["report"]
     rb = json.loads(b.read_text())["report"]
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+
+
+def test_full_report_independent_of_blas_threads(tmp_path):
+    # each process pins its BLAS thread count before numpy loads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = {}
+    for n in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n),
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = tmp_path / f"blas{n}.json"
+        runs[n] = (out, subprocess.Popen(
+            [sys.executable, "-m", "qsiegel.cli", "verify", "--suite", "all",
+             "--json", str(out)], env=env, stdout=subprocess.DEVNULL))
+    for out, proc in runs.values():
+        assert proc.wait(timeout=300) == 0
+    one, two = (json.loads(out.read_text())["report"] for out, _ in runs.values())
+    assert one == two
 
 
 def test_verify_csv_output(tmp_path):

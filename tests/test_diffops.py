@@ -267,14 +267,14 @@ def _fueter(q):
 
 
 @pytest.mark.parametrize("f, want", [
-    (_affine, (0.03749999999999998, 0.17499999999999946,
-               0.21249999999999938, 0.5499999999999985)),
-    (_fueter, (-0.029999999999999916, -0.059999999999999845,
-               0.01999999999999988, 3.155143546333317e-19)),
+    (_affine, (0.03749999999999993, 0.1749999999999995,
+               0.21249999999999938, 0.5499999999999986)),
+    (_fueter, (-0.029999999999999905, -0.05999999999999983,
+               0.01999999999999994, 3.1551435463333175e-19)),
 ])
 def test_cauchy_fueter_values_pinned(spec, f, want):
-    # the values of the node-by-node integrand, which the row-chunked
-    # integral reproduces bit for bit
+    # the node-by-node integrand reduced by numpy's pairwise sum, which the
+    # row-chunked integral reproduces bit for bit at any BLAS thread count
     v = cauchy_fueter_sphere(f, Q0, radius=0.9, spec=spec)
     assert v.components() == want
     assert (v - f(Q0)).norm() <= 1e-12

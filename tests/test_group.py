@@ -122,3 +122,44 @@ def test_integrability_threshold(spec):
     tail12 = integrate_1d(lambda s: s ** 9 * (1.0 + s) ** -12, (1.0, 2000.0), spec)
     assert tail8.value > 1e2          # grows with the cutoff, clearly divergent
     assert tail12.value < 1.0         # truncation tail is O(cutoff^-2)
+
+
+def _row(g, i):
+    """Row i of a batch as a scalar GroupElement."""
+    return GroupElement(Quaternion(*(float(c[i]) for c in g.w.components())),
+                        tuple(v[i] for v in g.t))
+
+
+def test_batch_group_ops_equal_scalar_rows(rng):
+    x = rng.normal(size=(14, 300))
+    r = rng.uniform(0.1, 3.0, size=300)
+    g = GroupElement(Quaternion(*x[:4]), x[4:7])
+    h = GroupElement(Quaternion(*x[7:11]), x[11:14])
+    prod, inv = gmul(g, h), g.inverse()
+    dil, dil_one = dilate(r, g), dilate(1.7, g)
+    norm = homogeneous_norm(g)
+    assert isinstance(norm, np.ndarray)
+    for i in range(300):
+        gi, hi = _row(g, i), _row(h, i)
+        assert _row(prod, i) == gmul(gi, hi)
+        assert _row(inv, i) == gi.inverse()
+        assert _row(dil, i) == dilate(float(r[i]), gi)
+        assert _row(dil_one, i) == dilate(1.7, gi)
+        # math.hypot per row, as in the scalar gauge
+        assert norm[i] == homogeneous_norm(gi)
+
+
+def test_scalar_group_ops_return_python_floats():
+    g = GroupElement(Quaternion(0.3, -0.1, 0.2, 0.5), (0.4, -0.2, 0.7))
+    assert type(homogeneous_norm(g)) is float
+    assert all(type(v) is float for v in gmul(g, g).t)
+    assert all(type(v) is float for v in dilate(np.float64(2.0), g).t)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5])
+def test_batch_dilate_rejects_any_nonpositive_factor(rng, bad):
+    x = rng.normal(size=(7, 40))
+    r = rng.uniform(0.1, 3.0, size=40)
+    r[23] = bad
+    with pytest.raises(ValueError):
+        dilate(r, GroupElement(Quaternion(*x[:4]), x[4:]))

@@ -154,3 +154,40 @@ def test_component_views():
     np.testing.assert_array_equal(q.to_array(), [1.0, 2.0, 3.0, 4.0])
     assert q.is_real() is False
     assert Quaternion(5.0).is_real()
+
+
+def _row(q, i):
+    """Row i of a batch as a scalar Quaternion."""
+    return Quaternion(*(float(c[i]) for c in q.components()))
+
+
+def test_batch_ops_equal_scalar_rows(rng):
+    x = rng.normal(size=(8, 300))
+    r = rng.uniform(0.1, 3.0, size=300)
+    q, h = Quaternion(*x[:4]), Quaternion(*x[4:])
+    prod, norm, inv = q * h, q.norm(), q.inverse()
+    left, right = q * r, r * q
+    mats = to_matrix(q)
+    assert isinstance(norm, np.ndarray) and mats.shape == (300, 4, 4)
+    for i in range(300):
+        qi, hi = _row(q, i), _row(h, i)
+        assert _row(prod, i) == qi * hi
+        assert norm[i] == qi.norm()
+        assert _row(inv, i) == qi.inverse()
+        assert _row(left, i) == qi * float(r[i]) == _row(right, i)
+        np.testing.assert_array_equal(mats[i], to_matrix(qi))
+
+
+def test_scalar_ops_return_python_floats():
+    q = Quaternion(1.0, 2.0, -3.0, 0.5)
+    assert type(q.norm()) is float
+    assert all(type(v) is float for v in q.inverse().components())
+    assert all(type(v) is float for v in (q * 2.0).components())
+    assert to_matrix(q).shape == (4, 4)
+
+
+def test_batch_inverse_rejects_any_zero_row(rng):
+    x = rng.normal(size=(4, 50))
+    x[:, 31] = 0.0
+    with pytest.raises(ZeroDivisionError):
+        Quaternion(*x).inverse()

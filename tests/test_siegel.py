@@ -5,9 +5,9 @@ import pytest
 
 from qsiegel.quat import Quaternion
 from qsiegel.group import GroupElement, gmul, dilate
-from qsiegel.siegel import (SiegelPoint, BallPoint, cayley_to_siegel,
-                            cayley_to_ball, act, height, boundary_point,
-                            boundary_coords, rotate)
+from qsiegel.siegel import (SiegelPoint, BallPoint, PoleError, BoundaryError,
+                            cayley_to_siegel, cayley_to_ball, act, height,
+                            boundary_point, boundary_coords, rotate)
 
 
 def _rand_quat(rng):
@@ -149,3 +149,51 @@ def test_rotate_validates_matrix():
         rotate(np.eye(3), p)
     with pytest.raises(ValueError):
         rotate(2.0 * np.eye(4), p)
+
+
+def _qrow(q, i):
+    return Quaternion(*(float(c[i]) for c in q.components()))
+
+
+def test_batch_geometry_equals_scalar_rows(rng):
+    n = 200
+    x = rng.normal(size=(23, n))
+    g = GroupElement(Quaternion(*x[:4]), x[4:7])
+    p = SiegelPoint(Quaternion(*x[7:11]), Quaternion(5.0 + np.abs(x[11]), *x[12:15]))
+    b = BallPoint(Quaternion(*(0.3 * x[15:19])), Quaternion(*(0.3 * x[19:23])))
+    moved, hp = act(g, p), height(p)
+    to_siegel, to_ball = cayley_to_siegel(b), cayley_to_ball(p)
+    bp = boundary_point(g.w, g.t)
+    bw, bt = boundary_coords(bp)
+    for i in range(n):
+        gi = GroupElement(_qrow(g.w, i), tuple(v[i] for v in g.t))
+        pi = SiegelPoint(_qrow(p.q1, i), _qrow(p.q2, i))
+        bi = BallPoint(_qrow(b.h1, i), _qrow(b.h2, i))
+        assert SiegelPoint(_qrow(moved.q1, i), _qrow(moved.q2, i)) == act(gi, pi)
+        assert hp[i] == height(pi)
+        assert SiegelPoint(_qrow(to_siegel.q1, i),
+                           _qrow(to_siegel.q2, i)) == cayley_to_siegel(bi)
+        assert BallPoint(_qrow(to_ball.h1, i), _qrow(to_ball.h2, i)) == cayley_to_ball(pi)
+        bpi = boundary_point(gi.w, gi.t)
+        assert SiegelPoint(_qrow(bp.q1, i), _qrow(bp.q2, i)) == bpi
+        w2, t2 = boundary_coords(bpi)
+        assert _qrow(bw, i) == w2 and tuple(v[i] for v in bt) == t2
+
+
+def test_batch_cayley_rejects_any_pole_row(rng):
+    x = 0.3 * rng.normal(size=(8, 30))
+    x[4:, 11] = (-1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(PoleError):
+        cayley_to_siegel(BallPoint(Quaternion(*x[:4]), Quaternion(*x[4:])))
+    with pytest.raises(PoleError):
+        cayley_to_ball(SiegelPoint(Quaternion(*x[:4]), Quaternion(*x[4:])))
+
+
+def test_batch_boundary_coords_rejects_any_interior_row(rng):
+    x = rng.normal(size=(7, 30))
+    p = boundary_point(Quaternion(*x[:4]), x[4:])
+    q2 = p.q2.components()[0].copy()
+    q2[9] += 0.25
+    with pytest.raises(BoundaryError) as err:
+        boundary_coords(SiegelPoint(p.q1, Quaternion(q2, *p.q2.imag())))
+    assert err.value.height == pytest.approx(0.25)
