@@ -52,8 +52,8 @@ def _vector(text: str, n: int, what: str) -> np.ndarray:
     return np.array(vals)
 
 
-# Work memory of the sphere rules grows as order^2 (the K_lambda grid of
-# an order-128 rule holds 16384 nodes per u-node).
+# Work memory of the sphere rules grows as order^2 (the K_lambda weight
+# tables of an order-128 rule hold 4160 orbits per u-node).
 _MAX_SPHERE_ORDER = 128
 
 

@@ -20,7 +20,12 @@ Three evaluators and their cross-checks:
   Both terms are even under n -> -n, so the S^2 integral runs on the
   product rule folded onto antipodal pairs (half the nodes, weights
   doubled), and P is computed in real arithmetic as w^4 with
-  w = 1/(|x|^2 coth u - i t.n).  The real part of the construction
+  w = 1/(|x|^2 coth u - i t.n), from a^2 and b^2 alone.  The cosh/sinh
+  weights depend on n only through g, so their exp tables are built on
+  one node per orbit of the folded rule under n1 -> -n1 and n2 -> -n2,
+  and the sphere sum walks the nodes in fixed-size blocks; every sum is
+  an einsum, never a BLAS call, so values do not depend on the BLAS
+  thread count.  The real part of the construction
   at lambda = 0 is the classical inverse Fourier transform of the radial
   Hermite kernel; the lambda-coupling is derived in
   ``_k_lambda_components``.  The reduced representation needs |x| > 0
@@ -54,6 +59,7 @@ overflows nor cancels.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,9 +86,10 @@ def _coerce_lambda(lam) -> Lambda:
 
 
 def _check_lambda_ball(lam: Lambda):
-    if lam.norm() >= 2.0:
+    # negated, so that a NaN component fails it too
+    if not (lam.norm() < 2.0):
         raise ValueError(
-            f"lambda decay condition fails: |lambda| = {lam.norm():.6g} >= 2")
+            f"lambda decay condition fails: |lambda| = {lam.norm():.6g} is not < 2")
 
 
 def _x4(x) -> np.ndarray:
@@ -120,12 +127,13 @@ def _k_tilde_rows(xs: np.ndarray, tau, lam: Lambda, spec: QuadratureSpec) -> lis
     _check_lambda_ball(lam)
     xsq = [float(x @ x) for x in xs]
     tnorm = float(np.linalg.norm(tau))
-    if 0.0 in xsq:
-        raise ValueError("x = 0 outside reduced-representation domain")
-    if tnorm == 0.0:
-        raise ValueError("tau must be nonzero")
+    # the sum is NaN or inf when any row is, at a fraction of a per-row test
+    if 0.0 in xsq or not (sum(xsq) < math.inf):
+        raise ValueError("x = 0 or non-finite x outside reduced-representation domain")
+    if not (0.0 < tnorm < math.inf):
+        raise ValueError("tau must be nonzero and finite")
     a = float(np.dot(lam.as_tuple(), tau)) / tnorm
-    if a <= -2.0:
+    if not (a > -2.0):
         raise ValueError(f"lambda decay condition fails on this ray: {a:.6g} <= -2")
     u, w = panel_grid(0.0, 0.5, _tail_end(2.0 + a, spec))
     em = np.expm1(-2.0 * u)
@@ -147,9 +155,9 @@ def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float = 1e-3) -> floa
     x = _x4(x)
     tau = _t3(tau)
     lam = _coerce_lambda(lam)
-    if np.linalg.norm(x) < 0.3:
+    if not (np.linalg.norm(x) >= 0.3):
         raise ValueError("|x| >= 0.3 required away from the singular support")
-    if h <= 0.0:
+    if not (h > 0.0):
         raise ValueError("step must be positive")
     e = h * np.eye(4)
     k = _k_tilde_rows(np.vstack([x, x + e, x - e]), tau, lam, spec)
@@ -165,6 +173,37 @@ def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float = 1e-3) -> floa
 
 # ---------------------------------------------------------------------------
 # group-space kernel, polar-reduced
+
+# Grid points (node x u) per block of the K_lambda sphere sum.  The block
+# buffers are allocated once per call, so no call allocates a node x u array.
+_BLOCK_POINTS = 16384
+
+
+@lru_cache(maxsize=32)
+def _sign_orbits(order: int):
+    """Orbits of the folded S^2 rule under n1 -> -n1 and n2 -> -n2.
+
+    Node (i, k) of ``sphere2_nodes(order, fold=True)`` (ring i, azimuth k,
+    index 2*order*i + k) meets its images at azimuths order-k, 2*order-k
+    and k+order (mod 2*order) of the same ring; an image outside the
+    folded rule (on the odd-order equator) stands for its antipode, which
+    is in it.  Members of an orbit share their weight and (n1^2, n2^2,
+    n3^2), hence g(n) = |lambda o n|; orbits hold 1, 2 or 4 nodes.
+    Returns read-only ``reps``, the lowest node index of each orbit in
+    ascending order, and ``orbit``, the position in ``reps`` of each node.
+    """
+    m = 2 * order
+    half = order * order
+    i, k = np.divmod(np.arange(half), m)
+    images = []
+    for kk in (k, (order - k) % m, (m - k) % m, (k + order) % m):
+        j = i * m + kk
+        images.append(np.where(j < half, j, (order - 1 - i) * m + (kk + order) % m))
+    reps, orbit = np.unique(np.minimum.reduce(images), return_inverse=True)
+    reps.setflags(write=False)
+    orbit.setflags(write=False)
+    return reps, orbit
+
 
 def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
     """Polar-reduced kernel components at the points (xs[i], ts[i]).
@@ -195,66 +234,96 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
     nodes).
 
     ``xs`` and ``ts`` hold one point per row, shapes (N, 4) and (N, 3).
-    The lambda-dependent tables (sphere nodes, u-grid, the cosh/sinh
-    weights and the odd axes) are built once per call and shared by the
-    rows.  Each row then computes P in real arithmetic on the folded
-    (node, u) grid: with a = |x|^2 coth u and b = t.n, w = 1/z =
-    (a + i b)/(a^2 + b^2) and P = w^4 by two complex squarings, written
-    into work arrays allocated once per call.
+
+    * Orbit tables.  The cosh/sinh weights depend on n only through g,
+      which sign flips of n1 and n2 keep, so the two exp tables are built
+      once per call on one node of each orbit (``_sign_orbits``: 272 of
+      the 1024 folded nodes at order 32) and gathered per node.  The
+      u-weight 2 wu/em^2 enters each exponent as its log, and the sphere
+      weight is applied after the u-sum.
+    * The w^4 form.  With a = |x|^2 coth u, b = t.n, A = a^2, B = b^2
+      and r = A + B, P = w^4 for w = 1/(a - i b) = (a + i b)/r is
+
+          Re P = (A^2 - 6AB + B^2)/r^4,    Im P = 4ab(A - B)/r^4,
+
+      so each node's u-sums are the products table/r^4 reduced against
+      the u-vectors A^2, A, 1 (even table) and aA, a (odd table), and
+      are combined with the node's B and b afterwards.
+    * Node blocks.  The folded nodes are walked in blocks of about
+      _BLOCK_POINTS grid points, the rows inside each block, in buffers
+      allocated once per call; the per-node sums are reduced over the
+      nodes once at the end.  A single point allocates no node x u array,
+      each row keeps the arithmetic of a single point, and no value
+      depends on the block size.
+    * Reductions.  Every sum is an einsum on operands whose shape does
+      not depend on the number of rows, never a BLAS call: a threaded
+      BLAS sum splits by thread, so the value would depend on the thread
+      count.
+
     Returns c0 of shape (N,) and ck of shape (N, 3).
     """
-    nodes, wS = sphere2_nodes(spec.sphere_order, fold=True)
-    lamv = np.asarray(lam.as_tuple())
-    ln = nodes * lamv[None, :]                        # (lambda o n) per node
+    order = spec.sphere_order
+    nodes, wS = sphere2_nodes(order, fold=True)
+    reps, orbit = _sign_orbits(order)
+    ln = nodes * np.asarray(lam.as_tuple())[None, :]  # (lambda o n) per node
     g = np.linalg.norm(ln, axis=1)
+    axis = ln / np.where(g > 0.0, g, 1.0)[:, None]    # 0 where lambda o n is
     u, wu = panel_grid(0.0, 0.5, _tail_end(2.0 - lam.norm(), spec))
-    coth = _coth(u)
 
-    # cosh(g u)/sinh^2 u and sinh(g u)/sinh^2 u, overflow-free:
-    # 4 e^{-2u} cosh(g u) = 2(e^{-(2-g)u} + e^{-(2+g)u}), same with a minus
-    # for sinh; the slow rate 2-g stays positive because g <= |lambda| < 2.
-    # The (node, u) tables are built in place: a fresh temporary of that
-    # size costs more than the arithmetic on it.  Negations are exact, so
-    # the values are those of 2 e^{-(2 -+ g)u} / (em^2) evaluated directly.
+    # 2 wu cosh(g u)/sinh^2 u and 2 wu sinh(g u)/sinh^2 u per orbit,
+    # overflow-free: 4 e^{-2u} cosh(g u) = 2(e^{-(2-g)u} + e^{-(2+g)u}), the
+    # same with a minus for sinh, and the weight enters each exponent as
+    # log(2 wu/em^2); the slow rate 2-g stays positive because
+    # g <= |lambda| < 2.
     em = np.expm1(-2.0 * u)
-    emsq = (em * em)[None, :]
-    slow = np.exp(np.outer(g - 2.0, u))
-    slow *= 2.0
-    slow /= emsq
-    fast = np.exp(np.outer(-(2.0 + g), u))
-    fast *= 2.0
-    fast /= emsq
-    base = wS[:, None] * wu[None, :]
-    even = slow + fast
-    even *= base
-    odd = slow
-    odd -= fast
-    odd *= base
-    del slow, fast, base
+    log_w = np.log(2.0 * wu / (em * em))
+    g_rep = g[reps]
+    even = np.outer(g_rep - 2.0, u)
+    even += log_w
+    np.exp(even, out=even)
+    fast = np.outer(-(2.0 + g_rep), u)
+    fast += log_w
+    np.exp(fast, out=fast)
+    odd = even - fast
+    even += fast
+    del fast
 
+    # per-row setup and final sums run row by row on 1-D operands: one
+    # (rows, nodes) einsum over more than 8192 nodes sums in buffered
+    # chunks and gave rows that differ from single-row calls
+    coth = _coth(u)
+    a = np.stack([np.einsum("j,j->", x, x) * coth for x in xs])
+    A = a * a
+    b = np.stack([np.einsum("nk,k->n", nodes, t) for t in ts])  # signed t.n
+    B = b * b
+    # the u-vectors of the even-table sums (A^2, A, 1) and of the odd ones
+    vec_even = np.stack([A * A, A, np.ones_like(A)], axis=1)
+    vec_odd = np.stack([a * A, a], axis=1)
+    # per-node u-sums of table * vec / r^4, rows on axis 1
+    sums = np.empty((5,) + b.shape)
+    n_nodes, n_u = len(nodes), len(u)
+    step = max(1, _BLOCK_POINTS // n_u)
+    work = np.empty((4, step, n_u))
+    for s in range(0, n_nodes, step):
+        blk = slice(s, min(s + step, n_nodes))
+        ev, od, q, prod = work[:, :blk.stop - s]
+        # mode="clip" writes into out directly; the default mode buffers it
+        np.take(even, orbit[blk], axis=0, out=ev, mode="clip")
+        np.take(odd, orbit[blk], axis=0, out=od, mode="clip")
+        for i in range(len(xs)):
+            np.add.outer(B[i, blk], A[i], out=q)       # r
+            np.square(q, out=q)
+            np.square(q, out=q)
+            np.reciprocal(q, out=q)
+            np.multiply(ev, q, out=prod)
+            np.einsum("nu,ku->kn", prod, vec_even[i], out=sums[:3, i, blk])
+            np.multiply(od, q, out=prod)
+            np.einsum("nu,ku->kn", prod, vec_odd[i], out=sums[3:, i, blk])
+    re = sums[0] - 6.0 * B * sums[1] + B * B * sums[2]
+    im = 4.0 * b * (sums[3] - B * sums[4])
     scale = 6.0 / (2.0 * math.pi) ** 5
-    with np.errstate(invalid="ignore"):
-        axis = np.where(g[:, None] > 0.0,
-                        ln / np.where(g[:, None] > 0.0, g[:, None], 1.0), 0.0)
-    c0 = np.empty(len(xs))
-    ck = np.empty((len(xs), 3))
-    re, im, tmp = np.empty((3,) + even.shape)
-    for i, (x, t) in enumerate(zip(xs, ts)):
-        a = float(x @ x) * coth
-        b = (nodes @ t)[:, None]                      # signed t.n per node
-        # w = 1/(a - i b) = (a + i b)/(a^2 + b^2)
-        np.add(b * b, a * a, out=tmp)
-        np.divide(a, tmp, out=re)
-        np.divide(b, tmp, out=im)
-        for _ in range(2):                            # w -> w^2 -> w^4
-            np.multiply(re, im, out=tmp)
-            np.square(re, out=re)
-            np.square(im, out=im)
-            np.subtract(re, im, out=re)
-            np.add(tmp, tmp, out=im)
-        # einsum, not a BLAS dot, whose sum depends on the thread count
-        c0[i] = scale * float(np.einsum("ij,ij->", even, re))
-        ck[i] = -scale * (axis.T @ np.einsum("ij,ij->i", odd, im))
+    c0 = np.array([scale * np.einsum("n,n->", v, wS) for v in re])
+    ck = np.array([-scale * np.einsum("n,n,nk->k", v, wS, axis) for v in im])
     return c0, ck
 
 
@@ -269,8 +338,10 @@ def k_lambda(x, t, lam, spec: QuadratureSpec) -> Quaternion:
     t = _t3(t)
     lam = _coerce_lambda(lam)
     _check_lambda_ball(lam)
-    if float(x @ x) == 0.0:
-        raise ValueError("x = 0 outside reduced-representation domain")
+    if not (0.0 < float(x @ x) < math.inf):
+        raise ValueError("x = 0 or non-finite x outside reduced-representation domain")
+    if not (float(t @ t) < math.inf):
+        raise ValueError("t must be finite")
     c0, ck = _k_lambda_components(x[None, :], t[None, :], lam, spec)
     return Quaternion(float(c0[0]), float(ck[0, 0]), float(ck[0, 1]), float(ck[0, 2]))
 
@@ -287,8 +358,10 @@ def k0_sphere(x, t, spec: QuadratureSpec) -> float:
     x = _x4(x)
     t = _t3(t)
     xsq = float(x @ x)
-    if xsq == 0.0:
-        raise ValueError("x = 0 outside reduced-representation domain")
+    if not (0.0 < xsq < math.inf):
+        raise ValueError("x = 0 or non-finite x outside reduced-representation domain")
+    if not (float(t @ t) < math.inf):
+        raise ValueError("t must be finite")
     nodes, wS = sphere2_nodes(spec.sphere_order, fold=True)
     z = xsq + 1j * np.abs(nodes @ t)
     p = z ** -3.0
@@ -307,6 +380,8 @@ def heis_k_closed(x, t: float, lam: float) -> Quaternion:
     t = float(t)
     lam = float(lam)
     xsq = float(x @ x)
+    if not (xsq < math.inf and abs(t) < math.inf and abs(lam) < math.inf):
+        raise ValueError("x, t and lambda must be finite")
     if xsq == 0.0 and t == 0.0:
         raise ValueError("(x, t) = 0 is the kernel singularity")
     for g in ((2.0 + lam) / 2.0, (2.0 - lam) / 2.0):
@@ -340,9 +415,11 @@ def heis_k_quadrature(x, t: float, lam: float, spec: QuadratureSpec) -> Quaterni
     x = _x4(x)
     t = float(t)
     lam = float(lam)
-    if abs(lam) >= 2.0:
+    if not (abs(lam) < 2.0):
         raise ValueError("|lambda| < 2 required")
     xsq = float(x @ x)
+    if not (xsq < math.inf and abs(t) < math.inf):
+        raise ValueError("x and t must be finite")
     if xsq == 0.0 and t == 0.0:
         raise ValueError("(x, t) = 0 is the kernel singularity")
     cphi = xsq / math.hypot(xsq, t)
@@ -376,9 +453,11 @@ def heis_contour_sign_check(x, t: float, lam: float, spec: QuadratureSpec) -> di
     x = _x4(x)
     t = float(t)
     lam = float(lam)
-    if abs(lam) >= 2.0:
+    if not (abs(lam) < 2.0):
         raise ValueError("|lambda| < 2 required")
     xsq = float(x @ x)
+    if not (xsq < math.inf and abs(t) < math.inf):
+        raise ValueError("x and t must be finite")
 
     def side(sign):
         # u and -u branches; bracket^2 at large |u| grows like e^{2|u|}/4
@@ -429,8 +508,10 @@ def fourier_consistency(x, t, lam, spec: QuadratureSpec,
     lam = _coerce_lambda(lam)
     _check_lambda_ball(lam)
     xsq = float(x @ x)
-    if math.sqrt(xsq) < 1.0:
-        raise ValueError("|x| >= 1 keeps the oscillatory integral tame")
+    if not (1.0 <= math.sqrt(xsq) < math.inf):
+        raise ValueError("finite |x| >= 1 keeps the oscillatory integral tame")
+    if not (float(t @ t) < math.inf):
+        raise ValueError("t must be finite")
     ref = k_lambda(x, t, lam, spec)
 
     nodes, wS = sphere2_nodes(spec.sphere_order, fold=True)
@@ -487,8 +568,8 @@ def delta_lambda_residual_on_k(x, t, lam, spec: QuadratureSpec,
     lam = _coerce_lambda(lam)
     _check_lambda_ball(lam)
     hnorm_sq = float(x @ x) + float(np.linalg.norm(t))
-    if math.sqrt(hnorm_sq) < 0.5 or float(np.linalg.norm(x)) <= 0.3:
-        raise ValueError("probe point too close to the kernel singularity")
+    if not (0.5 <= math.sqrt(hnorm_sq) < math.inf and float(np.linalg.norm(x)) > 0.3):
+        raise ValueError("probe point too close to the kernel singularity or not finite")
 
     def f(q):
         # the direct form passes the whole stencil, coordinates on axis 0

@@ -14,7 +14,8 @@ A GroupElement whose w has ndarray components and whose t holds ndarrays
 ``dilate`` (with a scalar or an (N,) array of factors) and
 ``homogeneous_norm`` act on it row by row with the scalar formulas, so each
 row equals the scalar result bit for bit; scalar elements give Python
-floats as before.  ``dilate`` raises when any factor is not positive.
+floats as before.  ``dilate`` raises when any factor is not positive and
+finite (NaN included).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quat import Quaternion, _any
+from .quat import Quaternion, _all
 from .quad import QuadratureSpec, QuadratureError, integrate_1d, integrate_nested
 
 __all__ = [
@@ -86,8 +87,8 @@ def gmul(g: GroupElement, h: GroupElement) -> GroupElement:
 def dilate(r: float, g: GroupElement) -> GroupElement:
     """Anisotropic dilation [w, t] -> [r w, r^2 t], r > 0 (per row for an
     array r)."""
-    if _any(r <= 0.0):
-        raise ValueError("dilation factor must be positive")
+    if not _all((r > 0.0) & (r < math.inf)):
+        raise ValueError("dilation factor must be positive and finite")
     r = _real(r)
     return GroupElement(g.w * r, tuple(r * r * v for v in g.t))
 

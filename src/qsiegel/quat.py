@@ -148,6 +148,12 @@ def _any(cond) -> bool:
     return bool(cond.any() if isinstance(cond, np.ndarray) else cond)
 
 
+def _all(cond) -> bool:
+    """A scalar condition, or whether it holds in every row of a batch.
+    Guards test ``not _all(ok)``, which a NaN row fails."""
+    return bool(cond.all() if isinstance(cond, np.ndarray) else cond)
+
+
 def _coerce(v) -> Quaternion:
     if isinstance(v, Quaternion):
         return v

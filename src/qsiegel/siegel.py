@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat import Quaternion, ONE, _any
+from .quat import Quaternion, ONE, _all, _any
 from .group import GroupElement, _real
 
 __all__ = [
@@ -106,13 +106,15 @@ def boundary_coords(p: SiegelPoint) -> tuple:
     """Boundary parametrization (q1, Im q2) as a (Quaternion, 3-tuple).
 
     Requires |height(p)| <= 1e-9 * (1 + |q2|), else BoundaryError, which
-    for a batch carries the height of the first row off the boundary.
+    for a batch carries the height of the first row off the boundary.  A
+    point with a NaN or infinite component fails the test.
     """
     r = height(p)
-    off = abs(r) > BOUNDARY_RTOL * (1.0 + p.q2.norm())
-    if _any(off):
-        if isinstance(off, np.ndarray):
-            r = float(r[off][0])
+    bound = BOUNDARY_RTOL * (1.0 + p.q2.norm())
+    on = (abs(r) <= bound) & (bound < math.inf)
+    if not _all(on):
+        if isinstance(on, np.ndarray):
+            r = float(r[~on][0])
         raise BoundaryError(f"point is off the boundary (height {r})", r)
     return (p.q1, p.q2.imag())
 

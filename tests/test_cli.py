@@ -201,6 +201,23 @@ def test_eval_precondition_is_usage_error(capsys):
     assert "reduced-representation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "klambda", "--x", "nan,0,0,0", "--t", "0,0,0", "--lam", "0,0,0"],
+    ["eval", "klambda", "--x", "1,0,0,0", "--t", "0,inf,0", "--lam", "0,0,0"],
+    ["eval", "klambda", "--x", "1,0,0,0", "--t", "0,0,0", "--lam", "nan,0,0"],
+    ["eval", "ktilde", "--x", "1,0,0,0", "--tau", "nan,0,0", "--lam", "0,0,0"],
+    ["eval", "ktilde", "--x", "1,nan,0,0", "--tau", "1,0,0", "--lam", "0,0,0"],
+    ["eval", "heis", "--x", "1,0,0,0", "--t", "nan", "--lam", "0"],
+    ["eval", "heis", "--x", "1,0,0,0", "--t", "0.5", "--lam", "nan"],
+])
+def test_eval_non_finite_input_is_usage_error(argv, capsys):
+    # exit 2 with a message, never "nan nan nan nan" with exit 0
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "nan" not in captured.out
+
+
 def test_eval_bad_vector_length():
     with pytest.raises(SystemExit) as e:
         cli.main(["eval", "klambda", "--x", "1,2,3"])

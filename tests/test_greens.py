@@ -2,6 +2,7 @@
 group, Heisenberg reduction, and PDE residuals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from qsiegel.quat import Quaternion
 from qsiegel.quad import (QuadratureError, QuadratureSpec, integrate_1d,
                           panel_grid, sphere2_nodes)
 from qsiegel.diffops import Lambda
+from qsiegel import greens
 from qsiegel.greens import (k_tilde_lambda, hermite_residual, k_lambda,
                             k0_sphere, heis_k_closed, heis_k_quadrature,
                             heis_contour_sign_check, fourier_consistency,
                             delta_lambda_residual_on_k,
-                            _k_lambda_components, _k_tilde_rows)
+                            _k_lambda_components, _k_tilde_rows, _sign_orbits)
 
 X_UNIT = np.array([1.0, 0.0, 0.0, 0.0])
 T_ZERO = np.array([0.0, 0.0, 0.0])
@@ -217,6 +219,54 @@ def test_k_lambda_preconditions(spec):
         k_lambda(X_UNIT, T_ZERO, (1.5, 1.5, 0.0), spec)
 
 
+_NAN4 = np.array([math.nan, 0.0, 0.0, 0.0])
+_NAN3 = np.array([0.0, math.nan, 0.0])
+_INF3 = np.array([0.0, 0.0, math.inf])
+_X = np.array([1.0, 0.2, 0.0, 0.0])
+_T = np.array([0.5, 0.0, 0.0])
+_LAM = (0.3, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: k_lambda(_NAN4, _T, _LAM, s),
+    lambda s: k_lambda(_X, _NAN3, _LAM, s),
+    lambda s: k_lambda(_X, _INF3, _LAM, s),
+    lambda s: k_lambda(_X, _T, _NAN3, s),
+    lambda s: k_lambda(_X, _T, _INF3, s),
+    lambda s: k_tilde_lambda(_NAN4, _T, _LAM, s),
+    lambda s: k_tilde_lambda(_X, _NAN3, _LAM, s),
+    lambda s: k_tilde_lambda(_X, _INF3, _LAM, s),
+    lambda s: k_tilde_lambda(_X, _T, _NAN3, s),
+    lambda s: hermite_residual(_NAN4, _T, _LAM, s),
+    lambda s: hermite_residual(_X, _NAN3, _LAM, s),
+    lambda s: hermite_residual(_X, _T, _NAN3, s),
+    lambda s: hermite_residual(_X, _T, _LAM, s, h=math.nan),
+    lambda s: delta_lambda_residual_on_k(_NAN4, _T, _LAM, s),
+    lambda s: delta_lambda_residual_on_k(_X, _NAN3, _LAM, s),
+    lambda s: delta_lambda_residual_on_k(_X, _T, _NAN3, s),
+    lambda s: k0_sphere(_NAN4, _T, s),
+    lambda s: k0_sphere(_X, _NAN3, s),
+    lambda s: heis_k_closed(_NAN4, 0.5, 0.3),
+    lambda s: heis_k_closed(_X, math.nan, 0.3),
+    lambda s: heis_k_closed(_X, 0.5, math.nan),
+    lambda s: heis_k_quadrature(_NAN4, 0.5, 0.3, s),
+    lambda s: heis_k_quadrature(_X, math.nan, 0.3, s),
+    lambda s: heis_k_quadrature(_X, math.inf, 0.3, s),
+    lambda s: heis_k_quadrature(_X, 0.5, math.nan, s),
+])
+def test_non_finite_input_raises(spec, call):
+    # each guard is a negated comparison, which NaN fails; never a NaN value
+    with pytest.raises(ValueError):
+        call(spec)
+
+
+def test_k_tilde_rows_reject_any_non_finite_row(spec):
+    xs = np.tile(_X, (9, 1))
+    xs[6, 2] = math.nan
+    with pytest.raises(ValueError):
+        _k_tilde_rows(xs, _T, Lambda(*_LAM), spec)
+
+
 def test_delta_residual_lambda0(spec):
     r = delta_lambda_residual_on_k(X_UNIT, np.array([0.5, 0.0, 0.0]), LAM0, spec)
     assert r <= 1e-2
@@ -233,9 +283,9 @@ def test_delta_residual_verify_values_pinned(spec):
     # of 64 single-point k_lambda evaluations: the one batched stencil call
     # and the centre value taken from it change no bit
     t = np.array([0.5, 0.0, 0.0])
-    assert delta_lambda_residual_on_k(X_UNIT, t, LAM0, spec) == 0.006623797405976443
+    assert delta_lambda_residual_on_k(X_UNIT, t, LAM0, spec) == 0.0066237963049802255
     assert (delta_lambda_residual_on_k(X_UNIT, t, (0.5, 0.3, 0.0), spec)
-            == 0.007120982019978409)
+            == 0.0071209820146617905)
 
 
 def test_hermite_residual_values_pinned(spec):
@@ -247,15 +297,81 @@ def test_hermite_residual_values_pinned(spec):
             == 3.373634558517802e-08)
 
 
-def test_batched_rows_match_single_points(spec, rng):
-    xs = rng.normal(size=(5, 4))
-    ts = rng.normal(size=(5, 3))
-    lam = Lambda(0.4, -0.3, 0.2)
-    c0, ck = _k_lambda_components(xs, ts, lam, spec)
-    kt = _k_tilde_rows(xs, ts[0], lam, spec)
-    for i in range(5):
-        assert k_lambda(xs[i], ts[i], lam, spec).components() == (c0[i], *ck[i])
-        assert k_tilde_lambda(xs[i], ts[0], lam, spec) == kt[i]
+def test_batched_rows_match_single_points(rng):
+    # 63 rows, as many as a Delta_lambda stencil; at order 33 the 1089
+    # folded nodes span several node blocks and a partial last one
+    xs = rng.normal(size=(63, 4))
+    ts = rng.normal(size=(63, 3))
+    for order in (7, 33):
+        spec = QuadratureSpec(sphere_order=order)
+        for lam in (Lambda(0.4, -0.3, 0.2), Lambda(0.0, 1.95, 0.0)):
+            c0, ck = _k_lambda_components(xs, ts, lam, spec)
+            kt = _k_tilde_rows(xs, ts[0], lam, spec)
+            for i in range(63):
+                assert (k_lambda(xs[i], ts[i], lam, spec).components()
+                        == (c0[i], *ck[i]))
+                assert k_tilde_lambda(xs[i], ts[0], lam, spec) == kt[i]
+
+
+@pytest.mark.parametrize("order", [7, 32])
+def test_k_lambda_independent_of_block_size(order, rng, monkeypatch):
+    # the per-node u-sums are reduced over nodes once at the end, so one
+    # node per block, a ragged split and one block for all give one value
+    spec = QuadratureSpec(sphere_order=order)
+    xs = rng.normal(size=(3, 4))
+    ts = rng.normal(size=(3, 3))
+    lam = Lambda(1.2, -0.9, 0.8)
+    want = _k_lambda_components(xs, ts, lam, spec)
+    for points in (1, 1000, 10 ** 7):
+        monkeypatch.setattr(greens, "_BLOCK_POINTS", points)
+        got = _k_lambda_components(xs, ts, lam, spec)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("order", [2, 7, 8, 32, 33, 128])
+def test_sign_orbits_partition_the_folded_rule(order):
+    nodes, w = sphere2_nodes(order, fold=True)
+    reps, orbit = _sign_orbits(order)
+    assert not reps.flags.writeable and not orbit.flags.writeable
+    assert orbit.shape == (len(nodes),)
+    assert np.array_equal(orbit[reps], np.arange(len(reps)))   # one rep each
+    assert np.all(reps == np.sort(reps)) and np.all(np.diff(reps) > 0)
+    sizes = np.bincount(orbit)
+    assert set(sizes.tolist()) <= {1, 2, 4}
+    # every member shares its representative's weight and squares
+    sq = nodes * nodes
+    assert np.max(np.abs(sq - sq[reps][orbit])) <= 1e-15
+    assert np.max(np.abs(w - w[reps][orbit])) <= 1e-15
+    assert np.all(reps[orbit] <= np.arange(len(nodes)))        # lowest index
+    # a sign flip of n1 or n2 maps each node to a member of its orbit, found
+    # by its coordinates among the folded nodes and their antipodes
+    def key(v):
+        return tuple(np.round(v, 10) + 0.0)
+    index = {key(-n): j for j, n in enumerate(nodes)}
+    index.update({key(n): j for j, n in enumerate(nodes)})
+    for flip in ((-1.0, 1.0, 1.0), (1.0, -1.0, 1.0)):
+        image = [index[key(n * np.array(flip))] for n in nodes]
+        assert np.array_equal(orbit[image], orbit)
+    if order == 32:
+        assert len(reps) == 272
+
+
+@pytest.mark.parametrize("order, lam, parent_mib", [
+    (32, (0.0, 0.0, 0.0), 5.8), (32, (1.95, 0.0, 0.0), 11.5),
+    (128, (0.0, 0.0, 0.0), 91.0), (128, (0.0, 0.0, 1.95), 181.0)])
+def test_k_lambda_single_point_memory(order, lam, parent_mib):
+    # node blocks and orbit tables: a single point allocates no node x u
+    # array; the bound is a quarter of the peak of the whole-grid tables
+    spec = QuadratureSpec(sphere_order=order)
+    x, t = np.array([0.9, 0.4, -0.3, 0.6]), np.array([0.7, -1.2, 0.5])
+    k_lambda(x, t, lam, spec)                          # fill the rule caches
+    tracemalloc.start()
+    try:
+        k_lambda(x, t, lam, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= parent_mib * 2 ** 20 / 4
 
 
 def test_delta_residual_second_order(spec):

@@ -156,7 +156,14 @@ def test_scalar_group_ops_return_python_floats():
     assert all(type(v) is float for v in dilate(np.float64(2.0), g).t)
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.5])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dilate_rejects_non_finite_factor(bad):
+    # NaN fails every comparison, so the guard is the negated "r > 0"
+    with pytest.raises(ValueError):
+        dilate(bad, IDENTITY)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
 def test_batch_dilate_rejects_any_nonpositive_factor(rng, bad):
     x = rng.normal(size=(7, 40))
     r = rng.uniform(0.1, 3.0, size=40)

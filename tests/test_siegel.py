@@ -1,5 +1,7 @@
 """Siegel domain geometry: Cayley map, group action, boundary charts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,17 @@ def test_boundary_coords_rejects_interior(rng):
         boundary_coords(_interior_point(rng))
 
 
+@pytest.mark.parametrize("q1, q2", [
+    ((math.nan, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+    ((0.0, 0.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 0.0)),
+    ((0.0, 0.0, 0.0, 0.0), (0.0, math.nan, 0.0, 0.0)),
+    ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, math.inf, 0.0)),
+    ((math.inf, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))])
+def test_boundary_coords_rejects_non_finite_point(q1, q2):
+    with pytest.raises(BoundaryError):
+        boundary_coords(SiegelPoint(Quaternion(*q1), Quaternion(*q2)))
+
+
 def test_boundary_chart_intertwines_group_law(rng):
     # acting by g on the boundary point of h lands on the point of g*h
     for _ in range(300):
@@ -197,3 +210,7 @@ def test_batch_boundary_coords_rejects_any_interior_row(rng):
     with pytest.raises(BoundaryError) as err:
         boundary_coords(SiegelPoint(p.q1, Quaternion(q2, *p.q2.imag())))
     assert err.value.height == pytest.approx(0.25)
+    q2[9] = math.nan
+    with pytest.raises(BoundaryError) as err:
+        boundary_coords(SiegelPoint(p.q1, Quaternion(q2, *p.q2.imag())))
+    assert math.isnan(err.value.height)
