@@ -211,7 +211,11 @@ def _szego_rows(grid, spec):
                                        "height <= 0 outside the domain"]
             continue
         p = SiegelPoint(Quaternion(0.0), Quaternion(h))
-        v = szego.szego_kernel(p, p)
+        try:
+            v = szego.szego_kernel(p, p)
+        except ValueError as e:
+            yield inputs + [""] * 5 + ["skipped", str(e)]
+            continue
         yield inputs + _quat_cells(v) + [repr(0.0), "ok", ""]
 
 

@@ -2,8 +2,11 @@
 
 One `QuadratureSpec` controls every numerical integral in the package: a
 vectorized double-exponential rule for 1-D integrals (tanh-sinh on finite
-intervals, exp-sinh on half-lines, sinh-sinh on the full line), nested
-iterated integration on top of it, cached composite Gauss-Legendre grids
+intervals, exp-sinh on half-lines, sinh-sinh on the full line) whose one
+level loop runs any number of integrals over the same interval as the rows
+of one array, 2-D iterated integration on top of it (the inner integrals
+of all the new nodes of an outer level are such rows, one integrand call
+per inner level), cached composite Gauss-Legendre grids
 with panels doubling away from an endpoint (``panel_grid``), tensor-product
 rules on the spheres S^2 and S^3 (on S^2 also folded onto antipodal pairs,
 for integrands even under n -> -n), and a Lanczos gamma function for
@@ -11,8 +14,9 @@ closed-form targets.
 
 Identical spec + integrand give bit-identical results across runs: the
 engine is single-threaded, its node tables are built from scalar formulas
-in a fixed order, and every level sum is accumulated with `math.fsum`,
-which is correctly rounded and so independent of the order of the terms.
+in a fixed order, and every level sum (of each row) is accumulated with
+`math.fsum`, which is correctly rounded and so independent of the order of
+the terms and of zero terms.
 """
 
 from __future__ import annotations
@@ -78,14 +82,12 @@ class QuadResult(NamedTuple):
     value: object          # float, or ndarray for vector integrands
     error: float
     converged: bool
+    evals: int             # integrand evaluations (nodes, or nested points)
+    levels: int            # last double-exponential level run (outer level)
 
 
 def _tighter(spec: QuadratureSpec) -> QuadratureSpec:
     return replace(spec, rel_tol=spec.rel_tol * 0.1, abs_tol=spec.abs_tol * 0.1)
-
-
-def _mag(v) -> float:
-    return float(np.max(np.abs(v)))
 
 
 @lru_cache(maxsize=64)
@@ -198,52 +200,97 @@ def _de_rule(kind: str, level: int, a: float, b: float):
     return x[keep], w[keep]
 
 
-def _eval_masked(f, x, w):
-    """Terms w*f(x) at the nodes where f is finite.  An OverflowError or
-    ZeroDivisionError raised by a scalar factor of f masks the batch."""
+def _eval_masked(f, x, w, active):
+    """Terms w*f(x) of the rows ``active``: shape (rows, nodes), or
+    (rows, nodes, k) for a vector integrand, with 0.0 wherever f is not
+    finite (in any component).  Nodes whose terms are 0.0 in every row are
+    left out: ``math.fsum`` gives the same sum without them.  An
+    OverflowError or ZeroDivisionError raised by a scalar factor of f masks
+    the batch (returns None)."""
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            fx = np.asarray(f(x))
+            fx = np.asarray(f(x, active))
     except (OverflowError, ZeroDivisionError):
         return None
     if np.iscomplexobj(fx):
         raise TypeError("complex integrand: return real and imaginary parts as columns")
-    if fx.ndim not in (1, 2) or fx.shape[0] != x.size:
-        raise ValueError(f"integrand returned shape {fx.shape} for {x.size} nodes")
+    if fx.ndim not in (2, 3) or fx.shape[:2] != (active.size, x.size):
+        raise ValueError(f"integrand returned shape {fx.shape} for "
+                         f"{active.size} row(s) of {x.size} nodes")
     fx = fx.astype(float, copy=False)
-    if fx.ndim == 1:
-        ok = np.isfinite(fx)
-        return w[ok] * fx[ok]
-    ok = np.isfinite(fx).all(axis=1)
-    return w[ok, None] * fx[ok]
+    f3 = fx.reshape(active.size, x.size, -1)
+    t = np.where(np.isfinite(f3).all(axis=2, keepdims=True), w[:, None] * f3, 0.0)
+    t = t[:, (t != 0.0).any(axis=(0, 2))]
+    return t if fx.ndim == 3 else t[:, :, 0]
 
 
-def _double_exponential(f, kind, a, b, spec: QuadratureSpec) -> QuadResult:
-    terms = []            # w*f(x) at every node evaluated so far
-    evals = 0
-    prev, err = None, math.inf
+def _double_exponential(f, interval, spec: QuadratureSpec, nrows: int):
+    """The level loop of ``nrows`` integrals over one interval.
+
+    ``f(x, active)`` gives the values at the nodes x of the rows whose
+    indices are in the array ``active``: shape (rows, nodes), or
+    (rows, nodes, k) for k components.  The rows share the nodes and the
+    budget; each keeps its own terms, level sums (``h * math.fsum`` of its
+    terms, masked ones as 0.0, which leaves the sum unchanged), error and
+    convergence test, and leaves the loop at its first converged level.
+    Returns one QuadResult per row.
+    """
+    a, b = float(interval[0]), float(interval[1])
+    if not a < b:
+        raise ValueError(f"empty interval ({a}, {b})")
+    inf_a, inf_b = math.isinf(a), math.isinf(b)
+    if inf_a and inf_b:
+        kind = "full"
+    elif inf_b:
+        kind = "up"
+    elif inf_a:
+        kind = "down"
+    else:
+        kind = "finite"
+    out = [None] * nrows
+    active = np.arange(nrows)
+    terms = None          # w*f(x) of the active rows at every node so far
+    evals, last = 0, _DE_LEVEL_MIN
+    prev, err = None, np.full(nrows, math.inf)
     for level in range(_DE_LEVEL_MIN, _DE_LEVEL_MAX + 1):
         x, w = _de_rule(kind, level, a, b)
         if prev is not None and evals + x.size > spec.max_subdivisions:
             break
-        evals += x.size
-        if x.size:
-            t = _eval_masked(f, x, w)
-            if t is not None:
-                terms.append(t)
+        evals, last = evals + x.size, level
+        t = _eval_masked(f, x, w, active) if x.size else None
+        if t is not None:
+            terms = t if terms is None else np.concatenate((terms, t), axis=1)
         h = 2.0 ** (-level)
-        if not terms:
-            cur = 0.0
-        elif terms[0].ndim == 1:
-            cur = h * math.fsum(np.concatenate(terms).tolist())
+        if terms is None:
+            cur = np.zeros(active.size)
+        elif terms.ndim == 2:
+            cur = np.array([h * math.fsum(row) for row in terms.tolist()])
         else:
-            cur = np.array([h * math.fsum(col) for col in np.concatenate(terms).T.tolist()])
+            cur = np.array([[h * math.fsum(col) for col in row]
+                            for row in terms.transpose(0, 2, 1).tolist()])
         if prev is not None:
-            err = _mag(cur - prev)
-            if err <= max(spec.abs_tol, spec.rel_tol * _mag(cur)):
-                return QuadResult(cur, err, True)
+            by_row = (active.size, -1)
+            err = np.abs(cur - prev).reshape(by_row).max(axis=1)
+            mag = np.abs(cur).reshape(by_row).max(axis=1)
+            done = err <= np.maximum(spec.abs_tol, spec.rel_tol * mag)
+            for i in np.flatnonzero(done).tolist():
+                out[active[i]] = QuadResult(_row(cur, i), float(err[i]), True,
+                                            evals, level)
+            if done.all():
+                return out
+            keep = ~done
+            active, cur, err = active[keep], cur[keep], err[keep]
+            if terms is not None:
+                terms = terms[keep]
         prev = cur
-    return QuadResult(prev, err, False)
+    for i, r in enumerate(active.tolist()):
+        out[r] = QuadResult(_row(prev, i), float(err[i]), False, evals, last)
+    return out
+
+
+def _row(values, i):
+    """Row i of the level sums: a float, or an ndarray of components."""
+    return values[i].item() if values.ndim == 1 else values[i]
 
 
 # ---------------------------------------------------------------------------
@@ -271,59 +318,54 @@ def integrate_1d(f: Callable, interval: Sequence[float],
     Returns
     -------
     QuadResult
-        ``(value, error, converged)``: the last level and its distance to
-        the level before.  On budget exhaustion the best estimate is
-        returned with ``converged=False``.
+        ``(value, error, converged, evals, levels)``: the last level, its
+        distance to the level before, whether that met the tolerance, the
+        number of nodes f was evaluated at and the last level run.  On
+        budget exhaustion the best estimate is returned with
+        ``converged=False``.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError(f"empty interval ({a}, {b})")
-    inf_a, inf_b = math.isinf(a), math.isinf(b)
-    if inf_a and inf_b:
-        kind = "full"
-    elif inf_b:
-        kind = "up"
-    elif inf_a:
-        kind = "down"
-    else:
-        kind = "finite"
-    return _double_exponential(f, kind, a, b, spec)
+    return _double_exponential(lambda x, active: np.asarray(f(x))[None],
+                               interval, spec, 1)[0]
 
 
 def integrate_nested(dims: Sequence[Sequence[float]], f: Callable,
                      spec: QuadratureSpec) -> QuadResult:
-    """Iterated integral over a box, outermost dimension first.
+    """Iterated integral over a box of one or two dimensions, outer first.
 
-    ``f`` takes ``len(dims)`` arguments: a float for each outer dimension
-    and, last, the ndarray of nodes of the innermost one, with the return
-    shape of an ``integrate_1d`` integrand.  Each new outer node gets one
-    vectorized inner integral, run with tolerances tightened by 10x; the
-    error estimate combines the outer error with the worst relative error
-    of the inner integrals, and the converged flag is the conjunction
-    across levels.
+    With one dimension this is ``integrate_1d``.  With two, ``f(x, y)``
+    gets the outer nodes as an (R, 1) array ``x`` and the inner nodes as
+    an (N,) array ``y``, and returns scalar values that broadcast to
+    (R, N).  Each outer level integrates the inner dimension for all of its
+    new outer nodes at once, one call of f per inner level, with
+    tolerances tightened by 10x; every outer node keeps its own inner
+    terms, error and convergence test, as a separate ``integrate_1d`` of
+    ``lambda y: f(x, y)`` would.  Inner values where f is not finite are
+    left out element by element.  The error estimate combines the outer
+    error with the worst relative error of the inner integrals, the
+    converged flag is the conjunction of all of them, ``evals`` counts the
+    (x, y) points f was evaluated at and ``levels`` is the outer level.
     """
     dims = [tuple(d) for d in dims]
-    if not dims:
-        raise ValueError("no dimensions")
+    if not 1 <= len(dims) <= 2:
+        raise ValueError("integrate_nested takes one or two dimensions")
     if len(dims) == 1:
         return integrate_1d(f, dims[0], spec)
     inner_spec = _tighter(spec)
-    inner_rel = 0.0
-    all_conv = True
+    inner = []
 
     def g(xs):
-        nonlocal inner_rel, all_conv
-        vals = []
-        for x in xs.tolist():
-            res = integrate_nested(dims[1:], lambda *rest: f(x, *rest), inner_spec)
-            all_conv = all_conv and res.converged
-            inner_rel = max(inner_rel, res.error / max(_mag(res.value), spec.abs_tol))
-            vals.append(res.value)
-        return np.array(vals, dtype=float)
+        col = xs[:, None]
+        rows = _double_exponential(
+            lambda y, active: np.broadcast_to(f(col[active], y), (active.size, y.size)),
+            dims[1], inner_spec, xs.size)
+        inner.extend(rows)
+        return np.array([r.value for r in rows])
 
     outer = integrate_1d(g, dims[0], spec)
-    err = outer.error + inner_rel * _mag(outer.value)
-    return QuadResult(outer.value, err, outer.converged and all_conv)
+    inner_rel = max([0.0] + [r.error / max(abs(r.value), spec.abs_tol) for r in inner])
+    return QuadResult(outer.value, outer.error + inner_rel * abs(outer.value),
+                      outer.converged and all(r.converged for r in inner),
+                      sum(r.evals for r in inner), outer.levels)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ Quaternion, a real or an ndarray of reals), ``conj``, ``norm_sq``, ``norm``
 and ``inverse`` then act row by row with the same formulas, so each row
 equals the scalar result bit for bit, and ``to_matrix`` of (N,) components
 is the (N, 4, 4) stack of the rows' matrices.  Scalar components give
-Python floats as before; ``inverse`` raises when any row is zero.
+Python floats as before; ``inverse`` raises when any row is zero
+(ZeroDivisionError) or has a NaN or infinite component (ValueError).
 """
 
 from __future__ import annotations
@@ -105,6 +106,8 @@ class Quaternion:
 
     def inverse(self) -> "Quaternion":
         n2 = self.norm_sq()
+        if not _all(n2 < math.inf):
+            raise ValueError("inverse of a NaN or infinite quaternion")
         if _any(n2 == 0.0):
             raise ZeroDivisionError("inverse of the zero quaternion")
         return Quaternion(self.t / n2, -self.a / n2, -self.b / n2, -self.c / n2)

@@ -12,7 +12,8 @@ the same batch shape) are batches, one point per row: ``height``, ``act``,
 both Cayley maps, ``boundary_point`` and ``boundary_coords`` act on them
 row by row with the scalar formulas, so each row equals the scalar result
 bit for bit.  The pole and boundary guards raise when any single row
-violates them.
+violates them, and both Cayley maps raise ValueError when any row has a
+NaN or infinite component.
 """
 
 from __future__ import annotations
@@ -74,7 +75,10 @@ def height(p: SiegelPoint) -> float:
 def cayley_to_siegel(b: BallPoint) -> SiegelPoint:
     """(h1, h2) -> (h1 (1+h2)^-1, (1-h2)(1+h2)^-1); pole at h2 = -1."""
     den = ONE + b.h2
-    if _any(den.norm_sq() < 1e-300):
+    n2 = den.norm_sq()
+    if not _all(n2 + b.h1.norm_sq() < math.inf):
+        raise ValueError("Cayley transform of a NaN or infinite point")
+    if _any(n2 < 1e-300):
         raise PoleError("Cayley pole: 1 + h2 = 0")
     inv = den.inverse()
     return SiegelPoint(b.h1 * inv, (ONE - b.h2) * inv)
@@ -83,7 +87,10 @@ def cayley_to_siegel(b: BallPoint) -> SiegelPoint:
 def cayley_to_ball(p: SiegelPoint) -> BallPoint:
     """(q1, q2) -> (q1 (1+h2), (1+q2)^-1 (1-q2)); pole at q2 = -1."""
     den = ONE + p.q2
-    if _any(den.norm_sq() < 1e-300):
+    n2 = den.norm_sq()
+    if not _all(n2 + p.q1.norm_sq() < math.inf):
+        raise ValueError("Cayley transform of a NaN or infinite point")
+    if _any(n2 < 1e-300):
         raise PoleError("Cayley pole: 1 + q2 = 0")
     h2 = den.inverse() * (ONE - p.q2)
     return BallPoint(p.q1 * (ONE + h2), h2)

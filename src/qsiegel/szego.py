@@ -66,9 +66,14 @@ def r_pair(q: SiegelPoint, omega: SiegelPoint) -> Quaternion:
 
 def szego_kernel(q: SiegelPoint, omega: SiegelPoint,
                  constants: SzegoConstants = SzegoConstants()) -> Quaternion:
-    """S(q, omega) = k * r(q, omega)^-5; raises at the pole r = 0."""
+    """S(q, omega) = k * r(q, omega)^-5; raises ZeroDivisionError at the
+    pole r = 0 and ValueError when an argument has a NaN or infinite
+    component (r is then NaN or infinite)."""
     r = r_pair(q, omega)
-    if r.norm_sq() < 1e-280:
+    n2 = r.norm_sq()
+    if not n2 < math.inf:
+        raise ValueError("Szego kernel of a NaN or infinite point")
+    if n2 < 1e-280:
         raise ZeroDivisionError("Szego kernel pole: r(q, omega) = 0")
     return real_power(r, -5.0) * constants.k
 

@@ -1,6 +1,7 @@
 """Front-end behavior: reports, tables, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -66,6 +67,20 @@ def test_full_report_independent_of_blas_threads(tmp_path):
         assert proc.wait(timeout=300) == 0
     one, two = (json.loads(out.read_text())["report"] for out, _ in runs.values())
     assert one == two
+
+
+# sha256 of the sorted-key compact JSON of the `verify --suite all` report;
+# a change that moves any bit of the report re-pins it and says why
+REPORT_SHA256 = "3e6e18a51ac328dde7e80307f68032b6965cb528e24a67a96ee08244d605884e"
+
+
+def test_full_report_digest_pinned(tmp_path, capsys):
+    out = tmp_path / "all.json"
+    assert cli.main(["verify", "--suite", "all", "--json", str(out),
+                     "--threads", "1"]) == 0
+    report = json.loads(out.read_text())["report"]
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
 
 
 def test_verify_csv_output(tmp_path):
@@ -174,6 +189,16 @@ def test_table_szego_skips_nonpositive_height(tmp_path):
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[1][6] == "skipped"
     assert rows[2][6] == "ok"
+
+
+def test_table_szego_skips_non_finite_height(tmp_path):
+    # never a row of NaN cells marked "ok"
+    out = tmp_path / "sz3.csv"
+    assert cli.main(["table", "--kind", "szego", "--out", str(out),
+                     "--height", "nan,inf,1"]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert [r[6] for r in rows[1:]] == ["skipped", "skipped", "ok"]
+    assert all("NaN or infinite" in r[7] for r in rows[1:3])
 
 
 def test_eval_klambda(capsys):

@@ -2,6 +2,7 @@
 gamma."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,6 +126,9 @@ def test_budget_counts_integrand_evaluations():
     res = integrate_1d(f, (0.0, 30.0), budget)
     assert not res.converged
     assert len(sizes) >= 2 and sum(sizes) <= 300
+    # the result reports the evaluations and the last level run
+    assert res.evals == sum(sizes)
+    assert res.levels == 2 + len(sizes) - 1
 
 
 def _final_level_nodes(level, a, b):
@@ -175,8 +179,10 @@ def test_integrand_overflow_at_extreme_nodes(spec):
 
 
 def test_nested_scalar_factor_overflow(spec):
-    # x ** 3 on a float outer node beyond ~5.6e102 raises OverflowError;
-    # such an outer node is masked and the integral still converges
+    # x ** 3 on a Python float beyond ~5.6e102 raises OverflowError; the
+    # outer nodes arrive as an (R, 1) array, where it gives inf, and
+    # inf * exp(-x - y) = inf * 0 is NaN: such rows are masked element by
+    # element and the integral still converges
     with pytest.raises(OverflowError):
         1e200 ** 3
     res = integrate_nested(((0.0, math.inf), (0.0, math.inf)),
@@ -197,6 +203,81 @@ def test_integrate_nested_semi_infinite(spec):
     res = integrate_nested(((0.0, math.inf), (0.0, math.inf)),
                            lambda x, y: np.exp(-x * x - y * y), spec)
     assert abs(res.value - math.pi / 4.0) <= 1e-7
+
+
+def _nested_reference(dims, f, spec):
+    """The per-node loop integrate_nested replaced: one integrate_1d per
+    outer node, which reaches f as a float."""
+    inner_spec = replace(spec, rel_tol=spec.rel_tol * 0.1, abs_tol=spec.abs_tol * 0.1)
+    inner_rel = 0.0
+    all_conv = True
+
+    def g(xs):
+        nonlocal inner_rel, all_conv
+        vals = []
+        for x in xs.tolist():
+            res = integrate_1d(lambda y: f(x, y), dims[1], inner_spec)
+            all_conv = all_conv and res.converged
+            mag = float(np.max(np.abs(res.value)))
+            inner_rel = max(inner_rel, res.error / max(mag, spec.abs_tol))
+            vals.append(res.value)
+        return np.array(vals, dtype=float)
+
+    outer = integrate_1d(g, dims[0], spec)
+    err = outer.error + inner_rel * float(np.max(np.abs(outer.value)))
+    return outer.value, err, outer.converged and all_conv
+
+
+_NESTED_CASES = {
+    # both polar profiles: half-line inner
+    "polar_gauss": (((0.0, math.inf), (0.0, math.inf)),
+                    lambda rho, r: np.exp(-(rho * rho + r)) * rho ** 3 * r * r),
+    "polar_exp": (((0.0, math.inf), (0.0, math.inf)),
+                  lambda rho, r: np.exp(-np.sqrt(rho * rho + r)) * rho ** 3 * r * r),
+    # finite inner; the oscillation grows with x, so the rows converge at
+    # different inner levels
+    "finite": (((0.0, 6.0), (-1.0, 2.0)),
+               lambda x, y: np.cos(x * y) * np.exp(-0.5 * y)),
+    # full-line inner; exp(x y) overflows against exp(-y^2) far out, so
+    # each row is masked on its own set of nodes
+    "partly_non_finite": (((0.0, 3.0), (-math.inf, math.inf)),
+                          lambda x, y: np.exp(x * y) * np.exp(-y * y)),
+    # rows beyond x ~ 5.6e102 are NaN at every inner node
+    "wholly_non_finite": (((0.0, math.inf), (0.0, math.inf)),
+                          lambda x, y: x ** 3 * np.exp(-x - y)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NESTED_CASES))
+def test_nested_rows_equal_per_node_loop(spec, case):
+    dims, f = _NESTED_CASES[case]
+    calls = []
+
+    def spy(x, y):
+        calls.append((np.shape(x), np.shape(y)))
+        return f(x, y)
+
+    res = integrate_nested(dims, spy, spec)
+    assert (res.value, res.error, res.converged) == _nested_reference(dims, f, spec)
+    # outer nodes arrive as an (R, 1) column; the rows of one outer level
+    # share each inner level's nodes, one call per inner level
+    assert all(len(xs) == 2 and xs[1] == 1 and len(ys) == 1 for xs, ys in calls)
+    assert res.evals == sum(xs[0] * ys[0] for xs, ys in calls)
+    # at most one call per (outer level, inner level); levels run from 2
+    # to 12
+    assert len(calls) <= (res.levels - 1) * 11
+    if case == "finite":
+        # a converged row leaves the next inner level's call
+        rows = [xs[0] for xs, _ in calls]
+        assert any(b < a for a, b in zip(rows, rows[1:]))
+
+
+def test_nested_dimension_count(spec):
+    res = integrate_nested(((0.0, 1.0),), np.exp, spec)
+    assert res == integrate_1d(np.exp, (0.0, 1.0), spec)
+    for dims in ((), ((0.0, 1.0),) * 3):
+        with pytest.raises(ValueError):
+            integrate_nested(dims, lambda x, y, z: np.exp(-x - y - z), spec)
 
 
 def test_de_verify_values_pinned(spec):

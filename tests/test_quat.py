@@ -191,3 +191,13 @@ def test_batch_inverse_rejects_any_zero_row(rng):
     x[:, 31] = 0.0
     with pytest.raises(ZeroDivisionError):
         Quaternion(*x).inverse()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_inverse_rejects_non_finite_rows(rng, bad):
+    with pytest.raises(ValueError):
+        Quaternion(1.0, 0.0, bad, 0.0).inverse()
+    x = rng.normal(size=(4, 50))
+    x[3, 17] = bad
+    with pytest.raises(ValueError):
+        Quaternion(*x).inverse()

@@ -202,6 +202,20 @@ def test_batch_cayley_rejects_any_pole_row(rng):
         cayley_to_ball(SiegelPoint(Quaternion(*x[:4]), Quaternion(*x[4:])))
 
 
+@pytest.mark.parametrize("row, bad", [(0, math.nan), (5, math.nan),
+                                      (2, math.inf), (7, -math.inf)])
+def test_cayley_maps_reject_non_finite_rows(rng, row, bad):
+    # component row of h1/q1 (0-3) or h2/q2 (4-7), in one row of a batch
+    # and in a single point
+    x = 0.3 * rng.normal(size=(8, 30))
+    x[row, 13] = bad
+    for cols in (x, x[:, 13]):
+        with pytest.raises(ValueError):
+            cayley_to_siegel(BallPoint(Quaternion(*cols[:4]), Quaternion(*cols[4:])))
+        with pytest.raises(ValueError):
+            cayley_to_ball(SiegelPoint(Quaternion(*cols[:4]), Quaternion(*cols[4:])))
+
+
 def test_batch_boundary_coords_rejects_any_interior_row(rng):
     x = rng.normal(size=(7, 30))
     p = boundary_point(Quaternion(*x[:4]), x[4:])

@@ -78,6 +78,18 @@ def test_szego_kernel_pole(rng):
         szego_kernel(bp, bp)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_szego_kernel_rejects_non_finite_point(bad):
+    base = SiegelPoint(Quaternion(), Quaternion(1.0))
+    for p in (SiegelPoint(Quaternion(), Quaternion(bad)),
+              SiegelPoint(Quaternion(0.0, bad), Quaternion(1.0)),
+              SiegelPoint(Quaternion(), Quaternion(1.0, 0.0, 0.0, bad))):
+        with pytest.raises(ValueError):
+            szego_kernel(p, base)
+        with pytest.raises(ValueError):
+            szego_kernel(base, p)
+
+
 def test_szego_kernel_hermitian(rng):
     for _ in range(50):
         p = SiegelPoint(Quaternion(*rng.normal(size=4)),
