@@ -49,9 +49,14 @@ All integrals run on fixed Gauss-Legendre panels doubling away from 0
 e^{-(2-|lambda|) u*} < abs_tol/10, so evaluations are deterministic and
 vary smoothly with (x, t) inside finite-difference stencils.  The stencils
 of ``hermite_residual`` and ``delta_lambda_residual_on_k`` evaluate all
-their points in one call that builds the lambda-dependent tables once;
-each point keeps the arithmetic of a single evaluation, so the values are
-those of ``k_tilde_lambda`` and ``k_lambda`` bit for bit.  Large-u factors
+their points in one call.  The Hermite stencil is one array pass over its
+nine rows x + h * _OFFSETS: one einsum for their |x|^2, one expm1 for both
+coth u and the u-weight 4 w/em^2, one exponent array and its exp, and one
+einsum row reduction, with tau and lambda validated once and reduced to
+Python floats.  The Delta_lambda stencil builds the lambda-dependent tables
+once.  Every reduction is an einsum, whose sum order does not depend on the
+number of rows, so the values are those of ``k_tilde_lambda`` and
+``k_lambda`` at each point bit for bit.  Large-u factors
 are computed in the form 4 e^{-(2+a)u} / (1-e^{-2u})^2, which neither
 overflows nor cancels.
 """
@@ -112,62 +117,98 @@ def _tail_end(decay_rate: float, spec: QuadratureSpec, slack: float = 10.0) -> f
     return math.log(slack / spec.abs_tol) / decay_rate
 
 
-def _coth(u: np.ndarray) -> np.ndarray:
-    em = np.expm1(-2.0 * u)
+def _coth(em: np.ndarray) -> np.ndarray:
+    """coth u from em = expm1(-2u), which the callers also need for the
+    sinh^-2 u weight."""
     return (2.0 + em) / (-em)
 
 
 # ---------------------------------------------------------------------------
 # Hermite-space kernel
 
-def _k_tilde_rows(xs: np.ndarray, tau, lam: Lambda, spec: QuadratureSpec) -> list:
-    """K~_lambda(x, tau) at every row x of ``xs`` (shape (N, 4)) on the
-    fixed u-panel rule, which the rows share since tau and lambda do."""
-    tau = _t3(tau)
+# The nine rows of the Hermite stencil in units of the step: the centre,
+# then +e_l and -e_l for l = 0..3.
+_OFFSETS = np.concatenate([np.zeros((1, 4)), np.eye(4), -np.eye(4)])
+_OFFSETS.setflags(write=False)
+
+
+def _tau_ray(tau, lam: Lambda) -> tuple:
+    """(|tau|^2, |tau|, lambda.tau) as Python floats, for a tau of three
+    components that is nonzero and finite, |lambda| < 2, and a decay rate
+    2 + lambda.tau/|tau| that is positive."""
+    t1, t2, t3 = _t3(tau).tolist()
     _check_lambda_ball(lam)
-    xsq = [float(x @ x) for x in xs]
-    tnorm = float(np.linalg.norm(tau))
-    # the sum is NaN or inf when any row is, at a fraction of a per-row test
-    if 0.0 in xsq or not (sum(xsq) < math.inf):
-        raise ValueError("x = 0 or non-finite x outside reduced-representation domain")
+    tsq = t1 * t1 + t2 * t2 + t3 * t3
+    tnorm = math.sqrt(tsq)
     if not (0.0 < tnorm < math.inf):
         raise ValueError("tau must be nonzero and finite")
-    a = float(np.dot(lam.as_tuple(), tau)) / tnorm
-    if not (a > -2.0):
-        raise ValueError(f"lambda decay condition fails on this ray: {a:.6g} <= -2")
+    l1, l2, l3 = lam.as_tuple()
+    lt = l1 * t1 + l2 * t2 + l3 * t3
+    if not (lt / tnorm > -2.0):
+        raise ValueError(f"lambda decay condition fails on this ray: {lt / tnorm:.6g} <= -2")
+    return tsq, tnorm, lt
+
+
+def _k_tilde_rows(xs: np.ndarray, ray: tuple, spec: QuadratureSpec) -> list:
+    """K~_lambda(x, tau) at every row x of ``xs`` (shape (N, 4)) on the
+    fixed u-panel rule, which the rows share since they share the ray
+    ``_tau_ray(tau, lambda)``.
+
+    One array pass: the row norms, one exponent array and its exp, and one
+    row reduction against the u-weights 4 w/em^2.  The reductions are
+    einsums, whose sum order does not depend on the number of rows (a BLAS
+    product's does), so each row equals its single-row evaluation.
+    """
+    _, tnorm, lt = ray
+    a = lt / tnorm
+    xsq = np.einsum("ij,ij->i", xs, xs)
+    # the sum is NaN or inf when any row is, at a fraction of a per-row test
+    xl = xsq.tolist()
+    if 0.0 in xl or not (sum(xl) < math.inf):
+        raise ValueError("x = 0 or non-finite x outside reduced-representation domain")
     u, w = panel_grid(0.0, 0.5, _tail_end(2.0 + a, spec))
     em = np.expm1(-2.0 * u)
-    decay = np.multiply.outer(tnorm * np.array(xsq), _coth(u))
-    vals = 4.0 * np.exp(-(a + 2.0) * u - decay) / (em * em)
+    coth = _coth(em)
+    expo = np.multiply.outer(tnorm * xsq, coth)
+    np.subtract(-(a + 2.0) * u, expo, out=expo)
+    np.exp(expo, out=expo)
     pref = tnorm / (4.0 * math.pi ** 2)
-    return [pref * float(np.dot(w, v)) for v in vals]
+    return (pref * np.einsum("nu,u->n", expo, 4.0 * w / (em * em))).tolist()
 
 
 def k_tilde_lambda(x, tau, lam, spec: QuadratureSpec) -> float:
     """Evaluate K~_lambda(x, tau) on the fixed u-panel rule."""
     x = _x4(x)
-    return _k_tilde_rows(x[None, :], tau, _coerce_lambda(lam), spec)[0]
+    return _k_tilde_rows(x[None, :], _tau_ray(tau, _coerce_lambda(lam)), spec)[0]
 
 
 def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float = 1e-3) -> float:
     """|H~_lambda K~_lambda| at x by a second-order stencil in the four
-    x-coordinates; zero away from x = 0 up to stencil + quadrature error."""
+    x-coordinates; zero away from x = 0 up to stencil + quadrature error.
+
+    The nine stencil values come from one ``_k_tilde_rows`` call, so they
+    are those of nine ``k_tilde_lambda`` evaluations.  The step must be
+    positive and finite, and must not collapse the stencil: ValueError when
+    x_l + h == x_l or x_l - h == x_l in some coordinate, or h*h == 0.
+    """
     x = _x4(x)
-    tau = _t3(tau)
     lam = _coerce_lambda(lam)
-    if not (np.linalg.norm(x) >= 0.3):
+    xl = x.tolist()
+    xsq = sum(v * v for v in xl)
+    if not (math.sqrt(xsq) >= 0.3):
         raise ValueError("|x| >= 0.3 required away from the singular support")
-    if not (h > 0.0):
-        raise ValueError("step must be positive")
-    e = h * np.eye(4)
-    k = _k_tilde_rows(np.vstack([x, x + e, x - e]), tau, lam, spec)
+    if not (0.0 < h < math.inf):
+        raise ValueError("step must be positive and finite")
+    hh = h * h
+    if hh == 0.0 or any(v + h == v or v - h == v for v in xl):
+        raise ValueError("step underflows at this point")
+    ray = _tau_ray(tau, lam)
+    k = _k_tilde_rows(x + h * _OFFSETS, ray, spec)
     center = k[0]
     lap = 0.0
     for l in range(4):
-        lap += (k[1 + l] - 2.0 * center + k[5 + l]) / (h * h)
-    xsq = float(x @ x)
-    tsq = float(tau @ tau)
-    lt = float(np.dot(lam.as_tuple(), tau))
+        lap += (k[1 + l] - 2.0 * center + k[5 + l]) / hh
+    tsq, _, lt = ray
     return abs(lap - (4.0 * xsq * tsq + 4.0 * lt) * center)
 
 
@@ -291,7 +332,7 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
     # per-row setup and final sums run row by row on 1-D operands: one
     # (rows, nodes) einsum over more than 8192 nodes sums in buffered
     # chunks and gave rows that differ from single-row calls
-    coth = _coth(u)
+    coth = _coth(em)
     a = np.stack([np.einsum("j,j->", x, x) * coth for x in xs])
     A = a * a
     b = np.stack([np.einsum("nk,k->n", nodes, t) for t in ts])  # signed t.n
@@ -521,7 +562,7 @@ def fourier_consistency(x, t, lam, spec: QuadratureSpec,
                     ln / np.where(g[:, None] > 0.0, g[:, None], 1.0), 0.0)
     u, wu = panel_grid(0.0, 0.5, _tail_end(2.0 - lam.norm(), spec))
     em = np.expm1(-2.0 * u)
-    coth = _coth(u)
+    coth = _coth(em)
 
     def transform_sums(r, wr):
         # K~(x, r n; a) = (r/4pi^2) sum_u T[r,u] E_a[n,u] at a = +-g(n)

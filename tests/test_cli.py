@@ -71,7 +71,7 @@ def test_full_report_independent_of_blas_threads(tmp_path):
 
 # sha256 of the sorted-key compact JSON of the `verify --suite all` report;
 # a change that moves any bit of the report re-pins it and says why
-REPORT_SHA256 = "3e6e18a51ac328dde7e80307f68032b6965cb528e24a67a96ee08244d605884e"
+REPORT_SHA256 = "b0946280d852dcc5af92c4aebed11e403402f233b0530324b5f87062d77fead7"
 
 
 def test_full_report_digest_pinned(tmp_path, capsys):

@@ -3,6 +3,7 @@ group, Heisenberg reduction, and PDE residuals."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from qsiegel.greens import (k_tilde_lambda, hermite_residual, k_lambda,
                             k0_sphere, heis_k_closed, heis_k_quadrature,
                             heis_contour_sign_check, fourier_consistency,
                             delta_lambda_residual_on_k,
-                            _k_lambda_components, _k_tilde_rows, _sign_orbits)
+                            _k_lambda_components, _k_tilde_rows, _sign_orbits,
+                            _tau_ray)
 
 X_UNIT = np.array([1.0, 0.0, 0.0, 0.0])
 T_ZERO = np.array([0.0, 0.0, 0.0])
@@ -264,7 +266,33 @@ def test_k_tilde_rows_reject_any_non_finite_row(spec):
     xs = np.tile(_X, (9, 1))
     xs[6, 2] = math.nan
     with pytest.raises(ValueError):
-        _k_tilde_rows(xs, _T, Lambda(*_LAM), spec)
+        _k_tilde_rows(xs, _tau_ray(_T, Lambda(*_LAM)), spec)
+
+
+@pytest.mark.parametrize("x, h", [
+    (X_UNIT, 1e-17),                        # 1 + h == 1: the stencil collapses
+    (X_UNIT, 1e-170),                       # h*h == 0
+    (-X_UNIT, 8e-17),                       # only -1 - h == -1 collapses
+    (X_UNIT, math.inf),
+    (X_UNIT, 0.0),
+    (X_UNIT, -1e-3),
+])
+def test_hermite_residual_rejects_collapsed_step(spec, x, h):
+    # a step that collapses the stencil raises before any row is evaluated,
+    # with no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="step"):
+            hermite_residual(x, np.array([1.0, 0.0, 0.0]), (0.5, 0.0, 0.0), spec, h=h)
+
+
+def test_k_tilde_underflow_returns_finite_zero(spec):
+    # at c = |tau||x|^2 >~ 745 e^{-c} underflows: K~ and its residual are a
+    # finite 0.0, not an error.  Pinned so that raising there (ROADMAP item
+    # 1) is a deliberate change of this test.
+    tau = np.array([1000.0, 0.0, 0.0])
+    assert k_tilde_lambda(X_UNIT, tau, (0.5, 0.0, 0.0), spec) == 0.0
+    assert hermite_residual(X_UNIT, tau, (0.5, 0.0, 0.0), spec) == 0.0
 
 
 def test_delta_residual_lambda0(spec):
@@ -291,10 +319,10 @@ def test_delta_residual_verify_values_pinned(spec):
 def test_hermite_residual_values_pinned(spec):
     # values of nine single-point k_tilde_lambda evaluations per residual
     assert (hermite_residual(X_UNIT, np.array([1.0, 0.0, 0.0]), (0.5, 0.0, 0.0), spec)
-            == 3.563089936500785e-07)
+            == 3.5633501451609595e-07)
     assert (hermite_residual(np.array([0.8, -0.3, 0.5, 0.2]), np.array([0.4, -0.7, 0.3]),
                              (0.3, -0.2, 0.4), spec)
-            == 3.373634558517802e-08)
+            == 3.371205943569766e-08)
 
 
 def test_batched_rows_match_single_points(rng):
@@ -306,11 +334,46 @@ def test_batched_rows_match_single_points(rng):
         spec = QuadratureSpec(sphere_order=order)
         for lam in (Lambda(0.4, -0.3, 0.2), Lambda(0.0, 1.95, 0.0)):
             c0, ck = _k_lambda_components(xs, ts, lam, spec)
-            kt = _k_tilde_rows(xs, ts[0], lam, spec)
+            kt = _k_tilde_rows(xs, _tau_ray(ts[0], lam), spec)
             for i in range(63):
                 assert (k_lambda(xs[i], ts[i], lam, spec).components()
                         == (c0[i], *ck[i]))
                 assert k_tilde_lambda(xs[i], ts[0], lam, spec) == kt[i]
+
+
+def _k_tilde_rows_per_row(xs, tau, lam, spec):
+    """The per-row form of ``_k_tilde_rows``: |x|^2 and the u-sum as one
+    NumPy dot product per row, the weight applied inside the integrand."""
+    xsq = [float(x @ x) for x in xs]
+    tnorm = float(np.linalg.norm(tau))
+    a = float(np.dot(lam.as_tuple(), tau)) / tnorm
+    u, w = panel_grid(0.0, 0.5, greens._tail_end(2.0 + a, spec))
+    em = np.expm1(-2.0 * u)
+    coth = (2.0 + em) / (-em)
+    decay = np.multiply.outer(tnorm * np.array(xsq), coth)
+    vals = 4.0 * np.exp(-(a + 2.0) * u - decay) / (em * em)
+    pref = tnorm / (4.0 * math.pi ** 2)
+    return [pref * float(np.dot(w, v)) for v in vals]
+
+
+@pytest.mark.parametrize("a", [0.0, 0.9, -1.9])
+def test_k_tilde_rows_match_per_row_reference(spec, rng, a):
+    # the summation order differs from the per-row form, so the rows agree
+    # to a bound fixed from the dtype: an ulp of |x|^2 moves e^{-c} by
+    # c*eps at c = |tau||x|^2
+    bound = 32.0 * np.finfo(float).eps
+    for c in np.geomspace(1e-2, 1e3, 16):
+        x = rng.normal(size=4)
+        x *= rng.uniform(0.5, 2.0) / np.linalg.norm(x)
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        tau = c / float(x @ x) * n
+        lam = Lambda(*(a * n))
+        xs = x + 1e-3 * greens._OFFSETS
+        got = _k_tilde_rows(xs, _tau_ray(tau, lam), spec)
+        want = _k_tilde_rows_per_row(xs, tau, lam, spec)
+        for g, v in zip(got, want):
+            assert abs(g - v) <= bound * (1.0 + c) * abs(v)
 
 
 @pytest.mark.parametrize("order", [7, 32])
