@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -304,9 +305,12 @@ def h_field() -> QuatDiffOp:
 
 def _check_steps(p, h):
     steps = np.broadcast_to(np.asarray(h, dtype=float), (N_COORDS,)).copy()
-    if np.any(steps <= 0.0):
-        raise ValueError("step must be positive")
-    if np.any(p + steps == p):
+    # negated, so that a NaN step fails it too
+    if not np.all((steps > 0.0) & (steps < math.inf)):
+        raise ValueError("step must be positive and finite")
+    # either side of the stencil collapsing onto p, or h*h underflowing in
+    # the second-difference denominators
+    if np.any((p + steps == p) | (p - steps == p) | (steps * steps == 0.0)):
         raise ValueError("step underflows at this point")
     return steps
 
@@ -576,45 +580,73 @@ def dq_eval(h2: Quaternion, h3: Quaternion, h4: Quaternion) -> Quaternion:
     return Quaternion(minors[0], -minors[1], minors[2], -minors[3]) * sign
 
 
-def _cf_run(f, q0: Quaternion, radius: float, order: int):
+@lru_cache(maxsize=2)
+def _cf_rule(order: int):
+    """The f-independent part of the Cauchy-Fueter integrand on S^3.
+
+    For each node of the ``sphere3_angles(order)`` product rule on the unit
+    sphere, W . (q - q0)^-1/|q - q0|^2 . Dq with q - q0 = n the unit node,
+    W the product weight and Dq the form on the three angular tangent
+    vectors, built one psi-row at a time with the same minors and the same
+    product order (kernel, then Dq) as a single node.  The radius drops
+    out: Dq scales by r^3 and the kernel by r^-3.
+
+    Returns read-only arrays: ``rule`` of shape (n_psi, 4, M), one psi-row
+    of M = n_theta * n_phi nodes per entry, components on axis 1;
+    ``sin_psi`` and ``cos_psi`` of shape (n_psi,); and ``st``, ``ct``,
+    ``sf``, ``cf`` of shape (M,), the theta and phi factors every row
+    shares, so that row i's node is (cos psi_i, sin psi_i ct,
+    sin psi_i st cf, sin psi_i st sf).  Built lazily on the first call at
+    an order; one call of ``cauchy_fueter_sphere`` uses two orders, and
+    ``rule`` holds 32 * n_psi * M bytes (2.1 MB at order 32, 3.0 MB at 36).
+    """
     psi, wpsi, theta, wtheta, phi, wphi = sphere3_angles(order)
-    W = (wpsi[:, None, None] * wtheta[None, :, None] * wphi[None, None, :]).ravel()
     T, M = np.meshgrid(theta, phi, indexing="ij")
     st, ct = np.sin(T).ravel(), np.cos(T).ravel()
     sf, cf = np.sin(M).ravel(), np.cos(M).ravel()
     zero = np.zeros_like(st)
+    W = (wpsi[:, None, None] * wtheta[None, :, None]
+         * wphi[None, None, :]).reshape(psi.size, -1)
     cols = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+    sin_psi, cos_psi = np.sin(psi), np.cos(psi)
 
-    # one psi-row of nodes at a time: its geometry, one call of f on the
-    # whole row, and the integrand written into its slice of ``integrand``
-    row = st.size
-    integrand = np.empty((4, psi.size * row))
-    for i, (sin_psi, cos_psi) in enumerate(zip(np.sin(psi), np.cos(psi))):
-        sp, cp = np.full(row, sin_psi), np.full(row, cos_psi)
+    rule = np.empty((psi.size, 4, st.size))
+    for i, (s_psi, c_psi) in enumerate(zip(sin_psi, cos_psi)):
+        sp, cp = np.full(st.size, s_psi), np.full(st.size, c_psi)
         n = (cp, sp * ct, sp * st * cf, sp * st * sf)
-        tp = tuple(radius * c for c in (-sp, cp * ct, cp * st * cf, cp * st * sf))
-        tt = tuple(radius * c for c in (zero, -sp * st, sp * ct * cf, sp * ct * sf))
-        tf = tuple(radius * c for c in (zero, zero, -sp * st * sf, sp * st * cf))
+        tp = (-sp, cp * ct, cp * st * cf, cp * st * sf)
+        tt = (zero, -sp * st, sp * ct * cf, sp * ct * sf)
+        tf = (zero, zero, -sp * st * sf, sp * st * cf)
 
         # minors of the rows (tp, tt, tf); Dq = (M0, -M1, M2, -M3)
         minors = [_det3([[tp[c] for c in cs], [tt[c] for c in cs], [tf[c] for c in cs]])
                   for cs in cols]
         dq = Quaternion(minors[0], -minors[1], minors[2], -minors[3])
+        nsq = n[0] ** 2 + n[1] ** 2 + n[2] ** 2 + n[3] ** 2
+        kern = Quaternion(n[0] / nsq ** 2, -n[1] / nsq ** 2,
+                          -n[2] / nsq ** 2, -n[3] / nsq ** 2)
+        rule[i] = (kern * dq * W[i]).components()
+    for arr in (rule, sin_psi, cos_psi, st, ct, sf, cf):
+        arr.setflags(write=False)
+    return rule, sin_psi, cos_psi, st, ct, sf, cf
 
-        d = tuple(radius * c for c in n)
-        q_pts = tuple(dc + qc for dc, qc in zip(d, q0.components()))
-        nsq = d[0] ** 2 + d[1] ** 2 + d[2] ** 2 + d[3] ** 2
-        kern = Quaternion(d[0] / nsq ** 2, -d[1] / nsq ** 2,
-                          -d[2] / nsq ** 2, -d[3] / nsq ** 2)
 
-        fvals = Quaternion(*_as_components(f(Quaternion(*q_pts)), row))
-        integrand[:, i * row:(i + 1) * row] = (kern * dq * fvals).components()
-
-    scale = 1.0 / (2.0 * math.pi ** 2)
-    # numpy's pairwise sum along each row: a BLAS dot splits its sum by
-    # thread count, and einsum here accumulates sequentially (40x the error)
-    integrand *= W
-    return integrand.sum(axis=1) * scale
+def _cf_run(f, q0: Quaternion, radius: float, order: int) -> np.ndarray:
+    rule, sin_psi, cos_psi, st, ct, sf, cf = _cf_rule(order)
+    q0c = q0.components()
+    row = st.size
+    # one call of f per psi-row; the row's product with the cached rule is
+    # reduced at once by numpy's pairwise sum (a BLAS dot would split its
+    # sum by thread count, and einsum accumulates sequentially)
+    sums = np.empty((4, sin_psi.size))
+    for i, (sp, cp) in enumerate(zip(sin_psi, cos_psi)):
+        sst = sp * st
+        n = (np.full(row, cp), sp * ct, sst * cf, sst * sf)
+        q = Quaternion(*(radius * c + qc for c, qc in zip(n, q0c)))
+        fvals = Quaternion(*_as_components(f(q), row))
+        prod = Quaternion(*rule[i]) * fvals
+        sums[:, i] = [c.sum() for c in prod.components()]
+    return sums.sum(axis=1) * (1.0 / (2.0 * math.pi ** 2))
 
 
 def cauchy_fueter_sphere(f, q0: Quaternion, radius: float,
@@ -631,13 +663,26 @@ def cauchy_fueter_sphere(f, q0: Quaternion, radius: float,
     components are (M,) arrays of node coordinates, and returns a
     Quaternion or a real, each part an (M,) array or a constant that
     broadcasts.  Write it with elementwise operations.
+
+    The f-independent factor W . kernel . Dq of each node is built once
+    per sphere order on the unit sphere and cached (``_cf_rule``, the two
+    most recent orders, read-only): 5.1 MB for the default orders 32 and
+    36, 281 MB at orders 128 and 132.  A call then allocates only psi-row
+    sized arrays.
+
+    Raises ValueError for a radius that is not positive and finite or a
+    non-finite q0, and QuadratureError when the two rules differ by more
+    than the tolerance or either is not finite (an f that returns NaN or
+    inf).
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not (0.0 < radius < math.inf):
+        raise ValueError("radius must be positive and finite")
+    if not all(map(math.isfinite, q0.components())):
+        raise ValueError("centre q0 must be finite")
     base = _cf_run(f, q0, radius, spec.sphere_order)
     fine = _cf_run(f, q0, radius, spec.sphere_order + 4)
     drift = float(np.max(np.abs(fine - base)))
-    if drift > max(100.0 * spec.abs_tol, 1e-7 * (1.0 + float(np.max(np.abs(fine))))):
+    if not (drift <= max(100.0 * spec.abs_tol, 1e-7 * (1.0 + float(np.max(np.abs(fine)))))):
         raise QuadratureError(
             f"sphere integral not converged: refinement moved by {drift:.3e}")
     return Quaternion(*fine)

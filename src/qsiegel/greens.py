@@ -215,8 +215,9 @@ def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float = 1e-3) -> floa
 # ---------------------------------------------------------------------------
 # group-space kernel, polar-reduced
 
-# Grid points (node x u) per block of the K_lambda sphere sum.  The block
-# buffers are allocated once per call, so no call allocates a node x u array.
+# Grid points per block: node x u in the K_lambda sphere sum, whose block
+# buffers are allocated once per call, so no call allocates a node x u
+# array; r x node in fourier_consistency's transform sums.
 _BLOCK_POINTS = 16384
 
 
@@ -555,7 +556,9 @@ def fourier_consistency(x, t, lam, spec: QuadratureSpec,
         raise ValueError("t must be finite")
     ref = k_lambda(x, t, lam, spec)
 
-    nodes, wS = sphere2_nodes(spec.sphere_order, fold=True)
+    order = spec.sphere_order
+    nodes, wS = sphere2_nodes(order, fold=True)
+    reps, orbit = _sign_orbits(order)
     ln = nodes * np.asarray(lam.as_tuple())[None, :]
     g = np.linalg.norm(ln, axis=1)
     axis = np.where(g[:, None] > 0.0,
@@ -563,22 +566,34 @@ def fourier_consistency(x, t, lam, spec: QuadratureSpec,
     u, wu = panel_grid(0.0, 0.5, _tail_end(2.0 - lam.norm(), spec))
     em = np.expm1(-2.0 * u)
     coth = _coth(em)
+    wu4 = 4.0 * wu / (em * em)
+    # e^{-(2 +- g)u} depends on n only through g, so once per sign-flip orbit
+    e_plus = np.exp(-np.outer(2.0 + g[reps], u))
+    e_minus = np.exp(-np.outer(2.0 - g[reps], u))
+    tn = np.einsum("nk,k->n", nodes, t)
+    step = max(1, _BLOCK_POINTS // len(nodes))
 
     def transform_sums(r, wr):
-        # K~(x, r n; a) = (r/4pi^2) sum_u T[r,u] E_a[n,u] at a = +-g(n)
-        T = np.exp(-xsq * np.outer(r, coth)) * (4.0 * wu / (em * em))[None, :]
-        e_plus = np.exp(-np.outer(2.0 + g, u))
-        e_minus = np.exp(-np.outer(2.0 - g, u))
-        pref = r[:, None] / (4.0 * math.pi ** 2)
-        kt_plus = pref * (T @ e_plus.T)
-        kt_minus = pref * (T @ e_minus.T)
-        even = 0.5 * (kt_plus + kt_minus)
-        odd = 0.5 * (kt_minus - kt_plus)
-        ang = np.outer(r, nodes @ t)
-        wgt = (wr * r * r)[:, None] * wS[None, :]
-        c0 = float(np.sum(wgt * even * np.cos(ang)))
-        ck = -(wgt * odd * np.sin(ang)).sum(axis=0) @ axis
-        return c0, ck, float(np.sum(wgt * (np.abs(even) + np.abs(odd))))
+        # K~(x, r n; a) = (r/4pi^2) sum_u T[r,u] E_a[n,u] at a = +-g(n); the
+        # r-nodes are walked in blocks, each block's terms summed over r per
+        # node, so no array spans every r-node and every sphere node
+        per_node = np.zeros((3, len(nodes)))
+        for s in range(0, len(r), step):
+            rb = r[s:s + step]
+            T = np.exp(-xsq * np.outer(rb, coth)) * wu4[None, :]
+            kt_plus = np.einsum("ru,ou->ro", T, e_plus)
+            kt_minus = np.einsum("ru,ou->ro", T, e_minus)
+            # the r-weight wr r^2 and the prefactor r/(4 pi^2), per orbit
+            rw = (wr[s:s + step] * rb * rb * rb / (4.0 * math.pi ** 2))[:, None]
+            even = (0.5 * rw * (kt_plus + kt_minus))[:, orbit]
+            odd = (0.5 * rw * (kt_minus - kt_plus))[:, orbit]
+            ang = np.outer(rb, tn)
+            per_node[0] += np.einsum("rn,rn->n", even, np.cos(ang))
+            per_node[1] += np.einsum("rn,rn->n", odd, np.sin(ang))
+            per_node[2] += np.einsum("rn->n", np.abs(even) + np.abs(odd))
+        c0 = float(np.einsum("n,n->", per_node[0], wS))
+        ck = -np.einsum("n,n,nk->k", per_node[1], wS, axis)
+        return c0, ck, float(np.einsum("n,n->", per_node[2], wS))
 
     r, wr = panel_grid(0.0, 0.5, tau_radius)
     c0, ck, _ = transform_sums(r, wr)

@@ -2,6 +2,7 @@
 boundary tangency, and the sphere reproducing integral."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from qsiegel.diffops import (N_COORDS, Lambda, make_x, hbar_field, h_field,
                              commutator, QuatDiffOp, QPoly, apply_op,
                              delta_lambda_apply, box_b_identity_residual,
                              crf_tangency_residual, dq_eval,
-                             cauchy_fueter_sphere, _delta_lambda_direct)
+                             cauchy_fueter_sphere, _delta_lambda_direct,
+                             _as_components, _cf_rule, _cf_run, _det3)
+from qsiegel.quad import QuadratureError, sphere3_angles
 from qsiegel.siegel import boundary_point
 
 
@@ -267,14 +270,14 @@ def _fueter(q):
 
 
 @pytest.mark.parametrize("f, want", [
-    (_affine, (0.03749999999999993, 0.1749999999999995,
-               0.21249999999999938, 0.5499999999999986)),
+    (_affine, (0.03749999999999994, 0.17499999999999946,
+               0.21249999999999944, 0.5499999999999985)),
     (_fueter, (-0.029999999999999905, -0.05999999999999983,
-               0.01999999999999994, 3.1551435463333175e-19)),
+               0.01999999999999995, 2.7843418961989e-19)),
 ])
 def test_cauchy_fueter_values_pinned(spec, f, want):
-    # the node-by-node integrand reduced by numpy's pairwise sum, which the
-    # row-chunked integral reproduces bit for bit at any BLAS thread count
+    # the cached rule times f, each psi-row reduced by numpy's pairwise sum,
+    # so the value does not depend on the BLAS thread count
     v = cauchy_fueter_sphere(f, Q0, radius=0.9, spec=spec)
     assert v.components() == want
     assert (v - f(Q0)).norm() <= 1e-12
@@ -300,3 +303,105 @@ def test_cauchy_fueter_one_call_per_psi_row(spec):
     n = spec.sphere_order
     assert len(sizes) == 2 * n + 4
     assert sizes == [(2 * n * n,)] * n + [(2 * (n + 4) ** 2,)] * (n + 4)
+
+
+def _cf_reference(f, q0, radius, order):
+    """The per-row route the cached rule replaced: the geometry at this
+    radius, kernel * Dq * f per node, weighted, one pairwise sum per
+    component over every node."""
+    psi, wpsi, theta, wtheta, phi, wphi = sphere3_angles(order)
+    W = (wpsi[:, None, None] * wtheta[None, :, None] * wphi[None, None, :]).ravel()
+    T, M = np.meshgrid(theta, phi, indexing="ij")
+    st, ct = np.sin(T).ravel(), np.cos(T).ravel()
+    sf, cf = np.sin(M).ravel(), np.cos(M).ravel()
+    zero = np.zeros_like(st)
+    cols = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+    row = st.size
+    integrand = np.empty((4, psi.size * row))
+    for i, (sin_psi, cos_psi) in enumerate(zip(np.sin(psi), np.cos(psi))):
+        sp, cp = np.full(row, sin_psi), np.full(row, cos_psi)
+        n = (cp, sp * ct, sp * st * cf, sp * st * sf)
+        tp = tuple(radius * c for c in (-sp, cp * ct, cp * st * cf, cp * st * sf))
+        tt = tuple(radius * c for c in (zero, -sp * st, sp * ct * cf, sp * ct * sf))
+        tf = tuple(radius * c for c in (zero, zero, -sp * st * sf, sp * st * cf))
+        minors = [_det3([[tp[c] for c in cs], [tt[c] for c in cs], [tf[c] for c in cs]])
+                  for cs in cols]
+        dq = Quaternion(minors[0], -minors[1], minors[2], -minors[3])
+        d = tuple(radius * c for c in n)
+        q_pts = tuple(dc + qc for dc, qc in zip(d, q0.components()))
+        nsq = d[0] ** 2 + d[1] ** 2 + d[2] ** 2 + d[3] ** 2
+        kern = Quaternion(d[0] / nsq ** 2, -d[1] / nsq ** 2,
+                          -d[2] / nsq ** 2, -d[3] / nsq ** 2)
+        fvals = Quaternion(*_as_components(f(Quaternion(*q_pts)), row))
+        integrand[:, i * row:(i + 1) * row] = (kern * dq * fvals).components()
+    integrand *= W
+    return integrand.sum(axis=1) * (1.0 / (2.0 * math.pi ** 2))
+
+
+@pytest.mark.parametrize("order", [7, 32])
+@pytest.mark.parametrize("radius", [0.9, 1.3, 2.7])
+@pytest.mark.parametrize("f", [_affine, _fueter, lambda q: 2.5, lambda q: q])
+def test_cf_rule_matches_per_row_reference(f, radius, order):
+    # the radius cancels exactly only in exact arithmetic, and the sums are
+    # grouped by row, so the routes agree to rounding: 8 ulp of 1, the
+    # scale of |f| on these spheres (at most 2 ulp seen)
+    got = _cf_run(f, Q0, radius, order)
+    want = _cf_reference(f, Q0, radius, order)
+    assert np.all(np.abs(got - want) <= 8 * np.spacing(1.0))
+
+
+def test_cf_rule_is_read_only():
+    for arr in _cf_rule(7):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0.0
+
+
+def test_cauchy_fueter_warm_call_memory(spec):
+    # the rule is cached, so a warm call holds only psi-row sized arrays;
+    # a (4, N) array over every node would alone take 2.8 MiB at order 36
+    cauchy_fueter_sphere(_affine, Q0, radius=1.3, spec=spec)
+    tracemalloc.start()
+    try:
+        cauchy_fueter_sphere(_affine, Q0, radius=1.3, spec=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_cauchy_fueter_rejects_bad_radius(spec, radius):
+    with pytest.raises(ValueError, match="radius"):
+        cauchy_fueter_sphere(_affine, Q0, radius=radius, spec=spec)
+
+
+@pytest.mark.parametrize("q0", [Quaternion(math.nan), Quaternion(0.0, math.inf),
+                                Quaternion(0.0, 0.0, 0.0, -math.inf)])
+def test_cauchy_fueter_rejects_non_finite_centre(spec, q0):
+    with pytest.raises(ValueError, match="q0"):
+        cauchy_fueter_sphere(_affine, q0, radius=1.0, spec=spec)
+
+
+# numpy warns on the arithmetic with f's non-finite values before the raise
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_cauchy_fueter_non_finite_f_raises(spec, bad):
+    def f(q):
+        t = q.t.copy()
+        t[0] = bad                      # one node of one row
+        return Quaternion(t, q.a, q.b, q.c)
+
+    with pytest.raises(QuadratureError):
+        cauchy_fueter_sphere(f, Q0, radius=1.0, spec=spec)
+
+
+@pytest.mark.parametrize("p, h", [
+    ((-1.0, 0, 0, 0, 0, 0, 0), 8e-17),     # only the minus side collapses
+    ((0.0, 0, 0, 0, 0, 0, 0), 1e-170),     # h*h underflows to 0
+    ((0.5, 0, 0, 0, 0, 0, 0), math.nan),
+    ((0.5, 0, 0, 0, 0, 0, 0), math.inf),
+])
+def test_apply_op_rejects_collapsed_step(p, h):
+    with pytest.raises(ValueError, match="step"):
+        apply_op(make_x(0), lambda q: q[0], p=p, h=h)

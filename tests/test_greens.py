@@ -456,6 +456,21 @@ def test_fourier_route_nonzero_data(spec):
     assert d <= 1e-4
 
 
+def test_fourier_consistency_memory(spec):
+    # orbit exp tables and r-node blocks: no r x node array spans every
+    # r-node (whole-grid tables peak at 11.9 MiB at these arguments)
+    args = (np.array([1.2, 0.4, -0.3, 0.2]), np.array([0.3, -0.2, 0.1]),
+            (0.4, 0.2, -0.1), spec)
+    fourier_consistency(*args)                        # fill the rule caches
+    tracemalloc.start()
+    try:
+        fourier_consistency(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+
+
 def test_fourier_route_lambda0_nonzero_t(spec):
     # at lambda = 0 the odd half vanishes identically; the reconstruction
     # must stay real even though the phase factors do not
