@@ -325,8 +325,8 @@ def _diffops(spec: QuadratureSpec):
         p = np.array([0.3, -0.2, 0.5, 0.1, 0.4, 0.2, -0.3])
 
         def probe(q):
-            return Quaternion(math.sin(q[0] + 0.5 * q[4]), q[1] * q[2],
-                              math.cos(q[5]), q[3] * q[6])
+            return Quaternion(np.sin(q[0] + 0.5 * q[4]), q[1] * q[2],
+                              np.cos(q[5]), q[3] * q[6])
         return _bound_check("second_order_factorization", box_b_identity_residual(probe, p),
                             1e-5, "-H Hbar = -(1/4)(sum X^2 + 8 sum i_k dt_k)")
 
@@ -414,7 +414,7 @@ def _szego(spec: QuadratureSpec):
                             "r(p,w) = conj r(w,p)")
 
     def c_kernel_erratum():
-        c_main = 32.0 * szego.K_ANALYTIC
+        c_main = szego.C_KERNEL
         return _erratum("boundary_kernel_constant", c_main,
                         {"thirty_two_k": c_main, "sixteen_k": 16.0 * szego.K_ANALYTIC},
                         "c = 32k = 12/pi^4 is forced by r_pair at coincident "

@@ -9,25 +9,34 @@ H-bar come out exactly (the coefficients involved are small dyadics).
 
 Numerical application uses central finite differences: order-1 terms a
 two-point stencil, order-2 terms the standard second/cross stencils, all
-O(h^2).  The sub-Laplacian
+O(h^2).  One routine applies every operator: it evaluates each
+coefficient at the point, drops the terms whose coefficient vanishes
+there, and calls the field once on the distinct stencil points of the
+rest.  The sub-Laplacian
 
     Delta_lambda = sum_l X_l^2 + 4 sum_k i_k lambda_k d/dt_k
 
-is applied either in that nested sum-of-squares form or in the expanded
+is applied either directly, as one operator: sum_l X_l o X_l composed
+exactly (once, on first use) plus the lambda term, which is the expanded
 coordinate form
 
     sum_l d^2/dx_l^2 + 4|x|^2 sum_k d^2/dt_k^2
-    + 4 sum_k ((w i_k . d/dx) + lambda_k i_k) d/dt_k,
+    + 4 sum_k ((w i_k . d/dx) + lambda_k i_k) d/dt_k;
 
-both of which agree within stencil error.
+or nested, each X_l applied as a first-order stencil to the field X_l f.
+The two agree within stencil error.
 
-Fields and integrands follow one array contract: a field maps a point of
-R^7 to a float or a Quaternion, and written with elementwise operations
-(numpy functions, Quaternion arithmetic) it equally maps a (7, M) array of
-points, coordinates on axis 0, to a (M,) array or a Quaternion with (M,)
-components.  The direct form of Delta_lambda evaluates its whole stencil
-in one such call, and the Cauchy-Fueter integral passes one row of sphere
-nodes at a time as a Quaternion with array components.
+Fields and integrands follow one array contract: a field maps a (7, M)
+array of points, coordinates on axis 0, to a Quaternion or a real, each
+part an (M,) array or a constant that broadcasts.  Written with
+elementwise operations (numpy functions, Quaternion arithmetic) it maps a
+single point (7,) as well; a field written only for scalars (with
+``math.sin``, say) does not work.  ``apply_op`` calls its field once, on
+the stencil points of one point or of a (7, N) batch, and returns (N,)
+components for a batch, so ``apply_op(op, f, ., h)`` is itself a field
+and nested operators need no special code.  The Cauchy-Fueter integral
+passes one row of sphere nodes at a time as a Quaternion with array
+components.
 """
 
 from __future__ import annotations
@@ -78,6 +87,9 @@ class Lambda:
 
     @staticmethod
     def from_seq(seq) -> "Lambda":
+        """A Lambda from a 3-sequence of reals; a Lambda passes through."""
+        if isinstance(seq, Lambda):
+            return seq
         a, b, c = (float(v) for v in seq)
         return Lambda(a, b, c)
 
@@ -163,12 +175,15 @@ class QPoly:
         return QPoly(out)
 
     def eval(self, x) -> Quaternion:
+        """Value at x = (x0..x3), each a float or an (N,) array."""
         acc = ZERO
         for k, v in self.c.items():
             m = 1.0
+            # repeated products, not powers: x*x is the square numpy takes
+            # for an array, where pow(x, 2) may differ in the last bit
             for xi, ei in zip(x, k):
-                if ei:
-                    m *= float(xi) ** ei
+                for _ in range(ei):
+                    m = m * xi
             acc = acc + v * m
         return acc
 
@@ -304,91 +319,90 @@ def h_field() -> QuatDiffOp:
 # finite-difference application
 
 def _check_steps(p, h):
-    steps = np.broadcast_to(np.asarray(h, dtype=float), (N_COORDS,)).copy()
+    """Steps per coordinate of p, a point (n,) or a batch (n, N) with the
+    coordinates on axis 0; h is a float or a length-n array.  Raises
+    ValueError unless every step is positive and finite and moves every
+    point to a new one on either side, with h*h not underflowing."""
+    n = p.shape[0]
+    steps = np.broadcast_to(np.asarray(h, dtype=float), (n,)).copy()
     # negated, so that a NaN step fails it too
     if not np.all((steps > 0.0) & (steps < math.inf)):
         raise ValueError("step must be positive and finite")
     # either side of the stencil collapsing onto p, or h*h underflowing in
     # the second-difference denominators
-    if np.any((p + steps == p) | (p - steps == p) | (steps * steps == 0.0)):
+    s = steps.reshape((n,) + (1,) * (p.ndim - 1))
+    if np.any((p + s == p) | (p - s == p) | (s * s == 0.0)):
         raise ValueError("step underflows at this point")
     return steps
 
 
-class _StencilCache:
-    """Caches field values on the lattice p + sum_j k_j h_j e_j.
+# the central-difference stencil of a term, by (derivative order, number
+# of axes): the signs along the term's axes of the points that the
+# combination in ``_apply`` reads, in that order
+_SIGNS = {
+    (0, 0): ((),),
+    (1, 1): ((1,), (-1,)),
+    (2, 1): ((1,), (0,), (-1,)),
+    (2, 2): ((1, 1), (1, -1), (-1, 1), (-1, -1)),
+}
 
-    ``fill`` evaluates many offsets in one field call; a lookup of an
-    offset not yet cached evaluates the field at that single point.
+
+def _apply(op: QuatDiffOp, f, p, h):
+    """(op f at p, f(p)) by central differences, with one call of f.
+
+    p is a point (7,) or a batch (7, N), and both values are Quaternions
+    with float or (N,) components.  Terms whose coefficient vanishes at
+    every point are dropped; the distinct stencil offsets of the rest,
+    the centre first, are evaluated at every point in one call of f on a
+    (7, M*N) array, the N points of each offset side by side.
     """
-
-    __slots__ = ("f", "p", "steps", "vals")
-
-    def __init__(self, f, p, steps):
-        self.f = f
-        self.p = p
-        self.steps = steps
-        self.vals = {}
-
-    def __call__(self, offsets) -> Quaternion:
-        v = self.vals.get(offsets)
-        if v is None:
-            q = self.p + self.steps * np.asarray(offsets, dtype=float)
-            v = _as_quat(self.f(q))
-            if not all(map(math.isfinite, v.components())):
-                raise ValueError("field evaluated to a non-finite value")
-            self.vals[offsets] = v
-        return v
-
-    def fill(self, offsets):
-        """Evaluate the field once at M distinct offsets, passed as a (7, M)
-        array of points with coordinates on axis 0."""
-        k = np.array(offsets, dtype=float).T
-        q = self.p[:, None] + self.steps[:, None] * k
-        vals = _as_components(self.f(q), len(offsets))
-        if not np.isfinite(vals).all():
-            raise ValueError("field evaluated to a non-finite value")
-        for off, comp in zip(offsets, vals.T.tolist()):
-            self.vals[off] = Quaternion(*comp)
-
-
-def _stencil_cache(f, p, h) -> _StencilCache:
     p = np.asarray(p, dtype=float)
-    if p.shape != (N_COORDS,):
-        raise ValueError("point must have 7 coordinates")
-    return _StencilCache(f, p, _check_steps(p, h))
+    if p.ndim not in (1, 2) or p.shape[0] != N_COORDS:
+        raise ValueError("point must have 7 coordinates, or be a (7, N) batch")
+    steps = _check_steps(p, h)
+    pts = p.reshape(N_COORDS, -1)
+    x = p[:4].tolist() if p.ndim == 1 else p[:4]
+    index = {(0,) * N_COORDS: 0}
+    terms = []
+    for key, poly in op.terms.items():
+        axes = [j for j, e in enumerate(key) if e]
+        signs = _SIGNS.get((sum(key), len(axes)))
+        if signs is None:
+            raise ValueError("stencils cover derivative order <= 2 only")
+        coeff = poly.eval(x)
+        if not np.any(coeff.components()):
+            continue
+        at = []
+        for sign in signs:
+            off = [0] * N_COORDS
+            for j, s in zip(axes, sign):
+                off[j] = s
+            at.append(index.setdefault(tuple(off), len(index)))
+        terms.append((coeff, steps[axes], at))
 
+    k = np.array(list(index), dtype=float).T
+    q = pts[:, None, :] + steps[:, None, None] * k[:, :, None]
+    m, n = q.shape[1:]
+    vals = _as_components(f(q.reshape(N_COORDS, m * n)), m * n).reshape(4, m, n)
+    if not np.isfinite(vals).all():
+        raise ValueError("field evaluated to a non-finite value")
+    # the value at each offset: float parts at one point, (N,) parts for a batch
+    at_offset = [Quaternion(*c) for c in
+                 (vals[:, :, 0].T.tolist() if p.ndim == 1 else vals.transpose(1, 0, 2))]
 
-def _offset(j, s):
-    off = [0] * N_COORDS
-    off[j] = s
-    return tuple(off)
-
-
-def _d1(cache, j):
-    h = cache.steps[j]
-    return (cache(_offset(j, 1)) - cache(_offset(j, -1))) * (0.5 / h)
-
-
-def _d2(cache, j):
-    h = cache.steps[j]
-    center = cache((0,) * N_COORDS)
-    return (cache(_offset(j, 1)) - center * 2.0 + cache(_offset(j, -1))) * (1.0 / (h * h))
-
-
-def _cross_offset(j, k, sj, sk):
-    off = [0] * N_COORDS
-    off[j], off[k] = sj, sk
-    return tuple(off)
-
-
-def _dcross(cache, j, k):
-    hj, hk = cache.steps[j], cache.steps[k]
-
-    def at(sj, sk):
-        return cache(_cross_offset(j, k, sj, sk))
-
-    return (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) * (0.25 / (hj * hk))
+    total = ZERO
+    for coeff, hs, at in terms:
+        v = [at_offset[i] for i in at]
+        if len(v) == 1:
+            d = v[0]
+        elif len(v) == 2:
+            d = (v[0] - v[1]) * (0.5 / hs[0])
+        elif len(v) == 3:
+            d = (v[0] - v[1] * 2.0 + v[2]) * (1.0 / (hs[0] * hs[0]))
+        else:
+            d = (v[0] - v[1] - v[2] + v[3]) * (0.25 / (hs[0] * hs[1]))
+        total = total + coeff * d
+    return total, at_offset[0]
 
 
 def apply_op(op: QuatDiffOp, f, p, h=1e-4) -> Quaternion:
@@ -398,89 +412,75 @@ def apply_op(op: QuatDiffOp, f, p, h=1e-4) -> Quaternion:
     ----------
     op : QuatDiffOp
     f : callable
-        Maps a length-7 array to a float or Quaternion.  It is called once
-        per stencil point, with a (7,) array; a field written for the
-        array contract of this module works unchanged.
-    p : array-like, length 7
+        An array field: it is called once, with a (7, M) array of the M
+        stencil points, coordinates on axis 0, and returns a Quaternion
+        or a real, each part an (M,) array or a constant that broadcasts.
+        A non-finite value at any point raises ValueError.
+    p : array-like, shape (7,) or (7, N)
+        One point, or a batch of N points evaluated in the same single
+        call of f; the value then has (N,) components, each equal bit for
+        bit to the call at that point alone.  ``apply_op(op, f, ., h)`` is
+        therefore itself an array field and nests.
     h : float or length-7 array
         Step per coordinate; the default 1e-4 is scaled by nothing, pass
         h*(1 + |p|) explicitly for large points.
     """
-    cache = _stencil_cache(f, p, h)
-    p = cache.p
-    total = ZERO
-    for key, poly in op.terms.items():
-        order = sum(key)
-        if order == 0:
-            d = cache((0,) * N_COORDS)
-        elif order == 1:
-            d = _d1(cache, key.index(1))
-        elif order == 2:
-            axes = [i for i, e in enumerate(key) if e]
-            if len(axes) == 1:
-                d = _d2(cache, axes[0])
-            else:
-                d = _dcross(cache, axes[0], axes[1])
-        else:
-            raise ValueError("stencils cover derivative order <= 2 only")
-        total = total + poly.eval(p[:4]) * d
-    return total
+    return _apply(op, f, p, h)[0]
 
 
-def _delta_lambda_direct(f, p, lam: Lambda, h):
-    """(Delta_lambda f(p), f(p)) by the direct form of delta_lambda_apply;
-    f(p) is the centre value of its stencil."""
-    cache = _stencil_cache(f, p, h)
-    centre = (0,) * N_COORDS
-    w = Quaternion(*cache.p[:4])
-    xsq = w.norm_sq()
-    wik = [(w * _IMAG[k]).components() for k in range(3)]
-    cross = [(l, 4 + k) for k in range(3) for l in range(4) if wik[k][l] != 0.0]
-    cache.fill([centre]
-               + [_offset(j, s) for j in range(N_COORDS) for s in (1, -1)]
-               + [_cross_offset(j, k, sj, sk)
-                  for j, k in cross for sj in (1, -1) for sk in (1, -1)])
-    total = ZERO
+@lru_cache(maxsize=1)
+def _sum_x_squared() -> QuatDiffOp:
+    """sum_l X_l o X_l, composed on first use rather than at import."""
+    op = QuatDiffOp()
     for l in range(4):
-        total = total + _d2(cache, l)
-    for k in range(3):
-        total = total + _d2(cache, 4 + k) * (4.0 * xsq)
-    lam_t = lam.as_tuple()
-    for k in range(3):
-        for l, comp in enumerate(wik[k]):
-            if comp != 0.0:
-                total = total + _dcross(cache, l, 4 + k) * (4.0 * comp)
-        if lam_t[k] != 0.0:
-            total = total + _IMAG[k] * _d1(cache, 4 + k) * (4.0 * lam_t[k])
-    return total, cache(centre)
+        xl = make_x(l)
+        op = op + xl.compose(xl)
+    return op
 
 
-def delta_lambda_apply(f, p, lam: Lambda, h=1e-4, form: str = "direct") -> Quaternion:
+def _dt_op(weights) -> QuatDiffOp:
+    """sum_k w_k i_k d/dt_k."""
+    op = QuatDiffOp()
+    for k, w in enumerate(weights):
+        key = [0] * N_COORDS
+        key[4 + k] = 1
+        op = op + QuatDiffOp.single(key, _IMAG[k] * w)
+    return op
+
+
+def _delta_lambda_op(lam: Lambda) -> QuatDiffOp:
+    """Delta_lambda = sum_l X_l o X_l + 4 sum_k lambda_k i_k d/dt_k."""
+    return _sum_x_squared() + _dt_op([4.0 * l for l in lam.as_tuple()])
+
+
+def _delta_lambda_direct(f, p, lam, h):
+    """(Delta_lambda f(p), f(p)) by the direct form of delta_lambda_apply."""
+    return _apply(_delta_lambda_op(Lambda.from_seq(lam)), f, p, h)
+
+
+def delta_lambda_apply(f, p, lam, h=1e-4, form: str = "direct") -> Quaternion:
     """Apply Delta_lambda at p by finite differences.
 
-    form="direct" assembles the expanded coordinate form from at most 63
-    distinct stencil points and evaluates f once on all of them: f gets a
-    (7, M) array of points, coordinates on axis 0, and returns a Quaternion
-    or a real, each part an (M,) array or a constant that broadcasts.  A
-    non-finite value at any point raises ValueError.
-    form="nested" applies each X_l twice as first-order stencils and adds
-    the lambda term, calling f on one (7,) point at a time; it is the
-    independent route the two-form consistency checks compare against.
-    A field written with elementwise operations serves both forms.
+    ``lam`` is a Lambda or a 3-sequence.  form="direct" applies the
+    coordinate form: the operator sum_l X_l o X_l + 4 sum_k lambda_k i_k
+    d/dt_k, composed exactly, at most 63 distinct stencil points at a
+    generic p, all in one call of f.  form="nested" applies each X_l to
+    the field X_l f, itself evaluated by ``apply_op`` on the outer
+    stencil's points, and adds the lambda term (five calls of f); it is
+    the independent route the two-form consistency checks compare
+    against.  f follows the array contract of ``apply_op``; a non-finite
+    value raises ValueError.
     """
     if form == "direct":
         return _delta_lambda_direct(f, p, lam, h)[0]
-    cache = _stencil_cache(f, p, h)
     if form != "nested":
         raise ValueError(f"unknown form {form!r}")
+    lam = Lambda.from_seq(lam)
     total = ZERO
     for l in range(4):
         xl = make_x(l)
-        inner = lambda q, _xl=xl: apply_op(_xl, f, q, h)
-        total = total + apply_op(xl, inner, cache.p, h)
-    for k in range(3):
-        total = total + _IMAG[k] * _d1(cache, 4 + k) * (4.0 * lam.as_tuple()[k])
-    return total
+        total = total + apply_op(xl, lambda q, _xl=xl: apply_op(_xl, f, q, h), p, h)
+    return total + apply_op(_dt_op([4.0 * l for l in lam.as_tuple()]), f, p, h)
 
 
 def box_b_identity_residual(f, p, h=1e-3) -> float:
@@ -489,20 +489,12 @@ def box_b_identity_residual(f, p, h=1e-3) -> float:
     The left side nests two first-order stencil applications; the right
     side applies the symbolically expanded second-order operator.  Both
     are O(h^2), and the identity is exact, so the residual measures pure
-    stencil disagreement (zero up to rounding on quadratics).
+    stencil disagreement (zero up to rounding on quadratics).  f follows
+    the array contract of ``apply_op``; it is called twice.
     """
     hb = hbar_field()
-    hh = h_field()
-    lhs = -apply_op(hh, lambda q: apply_op(hb, f, q, h), p, h)
-    rhs_op = QuatDiffOp()
-    for l in range(4):
-        xl = make_x(l)
-        rhs_op = rhs_op + xl.compose(xl)
-    for k in range(3):
-        key = [0] * N_COORDS
-        key[4 + k] = 1
-        rhs_op = rhs_op + QuatDiffOp.single(key, _IMAG[k] * 8.0)
-    rhs = apply_op(rhs_op.scale(-0.25), f, p, h)
+    lhs = -apply_op(h_field(), lambda q: apply_op(hb, f, q, h), p, h)
+    rhs = apply_op((_sum_x_squared() + _dt_op((8.0,) * 3)).scale(-0.25), f, p, h)
     return (lhs - rhs).norm()
 
 
@@ -515,7 +507,9 @@ def crf_tangency_residual(p, h: float = 1e-5) -> float:
     dbar is (1/2)(d/dx0 + sum i_m d/dx_m) per quaternion coordinate,
     evaluated by central differences on the height function; the
     combination is tangential, so the residual is zero up to stencil
-    rounding.  Raises BoundaryError off the boundary.
+    rounding.  The step is h (1 + |p|).  Raises BoundaryError off the
+    boundary, and ValueError for a step that is not positive and finite
+    or that collapses a side of the stencil onto p (as ``apply_op``).
     """
     from .siegel import SiegelPoint, height, boundary_coords
 
@@ -525,7 +519,7 @@ def crf_tangency_residual(p, h: float = 1e-5) -> float:
     def r_of(v):
         return height(SiegelPoint(Quaternion(*v[:4]), Quaternion(*v[4:])))
 
-    step = h * (1.0 + np.linalg.norm(base))
+    step = _check_steps(base, h * (1.0 + np.linalg.norm(base)))[0]
 
     def partial(i):
         up, dn = base.copy(), base.copy()

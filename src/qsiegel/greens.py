@@ -84,12 +84,6 @@ __all__ = [
     "delta_lambda_residual_on_k",
 ]
 
-def _coerce_lambda(lam) -> Lambda:
-    if isinstance(lam, Lambda):
-        return lam
-    return Lambda.from_seq(lam)
-
-
 def _check_lambda_ball(lam: Lambda):
     # negated, so that a NaN component fails it too
     if not (lam.norm() < 2.0):
@@ -179,7 +173,7 @@ def _k_tilde_rows(xs: np.ndarray, ray: tuple, spec: QuadratureSpec) -> list:
 def k_tilde_lambda(x, tau, lam, spec: QuadratureSpec) -> float:
     """Evaluate K~_lambda(x, tau) on the fixed u-panel rule."""
     x = _x4(x)
-    return _k_tilde_rows(x[None, :], _tau_ray(tau, _coerce_lambda(lam)), spec)[0]
+    return _k_tilde_rows(x[None, :], _tau_ray(tau, Lambda.from_seq(lam)), spec)[0]
 
 
 def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float = 1e-3) -> float:
@@ -192,7 +186,7 @@ def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float = 1e-3) -> floa
     x_l + h == x_l or x_l - h == x_l in some coordinate, or h*h == 0.
     """
     x = _x4(x)
-    lam = _coerce_lambda(lam)
+    lam = Lambda.from_seq(lam)
     xl = x.tolist()
     xsq = sum(v * v for v in xl)
     if not (math.sqrt(xsq) >= 0.3):
@@ -378,7 +372,7 @@ def k_lambda(x, t, lam, spec: QuadratureSpec) -> Quaternion:
     """
     x = _x4(x)
     t = _t3(t)
-    lam = _coerce_lambda(lam)
+    lam = Lambda.from_seq(lam)
     _check_lambda_ball(lam)
     if not (0.0 < float(x @ x) < math.inf):
         raise ValueError("x = 0 or non-finite x outside reduced-representation domain")
@@ -547,7 +541,7 @@ def fourier_consistency(x, t, lam, spec: QuadratureSpec,
     """
     x = _x4(x)
     t = _t3(t)
-    lam = _coerce_lambda(lam)
+    lam = Lambda.from_seq(lam)
     _check_lambda_ball(lam)
     xsq = float(x @ x)
     if not (1.0 <= math.sqrt(xsq) < math.inf):
@@ -621,7 +615,7 @@ def delta_lambda_residual_on_k(x, t, lam, spec: QuadratureSpec,
     """
     x = _x4(x)
     t = _t3(t)
-    lam = _coerce_lambda(lam)
+    lam = Lambda.from_seq(lam)
     _check_lambda_ball(lam)
     hnorm_sq = float(x @ x) + float(np.linalg.norm(t))
     if not (0.5 <= math.sqrt(hnorm_sq) < math.inf and float(np.linalg.norm(x)) > 0.3):

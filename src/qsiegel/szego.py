@@ -6,22 +6,23 @@ The kernel is S(q, omega) = k * r(q, omega)^-5 with the pairing
 
 whose real part is positive whenever both arguments lie in the domain
 (it dominates the mean of the two heights).  The normalizing constant is
-k = 3 / (8 pi^4); ``verify_k`` recomputes it from the defining volume
-integral, and ``verify_reproducing`` closes the reproducing-property
-chain for the probe function F(q) = (q2 + 1)^-5 at the domain point
-(0, 1), where F = 2^-5.  The boundary convolution kernel is
+k = 3 / (8 pi^4), ``K_ANALYTIC``; ``verify_k`` recomputes it from the
+defining volume integral, and ``verify_reproducing`` closes the
+reproducing-property chain for the probe function F(q) = (q2 + 1)^-5 at
+the domain point (0, 1), where F = 2^-5.  The boundary convolution kernel
+is
 
     K_eps([w, t]) = c * (|w|^2 + eps + i.t)^-5,   c = 32 k = 12 / pi^4,
 
-whose eps -> 0 limit is homogeneous of degree -10 under the group
-dilations.  (A constant c = 6 / pi^4 is also in circulation; it fails the
-k-chain by a factor 2 and is surfaced as a diagnostic in the check suite.)
+with c = ``C_KERNEL``; its eps -> 0 limit is homogeneous of degree -10
+under the group dilations.  (A constant c = 6 / pi^4 is also in
+circulation; it fails the k-chain by a factor 2 and is surfaced as a
+diagnostic in the check suite.)
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .quat import Quaternion, real_power
 from .quad import QuadratureSpec, QuadratureError, integrate_1d, integrate_nested
@@ -29,8 +30,8 @@ from .group import GroupElement
 from .siegel import SiegelPoint
 
 __all__ = [
-    "SzegoConstants",
     "K_ANALYTIC",
+    "C_KERNEL",
     "r_pair",
     "szego_kernel",
     "k_eps",
@@ -42,17 +43,10 @@ __all__ = [
 ]
 
 K_ANALYTIC = 3.0 / (8.0 * math.pi ** 4)
+C_KERNEL = 32.0 * K_ANALYTIC     # the constant c of K_eps
 
 _ALPHA = 2.0 * math.pi ** 2   # surface measure of S^3
 _BETA = 4.0 * math.pi         # surface measure of S^2
-
-
-@dataclass(frozen=True)
-class SzegoConstants:
-    """Kernel constants; c_kernel defaults to the chain value 32*k."""
-
-    k: float = K_ANALYTIC
-    c_kernel: float = 32.0 * K_ANALYTIC
 
 
 def r_pair(q: SiegelPoint, omega: SiegelPoint) -> Quaternion:
@@ -64,8 +58,7 @@ def r_pair(q: SiegelPoint, omega: SiegelPoint) -> Quaternion:
     return (q.q2 + omega.q2.conj()) * 0.5 - omega.q1.conj() * q.q1
 
 
-def szego_kernel(q: SiegelPoint, omega: SiegelPoint,
-                 constants: SzegoConstants = SzegoConstants()) -> Quaternion:
+def szego_kernel(q: SiegelPoint, omega: SiegelPoint) -> Quaternion:
     """S(q, omega) = k * r(q, omega)^-5; raises ZeroDivisionError at the
     pole r = 0 and ValueError when an argument has a NaN or infinite
     component (r is then NaN or infinite)."""
@@ -75,11 +68,10 @@ def szego_kernel(q: SiegelPoint, omega: SiegelPoint,
         raise ValueError("Szego kernel of a NaN or infinite point")
     if n2 < 1e-280:
         raise ZeroDivisionError("Szego kernel pole: r(q, omega) = 0")
-    return real_power(r, -5.0) * constants.k
+    return real_power(r, -5.0) * K_ANALYTIC
 
 
-def k_eps(g: GroupElement, eps: float,
-          constants: SzegoConstants = SzegoConstants()) -> Quaternion:
+def k_eps(g: GroupElement, eps: float) -> Quaternion:
     """Boundary convolution kernel K_eps([w,t]) = c (|w|^2 + eps + i.t)^-5.
 
     For eps > 0 the base never vanishes; at eps = 0 the group identity is
@@ -90,7 +82,7 @@ def k_eps(g: GroupElement, eps: float,
     base = Quaternion(g.w.norm_sq() + eps, *g.t)
     if base.norm_sq() == 0.0:
         raise ZeroDivisionError("K_0 singularity at the group identity")
-    return real_power(base, -5.0) * constants.c_kernel
+    return real_power(base, -5.0) * C_KERNEL
 
 
 def gamma_integral(spec: QuadratureSpec) -> float:
@@ -132,7 +124,7 @@ def verify_k(spec: QuadratureSpec) -> float:
     return 1.0 / (4.0 ** 5 * _ALPHA * _BETA * radial_kernel_integral(spec))
 
 
-def verify_reproducing(spec: QuadratureSpec, k: float = K_ANALYTIC) -> float:
+def verify_reproducing(spec: QuadratureSpec) -> float:
     """Reproducing-property chain value, expected 2^-5 = 0.03125.
 
     Evaluates k * integral over the boundary of r((0,1), q)^-5 F(q) dbeta
@@ -141,7 +133,7 @@ def verify_reproducing(spec: QuadratureSpec, k: float = K_ANALYTIC) -> float:
     analytic k the chain returns F((0,1)) = 2^-5 exactly, so any deviation
     beyond quadrature error indicates a normalization inconsistency.
     """
-    return 32.0 * k * _ALPHA * _BETA * radial_kernel_integral(spec)
+    return 32.0 * K_ANALYTIC * _ALPHA * _BETA * radial_kernel_integral(spec)
 
 
 def _require(res, what):

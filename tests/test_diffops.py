@@ -2,6 +2,8 @@
 boundary tangency, and the sphere reproducing integral."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from qsiegel.diffops import (N_COORDS, Lambda, make_x, hbar_field, h_field,
                              delta_lambda_apply, box_b_identity_residual,
                              crf_tangency_residual, dq_eval,
                              cauchy_fueter_sphere, _delta_lambda_direct,
+                             _delta_lambda_op, _sum_x_squared,
                              _as_components, _cf_rule, _cf_run, _det3)
 from qsiegel.quad import QuadratureError, sphere3_angles
 from qsiegel.siegel import boundary_point
@@ -51,8 +54,8 @@ def test_fields_match_finite_differences():
     p = np.array([0.3, -0.2, 0.5, 0.1, 0.4, 0.2, -0.3])
 
     def f(q):
-        return Quaternion(math.sin(q[0] + q[4]), q[1] * q[5],
-                          math.cos(q[2] - q[6]), q[3] ** 2)
+        return Quaternion(np.sin(q[0] + q[4]), q[1] * q[5],
+                          np.cos(q[2] - q[6]), q[3] ** 2)
 
     for l in range(4):
         sym = apply_op(make_x(l), f, p, h=1e-5)
@@ -89,8 +92,8 @@ def test_box_b_identity():
     p = np.array([0.3, -0.2, 0.5, 0.1, 0.4, 0.2, -0.3])
 
     def probe(q):
-        return Quaternion(math.sin(q[0] + 0.5 * q[4]), q[1] * q[2],
-                          math.cos(q[5]), q[3] * q[6])
+        return Quaternion(np.sin(q[0] + 0.5 * q[4]), q[1] * q[2],
+                          np.cos(q[5]), q[3] * q[6])
 
     assert box_b_identity_residual(probe, p) <= 1e-5
 
@@ -256,6 +259,114 @@ def test_delta_lambda_direct_returns_centre_value():
     assert centre == f(P_GENERIC)
 
 
+def _key(**orders):
+    """Derivative multi-index from keyword orders, e.g. x0=1, t1=1."""
+    names = ("x0", "x1", "x2", "x3", "t1", "t2", "t3")
+    return tuple(orders.get(n, 0) for n in names)
+
+
+def test_delta_lambda_operator_is_the_coordinate_form():
+    # sum_l dx_l^2 + 4|x|^2 sum_k dt_k^2 + 4 sum_k ((w i_k . dx) + lambda_k i_k) dt_k
+    lam = Lambda(0.5, -0.25, 0.75)
+    xsq4 = QPoly()
+    for j in range(4):
+        e = [0, 0, 0, 0]
+        e[j] = 2
+        xsq4 = xsq4 + QPoly({tuple(e): Quaternion(4.0)})
+    want = {}
+    for l in range(4):
+        want[_key(**{f"x{l}": 2})] = QPoly.const(ONE)
+    basis = (ONE, I1, I2, I3)
+    for k, ik in enumerate((I1, I2, I3)):
+        t = f"t{k + 1}"
+        want[_key(**{t: 2})] = xsq4
+        want[_key(**{t: 1})] = QPoly.const(ik * (4.0 * lam.as_tuple()[k]))
+        for l in range(4):
+            # (w i_k)_l = sum_j x_j (e_j i_k)_l
+            coeff = QPoly()
+            for j in range(4):
+                c = (basis[j] * ik).components()[l]
+                if c:
+                    coeff = coeff + QPoly.coord(j, 4.0 * c)
+            if not coeff.is_zero():
+                want[_key(**{f"x{l}": 1, t: 1})] = coeff
+    op = _delta_lambda_op(lam)
+    assert set(op.terms) == set(want)
+    for key, poly in want.items():
+        assert op.terms[key] == poly, key
+    # no dt_j dt_k term with j != k survives the composition
+    assert not any(sum(key[4:]) == 2 and max(key[4:]) == 1 for key in op.terms)
+
+
+def test_sum_x_squared_cached_and_not_built_at_import():
+    assert _sum_x_squared() is _sum_x_squared()
+    code = ("import qsiegel, qsiegel.diffops as d; "
+            "assert d._sum_x_squared.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def _poly_field(q):
+    # elementwise arithmetic only, so a batch computes each point's value
+    # with the same operations as that point alone
+    return Quaternion(q[0] * q[4] / (1.0 + q[1] * q[1]), q[2] * q[5] * q[6],
+                      1.0 / (2.0 + q[3] * q[4]), q[0] * q[1] * q[6] + q[5])
+
+
+@pytest.mark.parametrize("op", [
+    make_x(2), hbar_field(), h_field(), make_x(1).compose(make_x(3)),
+    _delta_lambda_op(Lambda(0.5, 0.2, -0.1)),
+    QuatDiffOp.single((0,) * N_COORDS, Quaternion(0.5, 1.0, 0.0, -2.0)),
+], ids=["X2", "Hbar", "H", "X1X3", "Delta_lambda", "order0"])
+def test_apply_op_batch_matches_single_points(rng, op):
+    pts = rng.normal(size=(N_COORDS, 6))
+    # x = (1, 0, 0, 0): coefficients that vanish there drop for this point
+    # alone, not in the batch
+    pts[:4, 2] = (1.0, 0.0, 0.0, 0.0)
+    calls = []
+
+    def f(q):
+        calls.append(q.shape)
+        return _poly_field(q)
+
+    got = apply_op(op, f, pts, h=1e-3)
+    assert len(calls) == 1
+    for i in range(pts.shape[1]):
+        want = apply_op(op, _poly_field, pts[:, i], h=1e-3)
+        assert tuple(c[i] for c in got.components()) == want.components()
+
+
+def test_apply_op_rejects_bad_shape_and_order():
+    with pytest.raises(ValueError, match="7 coordinates"):
+        apply_op(make_x(0), _poly_field, np.zeros((6, 3)))
+    with pytest.raises(ValueError, match="order <= 2"):
+        apply_op(make_x(0).compose(make_x(1)).compose(make_x(2)), _poly_field, P_GENERIC)
+
+
+@pytest.mark.parametrize("run, calls", [
+    (lambda f: box_b_identity_residual(f, P_GENERIC), 2),
+    (lambda f: delta_lambda_apply(f, P_GENERIC, Lambda(0.5, 0.2, -0.1), h=1e-3,
+                                  form="nested"), 5),
+], ids=["box_b", "nested"])
+def test_nested_stencils_call_the_field_once_per_operator(run, calls):
+    seen = []
+
+    def f(q):
+        seen.append(q.shape)
+        return _poly_field(q)
+
+    run(f)
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("form", ["direct", "nested"])
+def test_delta_lambda_accepts_a_sequence(form):
+    lam = (0.5, 0.0, 0.0)
+    got = delta_lambda_apply(_poly_field, P_GENERIC, lam, h=1e-3, form=form)
+    assert got == delta_lambda_apply(_poly_field, P_GENERIC, Lambda(*lam), h=1e-3,
+                                     form=form)
+    assert Lambda.from_seq(Lambda(*lam)) == Lambda(*lam)
+
+
 Q0 = Quaternion(0.2, -0.1, 0.3, 0.05)
 
 
@@ -405,3 +516,10 @@ def test_cauchy_fueter_non_finite_f_raises(spec, bad):
 def test_apply_op_rejects_collapsed_step(p, h):
     with pytest.raises(ValueError, match="step"):
         apply_op(make_x(0), lambda q: q[0], p=p, h=h)
+
+
+@pytest.mark.parametrize("h", [1e-17, 1e-300, math.nan, math.inf, 0.0, -1e-5])
+def test_tangency_rejects_collapsed_step(h):
+    bp = boundary_point(Quaternion(0.6, -0.3, 0.8, 0.2), (0.4, -1.1, 0.5))
+    with pytest.raises(ValueError, match="step"):
+        crf_tangency_residual(bp, h=h)

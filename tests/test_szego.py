@@ -8,7 +8,7 @@ import pytest
 from qsiegel.quat import Quaternion, ONE
 from qsiegel.group import GroupElement
 from qsiegel.siegel import SiegelPoint, boundary_point
-from qsiegel.szego import (K_ANALYTIC, SzegoConstants, r_pair, szego_kernel,
+from qsiegel.szego import (K_ANALYTIC, C_KERNEL, r_pair, szego_kernel,
                            k_eps, gamma_integral, delta_integral,
                            radial_kernel_integral, verify_k, verify_reproducing)
 
@@ -101,9 +101,8 @@ def test_szego_kernel_hermitian(rng):
 
 
 def test_k_eps_constant_and_decay():
-    c = SzegoConstants()
-    assert abs(c.c_kernel - 32.0 * K_ANALYTIC) <= 1e-18
-    assert abs(c.c_kernel - 12.0 / math.pi ** 4) <= 1e-16
+    assert abs(C_KERNEL - 32.0 * K_ANALYTIC) <= 1e-18
+    assert abs(C_KERNEL - 12.0 / math.pi ** 4) <= 1e-16
     g = GroupElement(Quaternion(1.0, 0.5, 0.0, 0.0), (0.3, -0.2, 0.1))
     v1 = k_eps(g, 1.0)
     v2 = k_eps(g, 4.0)
