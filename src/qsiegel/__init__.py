@@ -5,7 +5,7 @@ from .quat import (
     Quaternion, ZERO, ONE, I1, I2, I3,
     scalar_product, to_matrix, exp_imag, real_power,
 )
-from .quad import QuadratureSpec, QuadratureError, integrate_1d, integrate_nested, gamma
+from .quad import QuadratureSpec, QuadratureError, integrate_1d, integrate_nested
 from .group import GroupElement, gmul, dilate, homogeneous_norm, polar_constant
 from .siegel import SiegelPoint, BallPoint, PoleError, BoundaryError, height, cayley_to_siegel, cayley_to_ball, act, boundary_coords, boundary_point, rotate
 from .diffops import Lambda, make_x, commutator, h_field, hbar_field, apply_op, delta_lambda_apply, box_b_identity_residual, crf_tangency_residual, dq_eval, cauchy_fueter_sphere

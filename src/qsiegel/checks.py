@@ -18,7 +18,7 @@ import numpy as np
 
 from .quat import (Quaternion, ONE, I1, I2, I3, to_matrix, exp_imag,
                    real_power, scalar_product)
-from .quad import QuadratureSpec, QuadratureError, gamma
+from .quad import QuadratureSpec, QuadratureError
 from .group import GroupElement, gmul, dilate, homogeneous_norm, polar_constant
 from .siegel import (SiegelPoint, BallPoint, cayley_to_siegel, cayley_to_ball,
                      act, height, boundary_point, boundary_coords, rotate)
@@ -402,7 +402,9 @@ def _szego(spec: QuadratureSpec):
     def reproducing():
         return _value_check("reproducing_value", szego.verify_reproducing(spec),
                             2.0 ** -5, 1e-6, "abs",
-                            "kernel pairing against (q2+1)^-5 at (0,1)")
+                            "kernel pairing against (q2+1)^-5 at (0,1); "
+                            "equals K_ANALYTIC/(32 k_constant), a "
+                            "normalization check")
 
     def hermitian():
         p = SiegelPoint(Quaternion(0.5, 0.1, -0.7, 0.2),

@@ -574,95 +574,50 @@ def dq_eval(h2: Quaternion, h3: Quaternion, h4: Quaternion) -> Quaternion:
     return Quaternion(minors[0], -minors[1], minors[2], -minors[3]) * sign
 
 
-@lru_cache(maxsize=2)
-def _cf_rule(order: int):
-    """The f-independent part of the Cauchy-Fueter integrand on S^3.
+def _cf_run(f, q0: Quaternion, radius: float, order: int) -> np.ndarray:
+    """The mean of f over the sphere |q - q0| = radius, as 4 components.
 
-    For each node of the ``sphere3_angles(order)`` product rule on the unit
-    sphere, W . (q - q0)^-1/|q - q0|^2 . Dq with q - q0 = n the unit node,
-    W the product weight and Dq the form on the three angular tangent
-    vectors, built one psi-row at a time with the same minors and the same
-    product order (kernel, then Dq) as a single node.  The radius drops
-    out: Dq scales by r^3 and the kernel by r^-3.
-
-    Returns read-only arrays: ``rule`` of shape (n_psi, 4, M), one psi-row
-    of M = n_theta * n_phi nodes per entry, components on axis 1;
-    ``sin_psi`` and ``cos_psi`` of shape (n_psi,); and ``st``, ``ct``,
-    ``sf``, ``cf`` of shape (M,), the theta and phi factors every row
-    shares, so that row i's node is (cos psi_i, sin psi_i ct,
-    sin psi_i st cf, sin psi_i st sf).  Built lazily on the first call at
-    an order; one call of ``cauchy_fueter_sphere`` uses two orders, and
-    ``rule`` holds 32 * n_psi * M bytes (2.1 MB at order 32, 3.0 MB at 36).
+    On the sphere the kernel (q - q0)^-1/|q - q0|^2 times Dq is the real
+    surface element, so the integral is (1/(2 pi^2)) sum_i wpsi_i
+    sin^2 psi_i sum_nodes (wtheta sin theta wphi) f(q0 + radius n).  One
+    call of f per psi-row; each row is reduced by numpy's pairwise sum (a
+    BLAS dot would split its sum by thread count).
     """
     psi, wpsi, theta, wtheta, phi, wphi = sphere3_angles(order)
-    T, M = np.meshgrid(theta, phi, indexing="ij")
+    T, P = np.meshgrid(theta, phi, indexing="ij")
     st, ct = np.sin(T).ravel(), np.cos(T).ravel()
-    sf, cf = np.sin(M).ravel(), np.cos(M).ravel()
-    zero = np.zeros_like(st)
-    W = (wpsi[:, None, None] * wtheta[None, :, None]
-         * wphi[None, None, :]).reshape(psi.size, -1)
-    cols = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-    sin_psi, cos_psi = np.sin(psi), np.cos(psi)
-
-    rule = np.empty((psi.size, 4, st.size))
-    for i, (s_psi, c_psi) in enumerate(zip(sin_psi, cos_psi)):
-        sp, cp = np.full(st.size, s_psi), np.full(st.size, c_psi)
-        n = (cp, sp * ct, sp * st * cf, sp * st * sf)
-        tp = (-sp, cp * ct, cp * st * cf, cp * st * sf)
-        tt = (zero, -sp * st, sp * ct * cf, sp * ct * sf)
-        tf = (zero, zero, -sp * st * sf, sp * st * cf)
-
-        # minors of the rows (tp, tt, tf); Dq = (M0, -M1, M2, -M3)
-        minors = [_det3([[tp[c] for c in cs], [tt[c] for c in cs], [tf[c] for c in cs]])
-                  for cs in cols]
-        dq = Quaternion(minors[0], -minors[1], minors[2], -minors[3])
-        nsq = n[0] ** 2 + n[1] ** 2 + n[2] ** 2 + n[3] ** 2
-        kern = Quaternion(n[0] / nsq ** 2, -n[1] / nsq ** 2,
-                          -n[2] / nsq ** 2, -n[3] / nsq ** 2)
-        rule[i] = (kern * dq * W[i]).components()
-    for arr in (rule, sin_psi, cos_psi, st, ct, sf, cf):
-        arr.setflags(write=False)
-    return rule, sin_psi, cos_psi, st, ct, sf, cf
-
-
-def _cf_run(f, q0: Quaternion, radius: float, order: int) -> np.ndarray:
-    rule, sin_psi, cos_psi, st, ct, sf, cf = _cf_rule(order)
+    sf, cf = np.sin(P).ravel(), np.cos(P).ravel()
+    w = (wtheta[:, None] * wphi[None, :]).ravel() * st
     q0c = q0.components()
     row = st.size
-    # one call of f per psi-row; the row's product with the cached rule is
-    # reduced at once by numpy's pairwise sum (a BLAS dot would split its
-    # sum by thread count, and einsum accumulates sequentially)
-    sums = np.empty((4, sin_psi.size))
-    for i, (sp, cp) in enumerate(zip(sin_psi, cos_psi)):
+    sin_psi = np.sin(psi)
+    sums = np.empty((4, psi.size))
+    for i, (sp, cp) in enumerate(zip(sin_psi, np.cos(psi))):
         sst = sp * st
         n = (np.full(row, cp), sp * ct, sst * cf, sst * sf)
         q = Quaternion(*(radius * c + qc for c, qc in zip(n, q0c)))
-        fvals = Quaternion(*_as_components(f(q), row))
-        prod = Quaternion(*rule[i]) * fvals
-        sums[:, i] = [c.sum() for c in prod.components()]
-    return sums.sum(axis=1) * (1.0 / (2.0 * math.pi ** 2))
+        sums[:, i] = (_as_components(f(q), row) * w).sum(axis=1)
+    return (sums * (wpsi * sin_psi * sin_psi)).sum(axis=1) * (1.0 / (2.0 * math.pi ** 2))
 
 
 def cauchy_fueter_sphere(f, q0: Quaternion, radius: float,
                          spec: QuadratureSpec) -> Quaternion:
     """Cauchy-Fueter integral over the sphere |q - q0| = radius.
 
-    Evaluates (1/(2 pi^2)) oint (q - q0)^-1 / |q - q0|^2 . Dq . f(q) with
-    the product rule of sphere3_angles; the non-commutative product order
-    kernel * Dq * f is essential.  Reproduces f(q0) for Fueter-regular f
-    (and for affine f by symmetry).
+    The paper's integral (1/(2 pi^2)) oint (q - q0)^-1 / |q - q0|^2 . Dq
+    . f(q) reproduces f(q0) for Fueter-regular f (and for affine f by
+    symmetry).  On a sphere centred at q0 the kernel times Dq is the real
+    surface element (Sudbery, Quaternionic analysis, 1979), so the
+    integral is the mean of f over the sphere, and it is evaluated as that
+    mean with the product rule of sphere3_angles.  ``dq_eval`` keeps the
+    form Dq itself.
 
     ``f`` is an array integrand: it is called once per psi-row of nodes
     (2*sphere_order + 4 calls for the two rules), with a Quaternion whose
     components are (M,) arrays of node coordinates, and returns a
     Quaternion or a real, each part an (M,) array or a constant that
-    broadcasts.  Write it with elementwise operations.
-
-    The f-independent factor W . kernel . Dq of each node is built once
-    per sphere order on the unit sphere and cached (``_cf_rule``, the two
-    most recent orders, read-only): 5.1 MB for the default orders 32 and
-    36, 281 MB at orders 128 and 132.  A call then allocates only psi-row
-    sized arrays.
+    broadcasts.  Write it with elementwise operations.  Nothing is cached:
+    a call allocates only psi-row sized arrays.
 
     Raises ValueError for a radius that is not positive and finite or a
     non-finite q0, and QuadratureError when the two rules differ by more

@@ -9,8 +9,7 @@ of all the new nodes of an outer level are such rows, one integrand call
 per inner level), cached composite Gauss-Legendre grids
 with panels doubling away from an endpoint (``panel_grid``), tensor-product
 rules on the spheres S^2 and S^3 (on S^2 also folded onto antipodal pairs,
-for integrands even under n -> -n), and a Lanczos gamma function for
-closed-form targets.
+for integrands even under n -> -n).
 
 Identical spec + integrand give bit-identical results across runs: the
 engine is single-threaded, its node tables are built from scalar formulas
@@ -38,7 +37,6 @@ __all__ = [
     "panel_grid",
     "sphere2_nodes",
     "sphere3_angles",
-    "gamma",
 ]
 
 
@@ -426,37 +424,3 @@ def sphere3_angles(order: int):
     for arr in (psi, wpsi, theta, wtheta, phi, wphi):
         arr.setflags(write=False)
     return psi, wpsi, theta, wtheta, phi, wphi
-
-
-# ---------------------------------------------------------------------------
-# gamma
-
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma(x: float) -> float:
-    """Gamma function via the Lanczos approximation (g = 7, 9 terms).
-
-    Accurate to ~1e-13 relative on the range used by the closed forms in
-    this package; poles at non-positive integers raise ValueError.
-    """
-    if x <= 0.0 and float(x).is_integer():
-        raise ValueError(f"gamma pole at {x}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + 7.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc

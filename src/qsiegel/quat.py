@@ -126,9 +126,6 @@ class Quaternion:
     def components(self) -> tuple:
         return (self.t, self.a, self.b, self.c)
 
-    def to_list(self) -> list:
-        return [self.t, self.a, self.b, self.c]
-
     def to_array(self) -> np.ndarray:
         return np.array(self.components(), dtype=float)
 

@@ -9,7 +9,9 @@ whose real part is positive whenever both arguments lie in the domain
 k = 3 / (8 pi^4), ``K_ANALYTIC``; ``verify_k`` recomputes it from the
 defining volume integral, and ``verify_reproducing`` closes the
 reproducing-property chain for the probe function F(q) = (q2 + 1)^-5 at
-the domain point (0, 1), where F = 2^-5.  The boundary convolution kernel
+the domain point (0, 1), where F = 2^-5; that chain runs on the same
+radial integral, so it is the normalization check again, as
+K_ANALYTIC / (32 verify_k).  The boundary convolution kernel
 is
 
     K_eps([w, t]) = c * (|w|^2 + eps + i.t)^-5,   c = 32 k = 12 / pi^4,
@@ -129,9 +131,10 @@ def verify_reproducing(spec: QuadratureSpec) -> float:
 
     Evaluates k * integral over the boundary of r((0,1), q)^-5 F(q) dbeta
     for F(q) = (q2+1)^-5 through the same radial reduction as verify_k
-    (the two integrals coincide after that substitution); with the
-    analytic k the chain returns F((0,1)) = 2^-5 exactly, so any deviation
-    beyond quadrature error indicates a normalization inconsistency.
+    (the two integrals coincide after that substitution), so the value
+    equals K_ANALYTIC / (32 verify_k(spec)) algebraically: it re-tests the
+    normalization integral at the one pair q = p = (0, 1) where the
+    reproducing identity reduces to it, not the identity elsewhere.
     """
     return 32.0 * K_ANALYTIC * _ALPHA * _BETA * radial_kernel_integral(spec)
 

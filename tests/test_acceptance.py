@@ -179,7 +179,8 @@ def test_criterion_07_reproducing_value(spec):
     err = abs(v - 2.0 ** -5)
     rt = time.time() - t0
     _record(7, "reproducing value", err <= 1e-6,
-            f"value {v:.9f}, abs err {err:.1e}", rt, 10.0)
+            f"value {v:.9f}, abs err {err:.1e} (= K_ANALYTIC/(32 verify_k): "
+            f"the normalization integral again)", rt, 10.0)
 
 
 def test_criterion_08_heisenberg_oracle(spec):

@@ -16,8 +16,8 @@ from qsiegel.diffops import (N_COORDS, Lambda, make_x, hbar_field, h_field,
                              crf_tangency_residual, dq_eval,
                              cauchy_fueter_sphere, _delta_lambda_direct,
                              _delta_lambda_op, _sum_x_squared,
-                             _as_components, _cf_rule, _cf_run, _det3)
-from qsiegel.quad import QuadratureError, sphere3_angles
+                             _as_components, _cf_run, _det3)
+from qsiegel.quad import QuadratureError, QuadratureSpec, sphere3_angles
 from qsiegel.siegel import boundary_point
 
 
@@ -384,11 +384,12 @@ def _fueter(q):
     (_affine, (0.03749999999999994, 0.17499999999999946,
                0.21249999999999944, 0.5499999999999985)),
     (_fueter, (-0.029999999999999905, -0.05999999999999983,
-               0.01999999999999995, 2.7843418961989e-19)),
+               0.01999999999999994, 0.0)),
 ])
 def test_cauchy_fueter_values_pinned(spec, f, want):
-    # the cached rule times f, each psi-row reduced by numpy's pairwise sum,
-    # so the value does not depend on the BLAS thread count
+    # the weighted mean of f, each psi-row reduced by numpy's pairwise sum,
+    # so the value does not depend on the BLAS thread count; f's component
+    # 3 vanishes, and so does its mean, exactly
     v = cauchy_fueter_sphere(f, Q0, radius=0.9, spec=spec)
     assert v.components() == want
     assert (v - f(Q0)).norm() <= 1e-12
@@ -417,9 +418,9 @@ def test_cauchy_fueter_one_call_per_psi_row(spec):
 
 
 def _cf_reference(f, q0, radius, order):
-    """The per-row route the cached rule replaced: the geometry at this
-    radius, kernel * Dq * f per node, weighted, one pairwise sum per
-    component over every node."""
+    """The paper's integrand node by node: the geometry at this radius,
+    kernel * Dq * f per node, weighted, one pairwise sum per component
+    over every node."""
     psi, wpsi, theta, wtheta, phi, wphi = sphere3_angles(order)
     W = (wpsi[:, None, None] * wtheta[None, :, None] * wphi[None, None, :]).ravel()
     T, M = np.meshgrid(theta, phi, indexing="ij")
@@ -453,24 +454,19 @@ def _cf_reference(f, q0, radius, order):
 @pytest.mark.parametrize("radius", [0.9, 1.3, 2.7])
 @pytest.mark.parametrize("f", [_affine, _fueter, lambda q: 2.5, lambda q: q])
 def test_cf_rule_matches_per_row_reference(f, radius, order):
-    # the radius cancels exactly only in exact arithmetic, and the sums are
-    # grouped by row, so the routes agree to rounding: 8 ulp of 1, the
-    # scale of |f| on these spheres (at most 2 ulp seen)
+    # the spherical-mean rule against the paper's kernel * Dq * f node by
+    # node: kernel * Dq is the real surface element only in exact
+    # arithmetic, and the mean's sums are grouped by row, so the routes
+    # agree to rounding: 8 ulp of 1, the scale of |f| on these spheres (at
+    # most 2 ulp seen)
     got = _cf_run(f, Q0, radius, order)
     want = _cf_reference(f, Q0, radius, order)
     assert np.all(np.abs(got - want) <= 8 * np.spacing(1.0))
 
 
-def test_cf_rule_is_read_only():
-    for arr in _cf_rule(7):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[(0,) * arr.ndim] = 0.0
-
-
 def test_cauchy_fueter_warm_call_memory(spec):
-    # the rule is cached, so a warm call holds only psi-row sized arrays;
-    # a (4, N) array over every node would alone take 2.8 MiB at order 36
+    # a call holds only psi-row sized arrays; a (4, N) array over every
+    # node would alone take 2.8 MiB at order 36
     cauchy_fueter_sphere(_affine, Q0, radius=1.3, spec=spec)
     tracemalloc.start()
     try:
@@ -479,6 +475,19 @@ def test_cauchy_fueter_warm_call_memory(spec):
     finally:
         tracemalloc.stop()
     assert peak <= 2 ** 20
+
+
+def test_cauchy_fueter_retains_nothing_after_a_call():
+    # nothing per sphere order outlives a call: a cache of the kernel * Dq
+    # factor per node would keep 281 MB after one order-128 call
+    tracemalloc.start()
+    try:
+        cauchy_fueter_sphere(_affine, Q0, radius=1.3,
+                             spec=QuadratureSpec(sphere_order=128))
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 2 ** 20
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])

@@ -523,6 +523,24 @@ def test_heis_close_to_lambda_edge(spec, lam):
         assert (q - c).norm() <= 1e-9 * c.norm()
 
 
+def test_heis_closed_gamma_product_against_mpmath():
+    # at |x| = 1, t = 0 both complex powers are exactly 1, so the value is
+    # G(1+z) G(1-z)/(4 pi^3) with z = lam/2; the last two points lie beyond
+    # |lam| = 2, between the poles
+    import mpmath
+    x = np.array([1.0, 0.0, 0.0, 0.0])
+    lams = np.concatenate([np.linspace(-2.0, 2.0, 2001)[1:-1], [2.5, -3.3]])
+    with mpmath.workdps(30):
+        worst = 0.0
+        for lam in lams:
+            z = mpmath.mpf(float(lam)) / 2
+            want = mpmath.gamma(1 + z) * mpmath.gamma(1 - z) / (4 * mpmath.pi ** 3)
+            v = heis_k_closed(x, 0.0, lam)
+            assert v.a == v.b == v.c == 0.0
+            worst = max(worst, float(abs((v.t - want) / want)))
+    assert worst <= 1e-15
+
+
 def test_heis_pole_rejection():
     x = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):

@@ -1,5 +1,4 @@
-"""Quadrature engine: rules, double-exponential levels, nesting, sphere,
-gamma."""
+"""Quadrature engine: rules, double-exponential levels, nesting, sphere."""
 
 import math
 from dataclasses import replace
@@ -10,7 +9,7 @@ import pytest
 from qsiegel import szego
 from qsiegel.group import polar_constant
 from qsiegel.quad import (QuadratureSpec, integrate_1d, integrate_nested,
-                          gauss_rule, panel_grid, sphere2_nodes, gamma)
+                          gauss_rule, panel_grid, sphere2_nodes)
 
 
 def test_spec_validates_budgets():
@@ -329,24 +328,3 @@ def test_sphere_rule_fold_onto_antipodal_pairs(order):
     assert sphere2_nodes(order, fold=True)[1] is wh
     with pytest.raises(ValueError):
         wh[0] = 1.0
-
-
-def test_gamma_against_stdlib():
-    for x in (0.5, 1.0, 1.5, 2.0, 3.7, 7.25, 11.0, 0.1, 20.5):
-        assert abs(gamma(x) - math.gamma(x)) <= 1e-12 * math.gamma(x)
-
-
-def test_gamma_reflection_negative_argument():
-    for x in (-0.5, -1.5, -2.3):
-        assert abs(gamma(x) - math.gamma(x)) <= 1e-11 * abs(math.gamma(x))
-
-
-def test_gamma_recurrence():
-    x = 3.6
-    assert abs(gamma(x + 1.0) - x * gamma(x)) <= 1e-12 * gamma(x + 1.0)
-
-
-def test_gamma_poles():
-    for x in (0.0, -1.0, -5.0):
-        with pytest.raises(ValueError):
-            gamma(x)

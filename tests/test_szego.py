@@ -41,6 +41,13 @@ def test_verify_reproducing(spec):
     assert abs(verify_reproducing(spec) - 2.0 ** -5) <= 1e-6
 
 
+def test_verify_reproducing_is_the_normalization_again(spec):
+    # the chain runs on verify_k's radial integral, so it equals
+    # K_ANALYTIC / (32 verify_k) up to rounding: it adds no new integral
+    want = K_ANALYTIC / (32.0 * verify_k(spec))
+    assert abs(verify_reproducing(spec) - want) <= 4 * np.spacing(want)
+
+
 def test_r_pair_hermitian(rng):
     for _ in range(200):
         p = SiegelPoint(Quaternion(*rng.normal(size=4)),
