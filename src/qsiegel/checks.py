@@ -532,15 +532,16 @@ def _greens(spec: QuadratureSpec):
         r = greens.delta_lambda_residual_on_k(np.array([1.0, 0, 0, 0]),
                                               np.array([0.5, 0, 0]),
                                               (0.0, 0.0, 0.0), spec)
-        return _bound_check("kernel_annihilation_lambda0", r, 1e-2,
-                            "normalized Delta_lambda residual")
+        return _bound_check("kernel_annihilation_lambda0", r, 1e-5,
+                            "normalized Delta_lambda residual, O(h^4) line stencil")
 
     def delta_res_1():
         r = greens.delta_lambda_residual_on_k(np.array([1.0, 0, 0, 0]),
                                               np.array([0.5, 0, 0]),
                                               (0.5, 0.3, 0.0), spec)
-        return _bound_check("kernel_annihilation_lambda", r, 1e-2,
-                            "normalized Delta_lambda residual, lambda=(0.5,0.3,0)")
+        return _bound_check("kernel_annihilation_lambda", r, 1e-5,
+                            "normalized Delta_lambda residual, O(h^4) line stencil, "
+                            "lambda=(0.5,0.3,0)")
 
     def fourier():
         d = greens.fourier_consistency(np.array([1.2, 0.4, -0.3, 0.2]),

@@ -246,8 +246,8 @@ def test_criterion_10_pde_residuals(spec):
                                            h=0.01)
     shrink = rc / r1
     rt = time.time() - t0
-    ok = (hermite_scale <= 1e-4 and r0 <= 1e-2 and r1 <= 1e-2
-          and 3.2 <= shrink <= 4.8)
+    ok = (hermite_scale <= 1e-4 and r0 <= 1e-5 and r1 <= 1e-5
+          and 14.0 <= shrink <= 18.0)
     _record(10, "operator annihilation residuals", ok,
             f"transform residual {hermite_scale:.1e}, group residuals "
             f"{r0:.1e}/{r1:.1e}, halving ratio {shrink:.3f}", rt, 300.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qsiegel import checks
+from qsiegel import checks, greens
 from qsiegel.group import GroupElement
 
 # computed values of the scalar-loop checks these batched checks replace
@@ -64,3 +64,20 @@ def test_nan_defect_fails_its_check(spec, monkeypatch, suite, name):
     res = _check(spec, suite, name)()
     assert np.isnan(res.computed)
     assert not res.passed
+
+
+
+@pytest.mark.parametrize("defect", [lambda c0, ck: (c0 * 1.001, ck),
+                                    lambda c0, ck: (c0, -ck)],
+                         ids=["c0_x1.001", "ck_negated"])
+def test_kernel_defect_fails_annihilation_lambda(spec, monkeypatch, defect):
+    # a kernel off by a 0.1% real part, or with its imaginary parts
+    # flipped, is not annihilated by Delta_lambda at lambda != 0: the
+    # residuals read about 5e-3 and 10, against a true 1.9e-7
+    real = greens._k_lambda_components
+    assert _check(spec, "greens", "kernel_annihilation_lambda")().passed
+    monkeypatch.setattr(greens, "_k_lambda_components",
+                        lambda *a: defect(*real(*a)))
+    res = _check(spec, "greens", "kernel_annihilation_lambda")()
+    assert not res.passed
+    assert res.computed > 1e-3

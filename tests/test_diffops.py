@@ -14,8 +14,8 @@ from qsiegel.diffops import (N_COORDS, Lambda, make_x, hbar_field, h_field,
                              commutator, QuatDiffOp, QPoly, apply_op,
                              delta_lambda_apply, box_b_identity_residual,
                              crf_tangency_residual, dq_eval,
-                             cauchy_fueter_sphere, _delta_lambda_direct,
-                             _delta_lambda_op, _sum_x_squared,
+                             cauchy_fueter_sphere, _delta_lambda_lines,
+                             _sum_x_squared, _x_fields, _box_b_ops,
                              _as_components, _cf_run, _det3)
 from qsiegel.quad import QuadratureError, QuadratureSpec, sphere3_angles
 from qsiegel.siegel import boundary_point
@@ -206,24 +206,141 @@ def test_cauchy_fueter_translated_regular(spec):
 P_GENERIC = np.array([0.7, -0.4, 0.2, 0.5, 0.3, -0.6, 0.1])
 
 
-@pytest.mark.parametrize("p, points", [
-    # centre, two per coordinate, four per mixed (x_l, t_k) pair: 1 + 14 + 48
-    (P_GENERIC, 63),
-    # at x = (1, 0, 0, 0) the pair (x_l, t_k) enters only for l = k
-    (np.array([1.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0]), 27),
-])
-def test_delta_lambda_direct_one_call_per_stencil(p, points):
+X_E0 = np.array([1.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("p, lam, points", [
+    # centre, then +-h and +-h/2 along the four X_l lines (16) and along
+    # the t_k axes with lambda_k != 0 (4 each)
+    (P_GENERIC, Lambda(0.5, 0.2, -0.1), 29),
+    (X_E0, Lambda(0.5, 0.2, -0.1), 29),
+    (P_GENERIC, Lambda(0.0, 0.0, 0.0), 17),
+    (X_E0, Lambda(0.5, 0.3, 0.0), 25),
+], ids=["generic", "x_unit", "lambda0", "verify_lambda"])
+def test_delta_lambda_direct_one_call_per_stencil(p, lam, points):
     calls = []
 
     def f(q):
         calls.append(q)
         return Quaternion(np.sin(q[0]) * q[4], q[1] * q[5], 0.0, q[6] ** 2)
 
-    delta_lambda_apply(f, p, Lambda(0.5, 0.2, -0.1), h=1e-3)
+    delta_lambda_apply(f, p, lam, h=1e-3)
     assert len(calls) == 1
     q = calls[0]
     assert q.shape == (N_COORDS, points)
     assert len({tuple(col) for col in q.T}) == points
+    assert tuple(q[:, 0]) == tuple(p)          # the centre first
+
+
+def _quartic(q):
+    # a quartic polynomial, with t_k x_j cross terms and products of the
+    # x_l that the line directions mix
+    x0, x1, x2, x3, t1, t2, t3 = q
+    return Quaternion(x0 ** 2 * t1 + x1 * x2 * t3,
+                      t2 * t2 * x3 + x0 ** 4,
+                      t1 * t2 - x1 ** 3 * x2,
+                      x2 * x2 * t3 * t3)
+
+
+def _quartic_delta_lambda(p, lam):
+    """Delta_lambda of ``_quartic`` at p, from its hand-derived coordinate
+    form sum_l d^2/dx_l^2 + 4|x|^2 sum_k d^2/dt_k^2
+    + 4 sum_k (w i_k . d/dx) d/dt_k + 4 sum_k lambda_k i_k d/dt_k, where
+    w i_1, w i_2, w i_3 have the components (-x1, x0, x3, -x2),
+    (-x2, -x3, x0, x1) and (-x3, x2, -x1, x0)."""
+    x0, x1, x2, x3, t1, t2, t3 = p
+    xsq = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+    # sum_l d^2/dx_l^2 per component
+    lap_x = (2.0 * t1, 12.0 * x0 ** 2, -6.0 * x1 * x2, 2.0 * t3 * t3)
+    # sum_k d^2/dt_k^2 per component
+    lap_t = (0.0, 2.0 * x3, 0.0, 2.0 * x2 * x2)
+    # d/dt_k per component: [comp][k]
+    dt = ((x0 * x0, 0.0, x1 * x2),
+          (0.0, 2.0 * t2 * x3, 0.0),
+          (t2, t1, 0.0),
+          (0.0, 0.0, 2.0 * x2 * x2 * t3))
+    # d/dx_l d/dt_k per component: [comp][k][l]
+    dxdt = (((2.0 * x0, 0.0, 0.0, 0.0), (0.0,) * 4, (0.0, x2, x1, 0.0)),
+            ((0.0,) * 4, (0.0, 0.0, 0.0, 2.0 * t2), (0.0,) * 4),
+            ((0.0,) * 4, (0.0,) * 4, (0.0,) * 4),
+            ((0.0,) * 4, (0.0,) * 4, (0.0, 0.0, 4.0 * x2 * t3, 0.0)))
+    wi = ((-x1, x0, x3, -x2), (-x2, -x3, x0, x1), (-x3, x2, -x1, x0))
+    comps = []
+    for c in range(4):
+        v = lap_x[c] + 4.0 * xsq * lap_t[c]
+        for k in range(3):
+            v += 4.0 * sum(wi[k][l] * dxdt[c][k][l] for l in range(4))
+        comps.append(v)
+    out = Quaternion(*comps)
+    for k, ik in enumerate((I1, I2, I3)):
+        out = out + ik * Quaternion(*(dt[c][k] for c in range(4))) * (4.0 * lam[k])
+    return out
+
+
+@pytest.mark.parametrize("p", [P_GENERIC, X_E0, np.array([0.0] * 4 + [0.3, -0.2, 0.7])])
+def test_delta_lambda_direct_on_a_quartic(p):
+    # the second differences are even in s and Richardson cancels their s^2
+    # term, so along each (straight) line the rule is exact to degree 5
+    lam = (0.5, -0.3, 0.8)
+    want = _quartic_delta_lambda(p, lam)
+    got = delta_lambda_apply(_quartic, p, lam, h=1e-2)
+    assert (got - want).norm() <= 1e-7 * max(1.0, want.norm())
+
+
+def test_delta_lambda_direct_is_fourth_order():
+    # halving h divides the error by 16 on a smooth non-polynomial field
+    def f(q):
+        return Quaternion(np.sin(q[0] + q[4]), np.cos(q[1] - q[5]) * q[2],
+                          np.exp(0.3 * q[6]) * q[3], q[0] * q[1])
+
+    lam = Lambda(0.5, 0.2, -0.1)
+    want = delta_lambda_apply(f, P_GENERIC, lam, h=1e-3)
+    errs = [(delta_lambda_apply(f, P_GENERIC, lam, h=h) - want).norm()
+            for h in (0.08, 0.04)]
+    assert 14.0 <= errs[0] / errs[1] <= 18.0
+
+
+def test_delta_lambda_direct_batch_matches_single_points(rng):
+    pts = rng.normal(size=(N_COORDS, 5))
+    pts[:4, 2] = (1.0, 0.0, 0.0, 0.0)
+    lam = Lambda(0.5, 0.0, -0.1)
+    calls = []
+
+    def f(q):
+        calls.append(q.shape)
+        return _poly_field(q)
+
+    value, centre = _delta_lambda_lines(f, pts, lam, 1e-3)
+    assert calls == [(N_COORDS, 25 * 5)]
+    for i in range(pts.shape[1]):
+        v, c = _delta_lambda_lines(_poly_field, pts[:, i], lam, 1e-3)
+        assert tuple(comp[i] for comp in value.components()) == v.components()
+        assert tuple(comp[i] for comp in centre.components()) == c.components()
+
+
+@pytest.mark.parametrize("p, h", [
+    (P_GENERIC, 0.0),
+    (P_GENERIC, -1.0),
+    (P_GENERIC, math.nan),
+    (P_GENERIC, math.inf),
+    (P_GENERIC, 1e-300),
+    (X_E0, 1e-17),          # x0 + h/2 == x0, on the line of X_0
+    (np.zeros(N_COORDS), 1e-170),        # (h/2)^2 underflows to 0
+    (np.array([0.0] * 4 + [-1.0, 0.0, 0.0]), 8e-17),  # t1 - h/2 == t1
+])
+def test_delta_lambda_direct_rejects_bad_step(p, h):
+    calls = []
+    with pytest.raises(ValueError, match="step"):
+        _delta_lambda_lines(lambda q: calls.append(q) or q[0], p, (0.5, 0.0, 0.0), h)
+    assert calls == []
+
+
+def test_delta_lambda_direct_ignores_unused_t_axes():
+    # at x = 0 the lines move no t_k, and t2 is no axis of the lambda term
+    # at lambda_2 = 0, so a t2 that would swallow the step does not raise
+    p = np.array([0.0, 0.0, 0.0, 0.0, 0.2, 1e20, 0.0])
+    got = delta_lambda_apply(lambda q: q[4] * q[4], p, (0.5, 0.0, 0.0), h=1e-2)
+    assert (got - I1 * 0.8).norm() <= 1e-12
 
 
 def test_delta_lambda_real_array_field():
@@ -254,7 +371,7 @@ def test_delta_lambda_direct_returns_centre_value():
         return Quaternion(q[0] * q[4], q[1], 0.0, q[6])
 
     lam = Lambda(0.3, 0.0, 0.0)
-    value, centre = _delta_lambda_direct(f, P_GENERIC, lam, 1e-3)
+    value, centre = _delta_lambda_lines(f, P_GENERIC, lam, 1e-3)
     assert value == delta_lambda_apply(f, P_GENERIC, lam, h=1e-3)
     assert centre == f(P_GENERIC)
 
@@ -290,7 +407,9 @@ def test_delta_lambda_operator_is_the_coordinate_form():
                     coeff = coeff + QPoly.coord(j, 4.0 * c)
             if not coeff.is_zero():
                 want[_key(**{f"x{l}": 1, t: 1})] = coeff
-    op = _delta_lambda_op(lam)
+    op = _sum_x_squared()
+    for k, ik in enumerate((I1, I2, I3)):
+        op = op + _dt_op(k, ik * (4.0 * lam.as_tuple()[k]))
     assert set(op.terms) == set(want)
     for key, poly in want.items():
         assert op.terms[key] == poly, key
@@ -298,11 +417,23 @@ def test_delta_lambda_operator_is_the_coordinate_form():
     assert not any(sum(key[4:]) == 2 and max(key[4:]) == 1 for key in op.terms)
 
 
-def test_sum_x_squared_cached_and_not_built_at_import():
-    assert _sum_x_squared() is _sum_x_squared()
+@pytest.mark.parametrize("name", ["_sum_x_squared", "_x_fields", "_box_b_ops"])
+def test_operators_cached_and_not_built_at_import(name):
+    import qsiegel.diffops as d
+    build = getattr(d, name)
+    assert build() is build()
     code = ("import qsiegel, qsiegel.diffops as d; "
-            "assert d._sum_x_squared.cache_info().currsize == 0")
+            f"assert d.{name}.cache_info().currsize == 0")
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_cached_operators_equal_fresh_ones():
+    # the public builders still return new objects, equal to the cached ones
+    assert _x_fields() == tuple(make_x(l) for l in range(4))
+    assert make_x(1) is not make_x(1)
+    h_op, hb, _ = _box_b_ops()
+    assert h_op == h_field() and hb == hbar_field()
+    assert h_field() is not h_op and hbar_field() is not hb
 
 
 def _poly_field(q):
@@ -314,7 +445,7 @@ def _poly_field(q):
 
 @pytest.mark.parametrize("op", [
     make_x(2), hbar_field(), h_field(), make_x(1).compose(make_x(3)),
-    _delta_lambda_op(Lambda(0.5, 0.2, -0.1)),
+    _sum_x_squared() + _dt_op(0, I1 * 2.0) + _dt_op(1, I2 * 0.8) + _dt_op(2, I3 * -0.4),
     QuatDiffOp.single((0,) * N_COORDS, Quaternion(0.5, 1.0, 0.0, -2.0)),
 ], ids=["X2", "Hbar", "H", "X1X3", "Delta_lambda", "order0"])
 def test_apply_op_batch_matches_single_points(rng, op):

@@ -297,23 +297,22 @@ def test_k_tilde_underflow_returns_finite_zero(spec):
 
 def test_delta_residual_lambda0(spec):
     r = delta_lambda_residual_on_k(X_UNIT, np.array([0.5, 0.0, 0.0]), LAM0, spec)
-    assert r <= 1e-2
+    assert r <= 1e-5
 
 
 def test_delta_residual_lambda(spec):
     r = delta_lambda_residual_on_k(X_UNIT, np.array([0.5, 0.0, 0.0]),
                                    (0.5, 0.3, 0.0), spec)
-    assert r <= 1e-2
+    assert r <= 1e-5
 
 
 def test_delta_residual_verify_values_pinned(spec):
-    # the two kernel_annihilation points of the verify suite, at the values
-    # of 64 single-point k_lambda evaluations: the one batched stencil call
-    # and the centre value taken from it change no bit
+    # the two kernel_annihilation points of the verify suite, on the line
+    # stencil (17 and 25 points in one batched k_lambda call)
     t = np.array([0.5, 0.0, 0.0])
-    assert delta_lambda_residual_on_k(X_UNIT, t, LAM0, spec) == 0.0066237963049802255
+    assert delta_lambda_residual_on_k(X_UNIT, t, LAM0, spec) == 1.940129596519174e-07
     assert (delta_lambda_residual_on_k(X_UNIT, t, (0.5, 0.3, 0.0), spec)
-            == 0.0071209820146617905)
+            == 1.8822280875601618e-07)
 
 
 def test_hermite_residual_values_pinned(spec):
@@ -442,7 +441,8 @@ def test_delta_residual_second_order(spec):
                                     (0.5, 0.3, 0.0), spec, h=0.01)
     r2 = delta_lambda_residual_on_k(X_UNIT, np.array([0.5, 0.0, 0.0]),
                                     (0.5, 0.3, 0.0), spec, h=0.005)
-    assert 3.2 <= r1 / r2 <= 4.8
+    # fourth order: halving h divides the residual by 16
+    assert 14.0 <= r1 / r2 <= 18.0
 
 
 def test_fourier_route_consistency(spec):
