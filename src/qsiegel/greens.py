@@ -22,15 +22,16 @@ Three evaluators and their cross-checks:
   doubled), and P is computed in real arithmetic as w^4 with
   w = 1/(|x|^2 coth u - i t.n), from a^2 and b^2 alone.  The cosh/sinh
   weights depend on n only through g, so their exp tables are built on
-  one node per orbit of the folded rule under n1 -> -n1 and n2 -> -n2,
-  and the sphere sum walks the nodes in fixed-size blocks; every sum is
-  an einsum, never a BLAS call, so values do not depend on the BLAS
-  thread count.  The real part of the construction
-  at lambda = 0 is the classical inverse Fourier transform of the radial
-  Hermite kernel; the lambda-coupling is derived in
-  ``_k_lambda_components``.  The reduced representation needs |x| > 0
-  and |lambda| < 2; values at x = 0 exist only by homogeneity and are
-  deliberately not extrapolated.
+  one node per orbit of the folded rule under n1 -> -n1 and n2 -> -n2;
+  where g = 0 at every node (lambda = 0, Kaplan's K_0) the even table is
+  one row and the odd half, exactly zero, is not computed.  The sphere
+  sum walks the nodes in fixed-size blocks; every sum is an einsum, never
+  a BLAS call, so values do not depend on the BLAS thread count.  The
+  real part of the construction at lambda = 0 is the classical inverse
+  Fourier transform of the radial Hermite kernel; the lambda-coupling is
+  derived in ``_k_lambda_components``.  The reduced representation needs
+  |x| > 0 and |lambda| < 2; values at x = 0 exist only by homogeneity and
+  are deliberately not extrapolated.
 
 * ``heis_k_closed`` / ``heis_k_quadrature`` -- the Heisenberg-type
   degeneration in the {1, i1} plane: the Gamma-product closed form
@@ -48,18 +49,19 @@ Three evaluators and their cross-checks:
 All integrals run on fixed Gauss-Legendre panels doubling away from 0
 (``quad.panel_grid``, cached per grid) and truncated where
 e^{-(2-|lambda|) u*} < abs_tol/10, so evaluations are deterministic and
-vary smoothly with (x, t) inside finite-difference stencils.  The stencils
-of ``hermite_residual`` and ``delta_lambda_residual_on_k`` evaluate all
-their points in one call.  The Hermite stencil is one array pass over its
-nine rows x + h * _OFFSETS: one einsum for their |x|^2, one expm1 for both
-coth u and the u-weight 4 w/em^2, one exponent array and its exp, and one
-einsum row reduction, with tau and lambda validated once and reduced to
-Python floats.  The Delta_lambda stencil is the line stencil of
-``diffops`` (at most 29 points, O(h^4)), its points one batched kernel
-call that builds the lambda-dependent tables once.  Every reduction is an
-einsum, whose sum order does not depend on the number of rows, so the
-values are those of ``k_tilde_lambda`` and ``k_lambda`` at each point bit
-for bit.  Large-u factors are computed in the form
+vary smoothly with (x, t) inside finite-difference stencils.  The u-rule
+of ``k_tilde_lambda``, ``k_lambda`` and ``fourier_consistency`` comes with
+its coth u and u-weight 4 w/em^2 from ``_u_rule``, cached per tail end.
+The stencils of ``hermite_residual`` and ``delta_lambda_residual_on_k``
+evaluate all their points in one call.  The Hermite stencil is one array
+pass over its nine rows x + h * _OFFSETS: one einsum for their |x|^2,
+one exponent array and its exp, and one einsum row reduction, with tau
+and lambda validated once and reduced to Python floats.  The
+Delta_lambda stencil is the line stencil of ``diffops`` (at most 29
+points, O(h^4)), its points one batched kernel call that builds the
+lambda-dependent tables once.  Every reduction is an einsum, whose sum
+order does not depend on the number of rows, so the values are those of
+``k_tilde_lambda`` and ``k_lambda`` at each point bit for bit.  Large-u factors are computed in the form
 4 e^{-(2+a)u} / (1-e^{-2u})^2, which neither overflows nor cancels.
 """
 
@@ -71,7 +73,8 @@ from functools import lru_cache
 import numpy as np
 
 from .quat import Quaternion
-from .quad import QuadratureSpec, QuadratureError, panel_grid, sphere2_nodes
+from .quad import (QuadratureSpec, QuadratureError, _panel_rule, panel_grid,
+                   sphere2_nodes)
 from .diffops import Lambda, _delta_lambda_lines
 
 __all__ = [
@@ -113,10 +116,23 @@ def _tail_end(decay_rate: float, spec: QuadratureSpec, slack: float = 10.0) -> f
     return math.log(slack / spec.abs_tol) / decay_rate
 
 
-def _coth(em: np.ndarray) -> np.ndarray:
-    """coth u from em = expm1(-2u), which the callers also need for the
-    sinh^-2 u weight."""
-    return (2.0 + em) / (-em)
+@lru_cache(maxsize=128)
+def _u_rule(hi: float):
+    """The u-panel rule on [0, hi] of the K~_lambda and K_lambda integrals,
+    as read-only (u, coth u, 4 w/em^2) with em = expm1(-2u): the nodes,
+    the coth u of the exponent and the weight w times 1/sinh^2 u =
+    4 e^{-2u}/em^2, the factor e^{-2u} left to the exponent.
+
+    Cached per tail end ``hi`` and built from the uncached panel rule, so a
+    new tail end costs one cache lookup, not two.
+    """
+    u, w = _panel_rule(0.0, 0.5, hi)
+    em = np.expm1(-2.0 * u)
+    coth = (2.0 + em) / (-em)
+    wu4 = 4.0 * w / (em * em)
+    coth.setflags(write=False)
+    wu4.setflags(write=False)
+    return u, coth, wu4
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +178,12 @@ def _k_tilde_rows(xs: np.ndarray, ray: tuple, spec: QuadratureSpec) -> list:
     xl = xsq.tolist()
     if 0.0 in xl or not (sum(xl) < math.inf):
         raise ValueError("x = 0 or non-finite x outside reduced-representation domain")
-    u, w = panel_grid(0.0, 0.5, _tail_end(2.0 + a, spec))
-    em = np.expm1(-2.0 * u)
-    coth = _coth(em)
+    u, coth, wu4 = _u_rule(_tail_end(2.0 + a, spec))
     expo = np.multiply.outer(tnorm * xsq, coth)
     np.subtract(-(a + 2.0) * u, expo, out=expo)
     np.exp(expo, out=expo)
     pref = tnorm / (4.0 * math.pi ** 2)
-    return (pref * np.einsum("nu,u->n", expo, 4.0 * w / (em * em))).tolist()
+    return (pref * np.einsum("nu,u->n", expo, wu4)).tolist()
 
 
 def k_tilde_lambda(x, tau, lam, spec: QuadratureSpec) -> float:
@@ -277,8 +291,15 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
       which sign flips of n1 and n2 keep, so the two exp tables are built
       once per call on one node of each orbit (``_sign_orbits``: 272 of
       the 1024 folded nodes at order 32) and gathered per node.  The
-      u-weight 2 wu/em^2 enters each exponent as its log, and the sphere
-      weight is applied after the u-sum.
+      u-weight 2 wu/em^2 = (4 wu/em^2)/2 of ``_u_rule`` enters each
+      exponent as its log, and the sphere weight is applied after the
+      u-sum.
+    * lambda = 0.  When g is 0 at every node (lambda = 0, or a lambda with
+      -0.0 components) both tables are the same at every node: the even
+      table is built on one row that multiplies every block by
+      broadcasting, with no gather, and the odd table, exactly 0.0, is
+      neither built nor summed; its sums stay 0.0.  The values are those
+      of the orbit-table path bit for bit.
     * The w^4 form.  With a = |x|^2 coth u, b = t.n, A = a^2, B = b^2
       and r = A + B, P = w^4 for w = 1/(a - i b) = (a + i b)/r is
 
@@ -302,34 +323,39 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
     """
     order = spec.sphere_order
     nodes, wS = sphere2_nodes(order, fold=True)
-    reps, orbit = _sign_orbits(order)
     ln = nodes * np.asarray(lam.as_tuple())[None, :]  # (lambda o n) per node
     g = np.linalg.norm(ln, axis=1)
     axis = ln / np.where(g > 0.0, g, 1.0)[:, None]    # 0 where lambda o n is
-    u, wu = panel_grid(0.0, 0.5, _tail_end(2.0 - lam.norm(), spec))
+    u, coth, wu4 = _u_rule(_tail_end(2.0 - lam.norm(), spec))
 
     # 2 wu cosh(g u)/sinh^2 u and 2 wu sinh(g u)/sinh^2 u per orbit,
     # overflow-free: 4 e^{-2u} cosh(g u) = 2(e^{-(2-g)u} + e^{-(2+g)u}), the
     # same with a minus for sinh, and the weight enters each exponent as
-    # log(2 wu/em^2); the slow rate 2-g stays positive because
-    # g <= |lambda| < 2.
-    em = np.expm1(-2.0 * u)
-    log_w = np.log(2.0 * wu / (em * em))
-    g_rep = g[reps]
-    even = np.outer(g_rep - 2.0, u)
-    even += log_w
-    np.exp(even, out=even)
-    fast = np.outer(-(2.0 + g_rep), u)
-    fast += log_w
-    np.exp(fast, out=fast)
-    odd = even - fast
-    even += fast
-    del fast
+    # log(2 wu/em^2) = log(wu4/2); the slow rate 2-g stays positive because
+    # g <= |lambda| < 2.  With every g = 0 (lambda = 0) the even table is
+    # one row and the odd one is zero.
+    log_w = np.log(0.5 * wu4)
+    flat = not g.any()
+    if flat:
+        even = -2.0 * u + log_w
+        np.exp(even, out=even)
+        even += even
+    else:
+        reps, orbit = _sign_orbits(order)
+        g_rep = g[reps]
+        even = np.outer(g_rep - 2.0, u)
+        even += log_w
+        np.exp(even, out=even)
+        fast = np.outer(-(2.0 + g_rep), u)
+        fast += log_w
+        np.exp(fast, out=fast)
+        odd = even - fast
+        even += fast
+        del fast
 
     # per-row setup and final sums run row by row on 1-D operands: one
     # (rows, nodes) einsum over more than 8192 nodes sums in buffered
     # chunks and gave rows that differ from single-row calls
-    coth = _coth(em)
     a = np.stack([np.einsum("j,j->", x, x) * coth for x in xs])
     A = a * a
     b = np.stack([np.einsum("nk,k->n", nodes, t) for t in ts])  # signed t.n
@@ -337,17 +363,21 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
     # the u-vectors of the even-table sums (A^2, A, 1) and of the odd ones
     vec_even = np.stack([A * A, A, np.ones_like(A)], axis=1)
     vec_odd = np.stack([a * A, a], axis=1)
-    # per-node u-sums of table * vec / r^4, rows on axis 1
-    sums = np.empty((5,) + b.shape)
+    # per-node u-sums of table * vec / r^4, rows on axis 1; the odd sums
+    # stay 0 when the odd table is
+    sums = np.zeros((5,) + b.shape)
     n_nodes, n_u = len(nodes), len(u)
     step = max(1, _BLOCK_POINTS // n_u)
     work = np.empty((4, step, n_u))
     for s in range(0, n_nodes, step):
         blk = slice(s, min(s + step, n_nodes))
         ev, od, q, prod = work[:, :blk.stop - s]
-        # mode="clip" writes into out directly; the default mode buffers it
-        np.take(even, orbit[blk], axis=0, out=ev, mode="clip")
-        np.take(odd, orbit[blk], axis=0, out=od, mode="clip")
+        if flat:
+            ev = even                                  # broadcast over nodes
+        else:
+            # mode="clip" writes into out directly; the default buffers it
+            np.take(even, orbit[blk], axis=0, out=ev, mode="clip")
+            np.take(odd, orbit[blk], axis=0, out=od, mode="clip")
         for i in range(len(xs)):
             np.add.outer(B[i, blk], A[i], out=q)       # r
             np.square(q, out=q)
@@ -355,8 +385,9 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
             np.reciprocal(q, out=q)
             np.multiply(ev, q, out=prod)
             np.einsum("nu,ku->kn", prod, vec_even[i], out=sums[:3, i, blk])
-            np.multiply(od, q, out=prod)
-            np.einsum("nu,ku->kn", prod, vec_odd[i], out=sums[3:, i, blk])
+            if not flat:
+                np.multiply(od, q, out=prod)
+                np.einsum("nu,ku->kn", prod, vec_odd[i], out=sums[3:, i, blk])
     re = sums[0] - 6.0 * B * sums[1] + B * B * sums[2]
     im = 4.0 * b * (sums[3] - B * sums[4])
     scale = 6.0 / (2.0 * math.pi) ** 5
@@ -578,10 +609,7 @@ def fourier_consistency(x, t, lam, spec: QuadratureSpec,
     g = np.linalg.norm(ln, axis=1)
     axis = np.where(g[:, None] > 0.0,
                     ln / np.where(g[:, None] > 0.0, g[:, None], 1.0), 0.0)
-    u, wu = panel_grid(0.0, 0.5, _tail_end(2.0 - lam.norm(), spec))
-    em = np.expm1(-2.0 * u)
-    coth = _coth(em)
-    wu4 = 4.0 * wu / (em * em)
+    u, coth, wu4 = _u_rule(_tail_end(2.0 - lam.norm(), spec))
     # e^{-(2 +- g)u} depends on n only through g, so once per sign-flip orbit
     e_plus = np.exp(-np.outer(2.0 + g[reps], u))
     e_minus = np.exp(-np.outer(2.0 - g[reps], u))

@@ -53,7 +53,9 @@ class QuadratureSpec:
     rel_tol, abs_tol : float
         Target relative/absolute error; a 1-D integral is accepted once the
         difference of two successive double-exponential levels is below
-        max(abs_tol, rel_tol*|value|).
+        max(abs_tol, rel_tol*|value|).  Both lie in (0, 1), and abs_tol
+        is large enough that 40/abs_tol is finite; anything else raises
+        ValueError.
     max_subdivisions : int
         Budget of distinct integrand evaluations (nodes) of one 1-D
         integral.  A level is evaluated only while it fits in the budget
@@ -70,8 +72,12 @@ class QuadratureSpec:
     sphere_order: int = 32
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        # negated, so that NaN fails too; 40/abs_tol is the largest ratio a
+        # u-grid's tail end is set from, and an infinite one is no grid
+        if not (0.0 < self.rel_tol < 1.0 and 0.0 < self.abs_tol < 1.0
+                and 40.0 / self.abs_tol < math.inf):
+            raise ValueError("tolerances must lie in (0, 1), and 40/abs_tol "
+                             "must be finite")
         if self.max_subdivisions < 1 or self.sphere_order < 2:
             raise ValueError("budget out of range")
 
@@ -116,6 +122,12 @@ def panel_grid(lo: float, first: float, hi: float):
     (nodes, weights) with _PANEL_NODES nodes per panel; the result is
     cached, so callers must not modify it.
     """
+    return _panel_rule(lo, first, hi)
+
+
+def _panel_rule(lo: float, first: float, hi: float):
+    """``panel_grid`` uncached, for callers that cache a table derived
+    from the rule."""
     edges = [lo, lo + first]
     while edges[-1] < hi:
         edges.append(min(2.0 * edges[-1], hi))

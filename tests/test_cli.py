@@ -243,6 +243,21 @@ def test_eval_non_finite_input_is_usage_error(argv, capsys):
     assert "nan" not in captured.out
 
 
+@pytest.mark.parametrize("flag, tol", [
+    ("--abs-tol", "100"), ("--abs-tol", "nan"), ("--abs-tol", "1e-320"),
+    ("--abs-tol", "inf"), ("--abs-tol", "0"), ("--rel-tol", "1"),
+    ("--rel-tol", "nan"), ("--rel-tol", "-1e-9"),
+])
+def test_eval_absurd_tolerance_is_usage_error(flag, tol, capsys):
+    # exit 2 with a message, never a value from a cut u-grid with exit 0
+    argv = ["eval", "klambda", "--x", "1,0,0,0", "--t", "0.3,0,0",
+            "--lam", "0.5,0,0", f"{flag}={tol}"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "tolerances must lie in (0, 1)" in captured.err
+    assert captured.out == ""
+
+
 def test_eval_bad_vector_length():
     with pytest.raises(SystemExit) as e:
         cli.main(["eval", "klambda", "--x", "1,2,3"])

@@ -2,6 +2,8 @@
 group, Heisenberg reduction, and PDE residuals."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -146,10 +148,12 @@ def _k_lambda_full_sphere(x, t, lam, order):
 @pytest.mark.parametrize("order", [7, 32])
 def test_k_lambda_components_match_full_sphere_power(order):
     # the folded rule and the real w^4 arithmetic against the full rule
-    # with a complex power, at lambda up to |lambda| = 1.95
+    # with a complex power, at lambda up to |lambda| = 1.95, and at
+    # lambda = 0, where the tables are one row and the odd half is skipped
     rng = np.random.default_rng(11)
     lams = [(0.4, -0.3, 0.2), (1.95, 0.0, 0.0), (0.0, 1.17, 1.56),
             tuple(1.95 * np.array([1.2, -0.9, 1.1]) / math.sqrt(3.46))]
+    lams0 = [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)]
     xs, ts = [], []
     for ratio in (0.0, 0.3, 1.0, 2.0):                 # |t|/|x|^2
         x = rng.normal(size=4)
@@ -160,6 +164,8 @@ def test_k_lambda_components_match_full_sphere_power(order):
     spec = QuadratureSpec(sphere_order=order)
     for lam in lams:
         assert 0.0 < np.linalg.norm(lam) <= 1.95 + 1e-12
+    assert all(np.linalg.norm(lam) == 0.0 for lam in lams0)
+    for lam in lams + lams0:
         c0, ck = _k_lambda_components(np.array(xs), np.array(ts), Lambda(*lam), spec)
         for i in range(len(xs)):
             want = _k_lambda_full_sphere(xs[i], ts[i], lam, order)
@@ -331,13 +337,52 @@ def test_batched_rows_match_single_points(rng):
     ts = rng.normal(size=(63, 3))
     for order in (7, 33):
         spec = QuadratureSpec(sphere_order=order)
-        for lam in (Lambda(0.4, -0.3, 0.2), Lambda(0.0, 1.95, 0.0)):
+        for lam in (Lambda(0.4, -0.3, 0.2), Lambda(0.0, 1.95, 0.0),
+                    Lambda(0.0, 0.0, 0.0)):
             c0, ck = _k_lambda_components(xs, ts, lam, spec)
             kt = _k_tilde_rows(xs, _tau_ray(ts[0], lam), spec)
             for i in range(63):
                 assert (k_lambda(xs[i], ts[i], lam, spec).components()
                         == (c0[i], *ck[i]))
                 assert k_tilde_lambda(xs[i], ts[0], lam, spec) == kt[i]
+
+
+@pytest.mark.parametrize("order", [7, 33])
+def test_k_lambda_negative_zero_lambda_is_lambda0(order, rng):
+    # a lambda with -0.0 components has g = 0 at every node, so it takes
+    # the lambda = 0 tables and gives their values bit for bit, signed
+    # zeros included
+    spec = QuadratureSpec(sphere_order=order)
+    xs = rng.normal(size=(5, 4))
+    ts = rng.normal(size=(5, 3))
+    want = _k_lambda_components(xs, ts, Lambda(0.0, 0.0, 0.0), spec)
+    for lam in ((-0.0, 0.0, 0.0), (0.0, -0.0, -0.0), (-0.0, -0.0, -0.0)):
+        got = _k_lambda_components(xs, ts, Lambda(*lam), spec)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+    assert k_lambda(xs[0], ts[0], (-0.0, 0.0, 0.0), spec).components() == (
+        want[0][0], *want[1][0])
+
+
+@pytest.mark.parametrize("name", ["_u_rule", "_sign_orbits"])
+def test_kernel_tables_cached_and_not_built_at_import(name):
+    code = ("import qsiegel, qsiegel.greens as g; "
+            f"assert g.{name}.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_u_rule_read_only_and_equal_to_panel_rule():
+    hi = greens._tail_end(2.0 - 0.58, QuadratureSpec())
+    u, coth, wu4 = greens._u_rule(hi)
+    assert greens._u_rule(hi)[1] is coth
+    assert not any(a.flags.writeable for a in (u, coth, wu4))
+    x, w = panel_grid(0.0, 0.5, hi)
+    em = np.expm1(-2.0 * x)
+    assert np.array_equal(u, x)
+    assert np.array_equal(coth, (2.0 + em) / (-em))
+    assert np.array_equal(wu4, 4.0 * w / (em * em))
+    # k_lambda's log-weight log(2 w/em^2), taken as log(wu4/2), bit for bit
+    assert np.array_equal(np.log(0.5 * wu4), np.log(2.0 * w / (em * em)))
 
 
 def _k_tilde_rows_per_row(xs, tau, lam, spec):
@@ -378,16 +423,18 @@ def test_k_tilde_rows_match_per_row_reference(spec, rng, a):
 @pytest.mark.parametrize("order", [7, 32])
 def test_k_lambda_independent_of_block_size(order, rng, monkeypatch):
     # the per-node u-sums are reduced over nodes once at the end, so one
-    # node per block, a ragged split and one block for all give one value
+    # node per block, a ragged split and one block for all give one value,
+    # on the orbit tables and on the one-row tables of lambda = 0
     spec = QuadratureSpec(sphere_order=order)
     xs = rng.normal(size=(3, 4))
     ts = rng.normal(size=(3, 3))
-    lam = Lambda(1.2, -0.9, 0.8)
-    want = _k_lambda_components(xs, ts, lam, spec)
+    lams = (Lambda(1.2, -0.9, 0.8), Lambda(0.0, 0.0, 0.0))
+    wants = [_k_lambda_components(xs, ts, lam, spec) for lam in lams]
     for points in (1, 1000, 10 ** 7):
         monkeypatch.setattr(greens, "_BLOCK_POINTS", points)
-        got = _k_lambda_components(xs, ts, lam, spec)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        for lam, want in zip(lams, wants):
+            got = _k_lambda_components(xs, ts, lam, spec)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("order", [2, 7, 8, 32, 33, 128])

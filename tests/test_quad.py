@@ -13,8 +13,19 @@ from qsiegel.quad import (QuadratureSpec, integrate_1d, integrate_nested,
 
 
 def test_spec_validates_budgets():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
+    # a tolerance must be finite and in (0, 1), and 40/abs_tol finite: a
+    # NaN or >= 1 abs_tol cut the u-grids to [0, 0.5], 1e-320 made their
+    # tail end inf, and inf failed inside math.log
+    for tol in (0.0, -1e-9, 1.0, 100.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            QuadratureSpec(rel_tol=tol)
+        with pytest.raises(ValueError):
+            QuadratureSpec(abs_tol=tol)
+    for tol in (1e-320, 5e-324, 2e-307):
+        with pytest.raises(ValueError):
+            QuadratureSpec(abs_tol=tol)
+    QuadratureSpec(abs_tol=2.3e-307, rel_tol=1e-320)
+    QuadratureSpec(abs_tol=0.999, rel_tol=0.999)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
 
