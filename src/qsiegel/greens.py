@@ -401,7 +401,8 @@ def k_lambda(x, t, lam, spec: QuadratureSpec) -> Quaternion:
 
     Real for lambda = 0; homogeneous of degree -8 under (x, t) ->
     (d x, d^2 t) exactly at the level of the rule (shared nodes), and
-    conjugated by t -> -t.
+    conjugated by t -> -t.  Raises QuadratureError where a component is
+    not finite.
     """
     x = _x4(x)
     t = _t3(t)
@@ -412,6 +413,8 @@ def k_lambda(x, t, lam, spec: QuadratureSpec) -> Quaternion:
     if not (float(t @ t) < math.inf):
         raise ValueError("t must be finite")
     c0, ck = _k_lambda_components(x[None, :], t[None, :], lam, spec)
+    if not (np.isfinite(c0[0]) and np.isfinite(ck[0]).all()):
+        raise QuadratureError("k_lambda is not finite at this point")
     return Quaternion(float(c0[0]), float(ck[0, 0]), float(ck[0, 1]), float(ck[0, 2]))
 
 

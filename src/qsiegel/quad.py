@@ -13,9 +13,9 @@ for integrands even under n -> -n).
 
 Identical spec + integrand give bit-identical results across runs: the
 engine is single-threaded, its node tables are built from scalar formulas
-in a fixed order, and every level sum (of each row) is accumulated with
-`math.fsum`, which is correctly rounded and so independent of the order of
-the terms and of zero terms.
+in a fixed order, and each level adds to a row's running sum numpy's
+pairwise sum of its new terms over all the level's nodes, whatever other
+rows share the batch.
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ class QuadratureError(Exception):
     """Raised when an integral cannot be brought within its budget."""
 
 
+# 40/abs_tol is the largest ratio a u-grid's tail end is set from; 400
+# keeps it finite for the 10x tighter inner spec of integrate_nested
+_ABS_TOL_MIN = 400.0 / np.finfo(float).max
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and budgets for the quadrature engine.
@@ -54,8 +59,8 @@ class QuadratureSpec:
         Target relative/absolute error; a 1-D integral is accepted once the
         difference of two successive double-exponential levels is below
         max(abs_tol, rel_tol*|value|).  Both lie in (0, 1), and abs_tol
-        is large enough that 40/abs_tol is finite; anything else raises
-        ValueError.
+        is at least 400 over the largest float (about 2.2e-306), so that
+        400/abs_tol is finite; anything else raises ValueError.
     max_subdivisions : int
         Budget of distinct integrand evaluations (nodes) of one 1-D
         integral.  A level is evaluated only while it fits in the budget
@@ -72,11 +77,9 @@ class QuadratureSpec:
     sphere_order: int = 32
 
     def __post_init__(self):
-        # negated, so that NaN fails too; 40/abs_tol is the largest ratio a
-        # u-grid's tail end is set from, and an infinite one is no grid
-        if not (0.0 < self.rel_tol < 1.0 and 0.0 < self.abs_tol < 1.0
-                and 40.0 / self.abs_tol < math.inf):
-            raise ValueError("tolerances must lie in (0, 1), and 40/abs_tol "
+        # negated, so that NaN fails too
+        if not (0.0 < self.rel_tol < 1.0 and _ABS_TOL_MIN <= self.abs_tol < 1.0):
+            raise ValueError("tolerances must lie in (0, 1), and 400/abs_tol "
                              "must be finite")
         if self.max_subdivisions < 1 or self.sphere_order < 2:
             raise ValueError("budget out of range")
@@ -91,7 +94,8 @@ class QuadResult(NamedTuple):
 
 
 def _tighter(spec: QuadratureSpec) -> QuadratureSpec:
-    return replace(spec, rel_tol=spec.rel_tol * 0.1, abs_tol=spec.abs_tol * 0.1)
+    return replace(spec, rel_tol=max(spec.rel_tol * 0.1, math.ulp(0.0)),
+                   abs_tol=max(spec.abs_tol * 0.1, _ABS_TOL_MIN))
 
 
 @lru_cache(maxsize=64)
@@ -211,12 +215,11 @@ def _de_rule(kind: str, level: int, a: float, b: float):
 
 
 def _eval_masked(f, x, w, active):
-    """Terms w*f(x) of the rows ``active``: shape (rows, nodes), or
-    (rows, nodes, k) for a vector integrand, with 0.0 wherever f is not
-    finite (in any component).  Nodes whose terms are 0.0 in every row are
-    left out: ``math.fsum`` gives the same sum without them.  An
-    OverflowError or ZeroDivisionError raised by a scalar factor of f masks
-    the batch (returns None)."""
+    """Sums over all the nodes x of the terms w*f(x) of the rows
+    ``active``: shape (rows,), or (rows, k) for a vector integrand, with
+    0.0 wherever f is not finite (in any component).  An OverflowError or
+    ZeroDivisionError raised by a scalar factor of f masks the batch
+    (returns None)."""
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             fx = np.asarray(f(x, active))
@@ -228,10 +231,10 @@ def _eval_masked(f, x, w, active):
         raise ValueError(f"integrand returned shape {fx.shape} for "
                          f"{active.size} row(s) of {x.size} nodes")
     fx = fx.astype(float, copy=False)
-    f3 = fx.reshape(active.size, x.size, -1)
-    t = np.where(np.isfinite(f3).all(axis=2, keepdims=True), w[:, None] * f3, 0.0)
-    t = t[:, (t != 0.0).any(axis=(0, 2))]
-    return t if fx.ndim == 3 else t[:, :, 0]
+    # nodes last and contiguous, so that each row's sum is pairwise
+    f3 = np.ascontiguousarray(fx.reshape(active.size, x.size, -1).transpose(0, 2, 1))
+    s = np.where(np.isfinite(f3).all(axis=1, keepdims=True), w * f3, 0.0).sum(axis=2)
+    return s if fx.ndim == 3 else s[:, 0]
 
 
 def _double_exponential(f, interval, spec: QuadratureSpec, nrows: int):
@@ -240,8 +243,8 @@ def _double_exponential(f, interval, spec: QuadratureSpec, nrows: int):
     ``f(x, active)`` gives the values at the nodes x of the rows whose
     indices are in the array ``active``: shape (rows, nodes), or
     (rows, nodes, k) for k components.  The rows share the nodes and the
-    budget; each keeps its own terms, level sums (``h * math.fsum`` of its
-    terms, masked ones as 0.0, which leaves the sum unchanged), error and
+    budget; each keeps its own running sum of the terms of every level so
+    far (masked ones as 0.0), level value (h times that sum), error and
     convergence test, and leaves the loop at its first converged level.
     Returns one QuadResult per row.
     """
@@ -259,7 +262,7 @@ def _double_exponential(f, interval, spec: QuadratureSpec, nrows: int):
         kind = "finite"
     out = [None] * nrows
     active = np.arange(nrows)
-    terms = None          # w*f(x) of the active rows at every node so far
+    total = None          # sum of w*f(x) of the active rows at every node so far
     evals, last = 0, _DE_LEVEL_MIN
     prev, err = None, np.full(nrows, math.inf)
     for level in range(_DE_LEVEL_MIN, _DE_LEVEL_MAX + 1):
@@ -267,17 +270,10 @@ def _double_exponential(f, interval, spec: QuadratureSpec, nrows: int):
         if prev is not None and evals + x.size > spec.max_subdivisions:
             break
         evals, last = evals + x.size, level
-        t = _eval_masked(f, x, w, active) if x.size else None
-        if t is not None:
-            terms = t if terms is None else np.concatenate((terms, t), axis=1)
-        h = 2.0 ** (-level)
-        if terms is None:
-            cur = np.zeros(active.size)
-        elif terms.ndim == 2:
-            cur = np.array([h * math.fsum(row) for row in terms.tolist()])
-        else:
-            cur = np.array([[h * math.fsum(col) for col in row]
-                            for row in terms.transpose(0, 2, 1).tolist()])
+        s = _eval_masked(f, x, w, active) if x.size else None
+        if s is not None:
+            total = s if total is None else total + s
+        cur = np.zeros(active.size) if total is None else 2.0 ** (-level) * total
         if prev is not None:
             by_row = (active.size, -1)
             err = np.abs(cur - prev).reshape(by_row).max(axis=1)
@@ -290,8 +286,8 @@ def _double_exponential(f, interval, spec: QuadratureSpec, nrows: int):
                 return out
             keep = ~done
             active, cur, err = active[keep], cur[keep], err[keep]
-            if terms is not None:
-                terms = terms[keep]
+            if total is not None:
+                total = total[keep]
         prev = cur
     for i, r in enumerate(active.tolist()):
         out[r] = QuadResult(_row(prev, i), float(err[i]), False, evals, last)

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,16 @@ ACCEPTANCE_LINES = []
 @pytest.fixture(scope="session")
 def spec():
     return QuadratureSpec()
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """The environment with this repository's src first on PYTHONPATH, for
+    tests that start a Python child process: pytest's ``pythonpath``
+    setting does not reach it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 @pytest.fixture

@@ -4,10 +4,8 @@ import csv
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -51,14 +49,11 @@ def test_reports_byte_identical_across_runs_and_threads(tmp_path):
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
 
-def test_full_report_independent_of_blas_threads(tmp_path):
+def test_full_report_independent_of_blas_threads(tmp_path, src_env):
     # each process pins its BLAS thread count before numpy loads
-    src = str(Path(__file__).resolve().parents[1] / "src")
     runs = {}
     for n in (1, 2):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n),
-                   PYTHONPATH=os.pathsep.join(
-                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env = dict(src_env, OPENBLAS_NUM_THREADS=str(n))
         out = tmp_path / f"blas{n}.json"
         runs[n] = (out, subprocess.Popen(
             [sys.executable, "-m", "qsiegel.cli", "verify", "--suite", "all",
@@ -71,7 +66,7 @@ def test_full_report_independent_of_blas_threads(tmp_path):
 
 # sha256 of the sorted-key compact JSON of the `verify --suite all` report;
 # a change that moves any bit of the report re-pins it and says why
-REPORT_SHA256 = "7863f2d7eae3c76806fe5db0774d114e88841e867e7f9d5ab19da880f964398d"
+REPORT_SHA256 = "1720cdfbd8ba6436cc551a6d9d9561857781c0267fa5fd45785bee188dba3f89"
 
 
 def test_full_report_digest_pinned(tmp_path, capsys):
@@ -256,6 +251,39 @@ def test_eval_absurd_tolerance_is_usage_error(flag, tol, capsys):
     captured = capsys.readouterr()
     assert "tolerances must lie in (0, 1)" in captured.err
     assert captured.out == ""
+
+
+def test_verify_abs_tol_below_nested_range_is_usage_error(monkeypatch, capsys):
+    # 3e-307 / 10, the inner tolerance of integrate_nested, is no valid
+    # spec: the value is refused before any check runs, not inside one
+    started = []
+    monkeypatch.setattr(checks, "run_suite",
+                        lambda *a, **k: started.append(a) or {})
+    assert cli.main(["verify", "--suite", "group", "--abs-tol", "3e-307"]) == 2
+    assert started == []
+    captured = capsys.readouterr()
+    assert "400/abs_tol must be finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "klambda", "--x", "1e-20,0,0,0", "--t", "0,0,0", "--lam", "0,0,0"],
+    ["eval", "klambda", "--x", "1e-20,0,0,0", "--t", "0,0,0", "--lam", "0.5,0,0"],
+])
+def test_eval_non_finite_kernel_value_is_exit_3(argv, capsys):
+    # r^-4 overflows at |x| = 1e-20: exit 3, never "nan ..." with exit 0
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert "not finite" in captured.err
+    assert captured.out == ""
+
+
+def test_table_non_finite_kernel_value_is_exit_3(tmp_path, capsys):
+    out = tmp_path / "kl.csv"
+    assert cli.main(["table", "--kind", "klambda", "--out", str(out),
+                     "--xnorm", "1e-20", "--t", "0", "--lam", "0"]) == 3
+    assert "nan" not in out.read_text()
+    assert capsys.readouterr().out == ""
 
 
 def test_eval_bad_vector_length():

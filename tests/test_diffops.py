@@ -418,13 +418,13 @@ def test_delta_lambda_operator_is_the_coordinate_form():
 
 
 @pytest.mark.parametrize("name", ["_sum_x_squared", "_x_fields", "_box_b_ops"])
-def test_operators_cached_and_not_built_at_import(name):
+def test_operators_cached_and_not_built_at_import(name, src_env):
     import qsiegel.diffops as d
     build = getattr(d, name)
     assert build() is build()
     code = ("import qsiegel, qsiegel.diffops as d; "
             f"assert d.{name}.cache_info().currsize == 0")
-    subprocess.run([sys.executable, "-c", code], check=True)
+    subprocess.run([sys.executable, "-c", code], check=True, env=src_env)
 
 
 def test_cached_operators_equal_fresh_ones():

@@ -121,6 +121,10 @@ def test_k_lambda_matches_kaplan_closed_form(spec):
             want = 1.0 / (4.0 * math.pi ** 4 * (xn ** 4 + float(t @ t)) ** 2)
             assert abs(v.t - want) <= 1e-10 * want
             assert v.imag_norm() <= 1e-10 * want
+    # the smallest |x| of this order: k_lambda raises at 1e-20 (test_cli)
+    v = k_lambda(np.array([1e-18, 0.0, 0.0, 0.0]), T_ZERO, LAM0, spec)
+    want = 1.0 / (4.0 * math.pi ** 4 * 1e-72 ** 2)
+    assert abs(v.t - want) <= 1e-10 * want
 
 
 def _k_lambda_full_sphere(x, t, lam, order):
@@ -365,10 +369,10 @@ def test_k_lambda_negative_zero_lambda_is_lambda0(order, rng):
 
 
 @pytest.mark.parametrize("name", ["_u_rule", "_sign_orbits"])
-def test_kernel_tables_cached_and_not_built_at_import(name):
+def test_kernel_tables_cached_and_not_built_at_import(name, src_env):
     code = ("import qsiegel, qsiegel.greens as g; "
             f"assert g.{name}.cache_info().currsize == 0")
-    subprocess.run([sys.executable, "-c", code], check=True)
+    subprocess.run([sys.executable, "-c", code], check=True, env=src_env)
 
 
 def test_u_rule_read_only_and_equal_to_panel_rule():

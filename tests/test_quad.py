@@ -8,12 +8,12 @@ import pytest
 
 from qsiegel import szego
 from qsiegel.group import polar_constant
-from qsiegel.quad import (QuadratureSpec, integrate_1d, integrate_nested,
-                          gauss_rule, panel_grid, sphere2_nodes)
+from qsiegel.quad import (QuadratureSpec, _double_exponential, integrate_1d,
+                          integrate_nested, gauss_rule, panel_grid, sphere2_nodes)
 
 
 def test_spec_validates_budgets():
-    # a tolerance must be finite and in (0, 1), and 40/abs_tol finite: a
+    # a tolerance must be finite and in (0, 1), and 400/abs_tol finite: a
     # NaN or >= 1 abs_tol cut the u-grids to [0, 0.5], 1e-320 made their
     # tail end inf, and inf failed inside math.log
     for tol in (0.0, -1e-9, 1.0, 100.0, math.nan, math.inf, -math.inf):
@@ -21,11 +21,16 @@ def test_spec_validates_budgets():
             QuadratureSpec(rel_tol=tol)
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=tol)
-    for tol in (1e-320, 5e-324, 2e-307):
+    for tol in (1e-320, 5e-324, 2e-307, 2.3e-307, 2.2e-306):
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=tol)
-    QuadratureSpec(abs_tol=2.3e-307, rel_tol=1e-320)
+    QuadratureSpec(abs_tol=2.3e-306, rel_tol=1e-320)
     QuadratureSpec(abs_tol=0.999, rel_tol=0.999)
+    # the inner spec of integrate_nested, 10x tighter, is valid even at the
+    # smallest tolerances a spec accepts
+    tiny = QuadratureSpec(abs_tol=2.3e-306, rel_tol=5e-324, max_subdivisions=100)
+    res = integrate_nested(((0.0, 1.0), (0.0, 1.0)), lambda x, y: x * y, tiny)
+    assert abs(res.value - 0.25) <= 1e-12
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
 
@@ -188,6 +193,39 @@ def test_integrand_overflow_at_extreme_nodes(spec):
     assert abs(res.value - exact) <= 1e-9 * exact
 
 
+_DE_ROWS = (
+    lambda s: s * s * np.exp(-s),
+    lambda s: 1.0 / (1.0 + s * s),
+    # inf * 0 is NaN at the far exp-sinh nodes
+    lambda s: s ** 3 * np.exp(s) * np.exp(-2.0 * s),
+)
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_de_rows_independent_of_their_companions(spec, vector):
+    # each row's level sums run over the same nodes whatever rows share the
+    # batch, so a row's result equals its single-row run bit for bit
+    def batch(rows):
+        def f(x, active):
+            vals = np.array([rows[i](x) for i in active.tolist()])
+            return np.stack((vals, vals * np.exp(-x)), axis=2) if vector else vals
+        return f
+
+    def key(res):
+        return (np.asarray(res.value).tobytes(), res.error, res.converged,
+                res.evals, res.levels)
+
+    with np.errstate(all="ignore"):
+        assert np.isnan(_DE_ROWS[2](np.array([1e300]))).all()
+    together = _double_exponential(batch(_DE_ROWS), (0.0, math.inf), spec, 3)
+    assert all(r.converged for r in together)
+    assert len({r.levels for r in together}) > 1
+    for i in (0, 1):
+        alone = _double_exponential(batch(_DE_ROWS[i:i + 1]), (0.0, math.inf),
+                                    spec, 1)
+        assert key(together[i]) == key(alone[0])
+
+
 def test_nested_scalar_factor_overflow(spec):
     # x ** 3 on a Python float beyond ~5.6e102 raises OverflowError; the
     # outer nodes arrive as an (R, 1) array, where it gives inf, and
@@ -217,7 +255,9 @@ def test_integrate_nested_semi_infinite(spec):
 
 def _nested_reference(dims, f, spec):
     """The per-node loop integrate_nested replaced: one integrate_1d per
-    outer node, which reaches f as a float."""
+    outer node.  f gets x as a (1, 1) array, as integrate_nested's (R, 1)
+    column: for a Python float ``rho ** 3`` would be libm's pow, which
+    differs from numpy's array power in the last bit at some x."""
     inner_spec = replace(spec, rel_tol=spec.rel_tol * 0.1, abs_tol=spec.abs_tol * 0.1)
     inner_rel = 0.0
     all_conv = True
@@ -226,7 +266,9 @@ def _nested_reference(dims, f, spec):
         nonlocal inner_rel, all_conv
         vals = []
         for x in xs.tolist():
-            res = integrate_1d(lambda y: f(x, y), dims[1], inner_spec)
+            xa = np.array([[x]])
+            res = integrate_1d(lambda y: np.broadcast_to(f(xa, y), (1, y.size))[0],
+                               dims[1], inner_spec)
             all_conv = all_conv and res.converged
             mag = float(np.max(np.abs(res.value)))
             inner_rel = max(inner_rel, res.error / max(mag, spec.abs_tol))
@@ -291,14 +333,25 @@ def test_nested_dimension_count(spec):
 
 
 def test_de_verify_values_pinned(spec):
-    # the six double-exponential values of the verify suite, bit for bit
+    # the six double-exponential values of the verify suite, bit for bit,
+    # and each within 2 ulp of its value when every level was summed
+    # with the correctly rounded math.fsum
     polar = 20.670851120199877
-    assert polar_constant(lambda s: np.exp(-s * s), spec) == polar
-    assert polar_constant(lambda s: np.exp(-s), spec) == polar
-    assert szego.gamma_integral(spec) == 0.06135923151542565
-    assert szego.delta_integral(spec) == 0.016666666666666666
-    assert szego.verify_k(spec) == 0.0038497433455063164
-    assert szego.verify_reproducing(spec) == 0.03125000000000251
+    pins = {
+        "polar_gauss": (polar_constant(lambda s: np.exp(-s * s), spec), polar, polar),
+        "polar_exp": (polar_constant(lambda s: np.exp(-s), spec), polar, polar),
+        "gamma": (szego.gamma_integral(spec),
+                  0.06135923151542564, 0.06135923151542565),
+        "delta": (szego.delta_integral(spec),
+                  0.016666666666666663, 0.016666666666666666),
+        "verify_k": (szego.verify_k(spec),
+                     0.0038497433455063164, 0.0038497433455063164),
+        "verify_reproducing": (szego.verify_reproducing(spec),
+                               0.03125000000000251, 0.03125000000000251),
+    }
+    for name, (got, pin, fsum_pin) in pins.items():
+        assert got == pin, name
+        assert abs(got - fsum_pin) <= 2.0 * math.ulp(fsum_pin), name
 
 
 def test_sphere_nodes_weights():
