@@ -456,7 +456,7 @@ def _greens(spec: QuadratureSpec):
         tau = np.array([1.0, 0, 0])
         r = greens.hermite_residual(x, tau, (0.5, 0.0, 0.0), spec)
         k = greens.k_tilde_lambda(x, tau, (0.5, 0.0, 0.0), spec)
-        return _bound_check("hermite_annihilation", r / (k * 5.0), 1e-4,
+        return _bound_check("hermite_annihilation", r / (k * 5.0), 1e-6,
                             "residual over |K~|(1 + 4|x|^2|tau|^2)")
 
     def klambda_value():

@@ -8,7 +8,13 @@ Three evaluators and their cross-checks:
                           e^{-|tau| |x|^2 coth u} sinh^-2 u du,
 
   n = tau/|tau|, annihilated by the Hermite operator
-  sum d^2/dx_l^2 - 4|x|^2|tau|^2 - 4 lambda.tau away from x = 0.
+  sum d^2/dx_l^2 - 4|x|^2|tau|^2 - 4 lambda.tau away from x = 0.  It is
+  evaluated in the v = coth u form: v = 1 + s/c with c = |tau||x|^2 gives
+
+      K~_lambda = e^{-c} / (4 pi^2 |x|^2) int_0^inf e^{-s} (s/(s+2c))^mu ds,
+
+  mu = lambda.n/2, whose integral runs on one fixed rule (``_v_rule``)
+  and is exactly 1 at mu = 0.
 
 * ``k_lambda`` -- the group-space kernel in its polar-reduced form
 
@@ -46,23 +52,27 @@ Three evaluators and their cross-checks:
   with the sign of lambda (equivalently of t) flipped, which
   ``heis_contour_sign_check`` surfaces.
 
-All integrals run on fixed Gauss-Legendre panels doubling away from 0
-(``quad.panel_grid``, cached per grid) and truncated where
-e^{-(2-|lambda|) u*} < abs_tol/10, so evaluations are deterministic and
+The u-integrals of ``k_lambda``, ``fourier_consistency`` and the
+Heisenberg-type forms run on fixed Gauss-Legendre panels doubling away
+from 0 (``quad.panel_grid``, cached per grid) and truncated where the
+integrand's decay factor falls below abs_tol/10 (abs_tol/40 for the
+Heisenberg-type forms), so evaluations are deterministic and
 vary smoothly with (x, t) inside finite-difference stencils.  The u-rule
-of ``k_tilde_lambda``, ``k_lambda`` and ``fourier_consistency`` comes with
-its coth u and u-weight 4 w/em^2 from ``_u_rule``, cached per tail end.
-The stencils of ``hermite_residual`` and ``delta_lambda_residual_on_k``
-evaluate all their points in one call.  The Hermite stencil is one array
-pass over its nine rows x + h * _OFFSETS: one einsum for their |x|^2,
-one exponent array and its exp, and one einsum row reduction, with tau
-and lambda validated once and reduced to Python floats.  The
+of ``k_lambda`` and ``fourier_consistency`` comes with its coth u and
+u-weight 4 w/em^2 from ``_u_rule``, cached per tail end.  The stencils
+of ``hermite_residual`` and ``delta_lambda_residual_on_k`` evaluate all
+their points in one call, each Richardson-extrapolated from the steps h
+and h/2, O(h^4).  The Hermite stencil is one array pass over its 17 rows
+x + h * _OFFSETS, with tau and lambda validated once and reduced to
+Python floats: at lambda.tau = 0 one exp per row, otherwise one power
+array on the rows x nodes of the rule and one einsum row reduction.  The
 Delta_lambda stencil is the line stencil of ``diffops`` (at most 29
-points, O(h^4)), its points one batched kernel call that builds the
+points), its points one batched kernel call that builds the
 lambda-dependent tables once.  Every reduction is an einsum, whose sum
 order does not depend on the number of rows, so the values are those of
-``k_tilde_lambda`` and ``k_lambda`` at each point bit for bit.  Large-u factors are computed in the form
-4 e^{-(2+a)u} / (1-e^{-2u})^2, which neither overflows nor cancels.
+``k_tilde_lambda`` and ``k_lambda`` at each point bit for bit.  Large-u
+factors are computed in the form 4 e^{-(2+a)u} / (1-e^{-2u})^2, which
+neither overflows nor cancels.
 """
 
 from __future__ import annotations
@@ -118,10 +128,11 @@ def _tail_end(decay_rate: float, spec: QuadratureSpec, slack: float = 10.0) -> f
 
 @lru_cache(maxsize=128)
 def _u_rule(hi: float):
-    """The u-panel rule on [0, hi] of the K~_lambda and K_lambda integrals,
-    as read-only (u, coth u, 4 w/em^2) with em = expm1(-2u): the nodes,
-    the coth u of the exponent and the weight w times 1/sinh^2 u =
-    4 e^{-2u}/em^2, the factor e^{-2u} left to the exponent.
+    """The u-panel rule on [0, hi] of the K_lambda integrals (of
+    ``_k_lambda_components`` and ``fourier_consistency``), as read-only
+    (u, coth u, 4 w/em^2) with em = expm1(-2u): the nodes, the coth u of
+    the exponent and the weight w times 1/sinh^2 u = 4 e^{-2u}/em^2, the
+    factor e^{-2u} left to the exponent.
 
     Cached per tail end ``hi`` and built from the uncached panel rule, so a
     new tail end costs one cache lookup, not two.
@@ -138,10 +149,43 @@ def _u_rule(hi: float):
 # ---------------------------------------------------------------------------
 # Hermite-space kernel
 
-# The nine rows of the Hermite stencil in units of the step: the centre,
-# then +e_l and -e_l for l = 0..3.
-_OFFSETS = np.concatenate([np.zeros((1, 4)), np.eye(4), -np.eye(4)])
+# The 17 rows of the Hermite stencil in units of the step: the centre,
+# then +e_l and -e_l for l = 0..3, then +e_l/2 and -e_l/2.
+_OFFSETS = np.concatenate([np.zeros((1, 4)), np.eye(4), -np.eye(4),
+                           0.5 * np.eye(4), -0.5 * np.eye(4)])
 _OFFSETS.setflags(write=False)
+
+# e^{-c} is 0.0 past c = 745.2, so I(c) is taken at c capped here: finite
+# for every c, where a c of inf would give 0 * inf.
+_C_CAP = 1e3
+
+
+@lru_cache(maxsize=1)
+def _v_rule():
+    """The fixed rule of I = int_0^inf e^{-s} (s/(s+2c))^mu ds, read-only.
+
+    I is split at s = 1.  On (0, 1) the substitution s = z^k, k = 1/(1+mu),
+    gives k int_0^1 e^{-z^k} (z^k + 2c)^{-mu} dz, free of the s^mu endpoint
+    singularity as mu -> -1; it runs on the 101 tanh-sinh nodes z of step
+    1/16 with weights wz, z = 1/(1 + e^{-2u}) = (1 + tanh u)/2 at
+    u = (pi/2) sinh t, which keeps the nodes near 0 to full relative
+    precision.  On (1, inf), s = 1 + r gives
+    e^{-1} int_0^inf e^{-r} ((1+r)/(1+r+2c))^mu dr on 32 Gauss-Laguerre
+    nodes.  Returns (z, wz, 1 + r, e^{-1} wr, I0), I0 being the rule's value
+    at mu = 0 (1 - 1.1e-16).  Within 1e-10 of mpmath's
+    2c Gamma(1+mu) U(1+mu, 2, 2c) for c in [1e-6, 700], |mu| <= 0.975.
+    """
+    t = np.arange(-50, 51) / 16.0
+    u = 0.5 * math.pi * np.sinh(t)
+    z = 1.0 / (1.0 + np.exp(-2.0 * u))
+    wz = (math.pi / 64.0) * np.cosh(t) / np.cosh(u) ** 2
+    r, wr = np.polynomial.laguerre.laggauss(32)
+    r1 = 1.0 + r
+    wr1 = wr / math.e
+    i0 = float(np.einsum("j,j->", wz, np.exp(-z)) + np.einsum("j->", wr1))
+    for arr in (z, wz, r1, wr1):
+        arr.setflags(write=False)
+    return z, wz, r1, wr1, i0
 
 
 def _tau_ray(tau, lam: Lambda) -> tuple:
@@ -162,44 +206,63 @@ def _tau_ray(tau, lam: Lambda) -> tuple:
 
 
 def _k_tilde_rows(xs: np.ndarray, ray: tuple, spec: QuadratureSpec) -> list:
-    """K~_lambda(x, tau) at every row x of ``xs`` (shape (N, 4)) on the
-    fixed u-panel rule, which the rows share since they share the ray
-    ``_tau_ray(tau, lambda)``.
+    """K~_lambda(x, tau) at every row x of ``xs`` (shape (N, 4)) on the ray
+    ``_tau_ray(tau, lambda)`` the rows share, in the v = coth u form
 
-    One array pass: the row norms, one exponent array and its exp, and one
-    row reduction against the u-weights 4 w/em^2.  The reductions are
-    einsums, whose sum order does not depend on the number of rows (a BLAS
-    product's does), so each row equals its single-row evaluation.
+        K~ = e^{-c} / (4 pi^2 |x|^2) * I,   I = int_0^inf e^{-s} (s/(s+2c))^mu ds,
+
+    with c = |tau||x|^2 and mu = lambda.tau/(2|tau|), on the fixed rule of
+    ``_v_rule``.  At mu = 0 I is the rule's constant I0, so a row costs one
+    exp.  Otherwise the nodes and weights of this mu are built once per
+    call, and I is one einsum row reduction of (2c + s)^{-mu} against
+    them, whose sum order does not depend on the number of rows (a BLAS
+    product's does), so each row equals its single-row evaluation.  The
+    rule is the same for every ``spec``.
     """
     _, tnorm, lt = ray
-    a = lt / tnorm
     xsq = np.einsum("ij,ij->i", xs, xs)
     # the sum is NaN or inf when any row is, at a fraction of a per-row test
     xl = xsq.tolist()
     if 0.0 in xl or not (sum(xl) < math.inf):
         raise ValueError("x = 0 or non-finite x outside reduced-representation domain")
-    u, coth, wu4 = _u_rule(_tail_end(2.0 + a, spec))
-    expo = np.multiply.outer(tnorm * xsq, coth)
-    np.subtract(-(a + 2.0) * u, expo, out=expo)
-    np.exp(expo, out=expo)
-    pref = tnorm / (4.0 * math.pi ** 2)
-    return (pref * np.einsum("nu,u->n", expo, wu4)).tolist()
+    c = tnorm * xsq
+    val = np.exp(-c)
+    val /= (4.0 * math.pi ** 2) * xsq
+    z, wz, r1, wr1, i0 = _v_rule()
+    if lt == 0.0:
+        val *= i0
+        return val.tolist()
+    mu = 0.5 * lt / tnorm
+    k = 1.0 / (1.0 + mu)
+    s = z ** k
+    nodes = np.concatenate([s, r1])
+    w = np.concatenate([k * wz * np.exp(-s), wr1 * r1 ** mu])
+    terms = np.add.outer(2.0 * np.minimum(c, _C_CAP), nodes)
+    np.power(terms, -mu, out=terms)
+    val *= np.einsum("nj,j->n", terms, w)
+    return val.tolist()
 
 
 def k_tilde_lambda(x, tau, lam, spec: QuadratureSpec) -> float:
-    """Evaluate K~_lambda(x, tau) on the fixed u-panel rule."""
+    """Evaluate K~_lambda(x, tau) in the v = coth u form on the fixed rule
+    of ``_v_rule``."""
     x = _x4(x)
     return _k_tilde_rows(x[None, :], _tau_ray(tau, Lambda.from_seq(lam)), spec)[0]
 
 
 def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float = 1e-3) -> float:
-    """|H~_lambda K~_lambda| at x by a second-order stencil in the four
-    x-coordinates; zero away from x = 0 up to stencil + quadrature error.
+    """|H~_lambda K~_lambda| at x, zero away from x = 0 up to stencil and
+    quadrature error.  For s in (h, h/2)
 
-    The nine stencil values come from one ``_k_tilde_rows`` call, so they
-    are those of nine ``k_tilde_lambda`` evaluations.  The step must be
+        D(s) = sum_l [K~(x + s e_l) - 2 K~(x) + K~(x - s e_l)] / s^2
+               - (4|x|^2|tau|^2 + 4 lambda.tau) K~(x),
+
+    and the residual is the Richardson extrapolation |4 D(h/2) - D(h)| / 3,
+    O(h^4).  The 17 stencil values come from one ``_k_tilde_rows`` call, so
+    they are those of 17 ``k_tilde_lambda`` evaluations.  The step must be
     positive and finite, and must not collapse the stencil: ValueError when
-    x_l + h == x_l or x_l - h == x_l in some coordinate, or h*h == 0.
+    x_l + h/2 == x_l or x_l - h/2 == x_l in some coordinate, or
+    (h/2)^2 == 0.
     """
     x = _x4(x)
     lam = Lambda.from_seq(lam)
@@ -209,17 +272,16 @@ def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float = 1e-3) -> floa
         raise ValueError("|x| >= 0.3 required away from the singular support")
     if not (0.0 < h < math.inf):
         raise ValueError("step must be positive and finite")
-    hh = h * h
-    if hh == 0.0 or any(v + h == v or v - h == v for v in xl):
+    half = 0.5 * h
+    if half * half == 0.0 or any(v + half == v or v - half == v for v in xl):
         raise ValueError("step underflows at this point")
     ray = _tau_ray(tau, lam)
     k = _k_tilde_rows(x + h * _OFFSETS, ray, spec)
     center = k[0]
-    lap = 0.0
-    for l in range(4):
-        lap += (k[1 + l] - 2.0 * center + k[5 + l]) / hh
+    lap = [sum(k[i + l] - 2.0 * center + k[i + 4 + l] for l in range(4)) / (s * s)
+           for i, s in ((1, h), (9, half))]
     tsq, _, lt = ray
-    return abs(lap - (4.0 * xsq * tsq + 4.0 * lt) * center)
+    return abs((4.0 * lap[1] - lap[0]) / 3.0 - (4.0 * xsq * tsq + 4.0 * lt) * center)
 
 
 # ---------------------------------------------------------------------------
@@ -369,27 +431,30 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
     n_nodes, n_u = len(nodes), len(u)
     step = max(1, _BLOCK_POINTS // n_u)
     work = np.empty((4, step, n_u))
-    for s in range(0, n_nodes, step):
-        blk = slice(s, min(s + step, n_nodes))
-        ev, od, q, prod = work[:, :blk.stop - s]
-        if flat:
-            ev = even                                  # broadcast over nodes
-        else:
-            # mode="clip" writes into out directly; the default buffers it
-            np.take(even, orbit[blk], axis=0, out=ev, mode="clip")
-            np.take(odd, orbit[blk], axis=0, out=od, mode="clip")
-        for i in range(len(xs)):
-            np.add.outer(B[i, blk], A[i], out=q)       # r
-            np.square(q, out=q)
-            np.square(q, out=q)
-            np.reciprocal(q, out=q)
-            np.multiply(ev, q, out=prod)
-            np.einsum("nu,ku->kn", prod, vec_even[i], out=sums[:3, i, blk])
-            if not flat:
-                np.multiply(od, q, out=prod)
-                np.einsum("nu,ku->kn", prod, vec_odd[i], out=sums[3:, i, blk])
-    re = sums[0] - 6.0 * B * sums[1] + B * B * sums[2]
-    im = 4.0 * b * (sums[3] - B * sums[4])
+    # r^-4 overflows where |x| is tiny (1e-20): the sums are then not
+    # finite, which k_lambda raises on, so numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, n_nodes, step):
+            blk = slice(s, min(s + step, n_nodes))
+            ev, od, q, prod = work[:, :blk.stop - s]
+            if flat:
+                ev = even                              # broadcast over nodes
+            else:
+                # mode="clip" writes into out directly; the default buffers it
+                np.take(even, orbit[blk], axis=0, out=ev, mode="clip")
+                np.take(odd, orbit[blk], axis=0, out=od, mode="clip")
+            for i in range(len(xs)):
+                np.add.outer(B[i, blk], A[i], out=q)   # r
+                np.square(q, out=q)
+                np.square(q, out=q)
+                np.reciprocal(q, out=q)
+                np.multiply(ev, q, out=prod)
+                np.einsum("nu,ku->kn", prod, vec_even[i], out=sums[:3, i, blk])
+                if not flat:
+                    np.multiply(od, q, out=prod)
+                    np.einsum("nu,ku->kn", prod, vec_odd[i], out=sums[3:, i, blk])
+        re = sums[0] - 6.0 * B * sums[1] + B * B * sums[2]
+        im = 4.0 * b * (sums[3] - B * sums[4])
     scale = 6.0 / (2.0 * math.pi) ** 5
     c0 = np.array([scale * np.einsum("n,n->", v, wS) for v in re])
     ck = np.array([-scale * np.einsum("n,n,nk->k", v, wS, axis) for v in im])

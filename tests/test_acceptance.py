@@ -246,7 +246,7 @@ def test_criterion_10_pde_residuals(spec):
                                            h=0.01)
     shrink = rc / r1
     rt = time.time() - t0
-    ok = (hermite_scale <= 1e-4 and r0 <= 1e-5 and r1 <= 1e-5
+    ok = (hermite_scale <= 1e-6 and r0 <= 1e-5 and r1 <= 1e-5
           and 14.0 <= shrink <= 18.0)
     _record(10, "operator annihilation residuals", ok,
             f"transform residual {hermite_scale:.1e}, group residuals "

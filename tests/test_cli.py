@@ -66,7 +66,7 @@ def test_full_report_independent_of_blas_threads(tmp_path, src_env):
 
 # sha256 of the sorted-key compact JSON of the `verify --suite all` report;
 # a change that moves any bit of the report re-pins it and says why
-REPORT_SHA256 = "1720cdfbd8ba6436cc551a6d9d9561857781c0267fa5fd45785bee188dba3f89"
+REPORT_SHA256 = "399bb0059dfc532d4820c39bebdc42e407300638a0e13c0c7f02a09e96fdbbd1"
 
 
 def test_full_report_digest_pinned(tmp_path, capsys):
@@ -276,6 +276,18 @@ def test_eval_non_finite_kernel_value_is_exit_3(argv, capsys):
     captured = capsys.readouterr()
     assert "not finite" in captured.err
     assert captured.out == ""
+
+
+def test_eval_non_finite_kernel_value_warns_nothing(src_env):
+    # the r^-4 overflow at |x| = 1e-20 ends in exit 3 with one message, and
+    # no numpy RuntimeWarning on stderr on the way
+    proc = subprocess.run(
+        [sys.executable, "-W", "default::RuntimeWarning", "-m", "qsiegel.cli",
+         "eval", "klambda", "--x", "1e-20,0,0,0", "--t", "0,0,0", "--lam", "0.5,0,0"],
+        env=src_env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "not finite" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_table_non_finite_kernel_value_is_exit_3(tmp_path, capsys):

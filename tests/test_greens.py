@@ -82,19 +82,60 @@ def test_ktilde_preconditions(spec):
         k_tilde_lambda(X_UNIT, np.array([1.0, 0.0, 0.0]), (2.0, 0.0, 0.0), spec)
 
 
+def _k_tilde_tricomi(xsq, tnorm, a):
+    """K~ from the v = coth u form in closed form, I = 2c G(1+mu) U(1+mu, 2, 2c)
+    with Tricomi's U, c = tnorm xsq and mu = a/2, by mpmath at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        c = mp.mpf(tnorm) * mp.mpf(xsq)
+        mu = mp.mpf(a) / 2
+        i = 2 * c * mp.gamma(1 + mu) * mp.hyperu(1 + mu, 2, 2 * c)
+        return float(mp.exp(-c) / (4 * mp.pi ** 2 * mp.mpf(xsq)) * i)
+
+
+@pytest.mark.parametrize("a", [-1.95, -1.9, -0.5, 0.0, 0.9, 1.95])
+def test_k_tilde_matches_tricomi_form(spec, rng, a):
+    # c = |tau||x|^2 from 1e-6 to 700 on one fixed rule, on random rays
+    # and scales of x
+    for c in np.geomspace(1e-6, 700.0, 25):
+        x = rng.normal(size=4)
+        x *= rng.uniform(0.3, 3.0) / np.linalg.norm(x)
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        tau = c / float(x @ x) * n
+        lam = a * n
+        tnorm = float(np.linalg.norm(tau))
+        want = _k_tilde_tricomi(float(x @ x), tnorm, float(lam @ tau) / tnorm)
+        got = k_tilde_lambda(x, tau, lam, spec)
+        assert abs(got - want) <= 1e-9 * want
+
+
+def test_k_tilde_lambda0_closed_form(spec):
+    # the u-panel form was 0.78 off at c = 1e-4; at lambda.tau = 0 the
+    # integral of the v-form is the rule's constant 1 - 1.1e-16
+    x = np.array([0.6, -0.5, 0.4, 0.3])
+    xsq = float(x @ x)
+    for c in np.geomspace(1e-4, 700.0, 40):
+        tau = c / xsq * np.array([0.36, 0.48, 0.8])
+        for lam in (LAM0, (0.8, -0.6, 0.0)):            # lambda orthogonal to tau
+            want = math.exp(-float(np.linalg.norm(tau)) * xsq) / (4.0 * math.pi ** 2 * xsq)
+            assert abs(k_tilde_lambda(x, tau, lam, spec) - want) <= 1e-14 * want
+
+
 def test_hermite_residual_small(spec):
     r = hermite_residual(X_UNIT, np.array([1.0, 0.0, 0.0]), (0.5, 0.0, 0.0), spec)
     k = k_tilde_lambda(X_UNIT, np.array([1.0, 0.0, 0.0]), (0.5, 0.0, 0.0), spec)
-    assert r <= 1e-4 * k * (1.0 + 4.0)
+    assert r <= 1e-6 * k * (1.0 + 4.0)
 
 
 def test_hermite_residual_second_order(spec):
     x = np.array([1.2, 0.1, -0.3, 0.4])
     tau = np.array([0.8, -0.2, 0.5])
     lam = (0.4, 0.2, -0.3)
-    r1 = hermite_residual(x, tau, lam, spec, h=4e-3)
-    r2 = hermite_residual(x, tau, lam, spec, h=2e-3)
-    assert 3.0 <= r1 / r2 <= 5.0
+    r1 = hermite_residual(x, tau, lam, spec, h=4e-2)
+    r2 = hermite_residual(x, tau, lam, spec, h=2e-2)
+    # fourth order: halving h divides the residual by 16
+    assert 14.0 <= r1 / r2 <= 18.0
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +346,15 @@ def test_k_tilde_underflow_returns_finite_zero(spec):
     assert hermite_residual(X_UNIT, tau, (0.5, 0.0, 0.0), spec) == 0.0
 
 
+@pytest.mark.parametrize("lam", [(-0.95, 0.0, 0.0), (0.45, 0.0, 0.0)])
+def test_k_tilde_overflowing_c_returns_zero(spec, lam):
+    # at c = |tau||x|^2 = 1e308, 2c overflows to inf, and inf^{-mu} is inf
+    # for mu < 0: the integral is taken at a capped c, so the value is 0.0
+    # with no RuntimeWarning, not 0 * inf
+    tau = np.array([1e108, 0.0, 0.0])
+    assert k_tilde_lambda(1e100 * X_UNIT, tau, lam, spec) == 0.0
+
+
 def test_delta_residual_lambda0(spec):
     r = delta_lambda_residual_on_k(X_UNIT, np.array([0.5, 0.0, 0.0]), LAM0, spec)
     assert r <= 1e-5
@@ -326,12 +376,12 @@ def test_delta_residual_verify_values_pinned(spec):
 
 
 def test_hermite_residual_values_pinned(spec):
-    # values of nine single-point k_tilde_lambda evaluations per residual
+    # values of 17 single-point k_tilde_lambda evaluations per residual
     assert (hermite_residual(X_UNIT, np.array([1.0, 0.0, 0.0]), (0.5, 0.0, 0.0), spec)
-            == 3.5633501451609595e-07)
+            == 9.963972702475843e-11)
     assert (hermite_residual(np.array([0.8, -0.3, 0.5, 0.2]), np.array([0.4, -0.7, 0.3]),
                              (0.3, -0.2, 0.4), spec)
-            == 3.371205943569766e-08)
+            == 2.1389487403489227e-11)
 
 
 def test_batched_rows_match_single_points(rng):
@@ -368,7 +418,7 @@ def test_k_lambda_negative_zero_lambda_is_lambda0(order, rng):
         want[0][0], *want[1][0])
 
 
-@pytest.mark.parametrize("name", ["_u_rule", "_sign_orbits"])
+@pytest.mark.parametrize("name", ["_u_rule", "_v_rule", "_sign_orbits"])
 def test_kernel_tables_cached_and_not_built_at_import(name, src_env):
     code = ("import qsiegel, qsiegel.greens as g; "
             f"assert g.{name}.cache_info().currsize == 0")
@@ -389,26 +439,41 @@ def test_u_rule_read_only_and_equal_to_panel_rule():
     assert np.array_equal(np.log(0.5 * wu4), np.log(2.0 * w / (em * em)))
 
 
-def _k_tilde_rows_per_row(xs, tau, lam, spec):
-    """The per-row form of ``_k_tilde_rows``: |x|^2 and the u-sum as one
-    NumPy dot product per row, the weight applied inside the integrand."""
-    xsq = [float(x @ x) for x in xs]
+def test_v_rule_read_only_and_exact_at_mu0():
+    z, wz, r1, wr1, i0 = greens._v_rule()
+    assert greens._v_rule()[0] is z
+    assert not any(a.flags.writeable for a in (z, wz, r1, wr1))
+    assert (len(z), len(r1)) == (101, 32)
+    assert 0.0 < z.min() and z.max() < 1.0 and r1.min() > 1.0
+    # I = int_0^inf e^{-s} ds = 1 at mu = 0
+    assert abs(i0 - 1.0) <= 4.0 * np.finfo(float).eps
+
+
+def _k_tilde_rows_per_row(xs, tau, lam):
+    """The per-row form of ``_k_tilde_rows`` in the v = coth u form: per
+    row, I as a ``math.fsum`` of Python-float terms over the nodes of
+    ``_v_rule``, each node's substitution and weight inside its term."""
+    z, wz, r1, wr1, _ = greens._v_rule()
     tnorm = float(np.linalg.norm(tau))
-    a = float(np.dot(lam.as_tuple(), tau)) / tnorm
-    u, w = panel_grid(0.0, 0.5, greens._tail_end(2.0 + a, spec))
-    em = np.expm1(-2.0 * u)
-    coth = (2.0 + em) / (-em)
-    decay = np.multiply.outer(tnorm * np.array(xsq), coth)
-    vals = 4.0 * np.exp(-(a + 2.0) * u - decay) / (em * em)
-    pref = tnorm / (4.0 * math.pi ** 2)
-    return [pref * float(np.dot(w, v)) for v in vals]
+    mu = 0.5 * float(np.dot(lam.as_tuple(), tau)) / tnorm
+    k = 1.0 / (1.0 + mu)
+    out = []
+    for x in xs:
+        xsq = float(x @ x)
+        c = tnorm * xsq
+        terms = [k * w * math.exp(-zi ** k) * (zi ** k + 2.0 * c) ** -mu
+                 for zi, w in zip(z.tolist(), wz.tolist())]
+        terms += [w * (ri / (ri + 2.0 * c)) ** mu
+                  for ri, w in zip(r1.tolist(), wr1.tolist())]
+        out.append(math.exp(-c) / (4.0 * math.pi ** 2 * xsq) * math.fsum(terms))
+    return out
 
 
 @pytest.mark.parametrize("a", [0.0, 0.9, -1.9])
 def test_k_tilde_rows_match_per_row_reference(spec, rng, a):
-    # the summation order differs from the per-row form, so the rows agree
-    # to a bound fixed from the dtype: an ulp of |x|^2 moves e^{-c} by
-    # c*eps at c = |tau||x|^2
+    # the summation order and the powers differ from the per-row form, so
+    # the rows agree to a bound fixed from the dtype: an ulp of |x|^2 moves
+    # e^{-c} by c*eps at c = |tau||x|^2
     bound = 32.0 * np.finfo(float).eps
     for c in np.geomspace(1e-2, 1e3, 16):
         x = rng.normal(size=4)
@@ -419,7 +484,7 @@ def test_k_tilde_rows_match_per_row_reference(spec, rng, a):
         lam = Lambda(*(a * n))
         xs = x + 1e-3 * greens._OFFSETS
         got = _k_tilde_rows(xs, _tau_ray(tau, lam), spec)
-        want = _k_tilde_rows_per_row(xs, tau, lam, spec)
+        want = _k_tilde_rows_per_row(xs, tau, lam)
         for g, v in zip(got, want):
             assert abs(g - v) <= bound * (1.0 + c) * abs(v)
 
