@@ -23,21 +23,15 @@ Three evaluators and their cross-checks:
 
   where P = (|x|^2 coth u - i t.n)^-4, g(n) = |lambda o n| is the
   componentwise-product norm, and g^ = sum_k (lambda_k n_k / g) i_k.
-  Both terms are even under n -> -n, so the S^2 integral runs on the
-  product rule folded onto antipodal pairs (half the nodes, weights
-  doubled), and P is computed in real arithmetic as w^4 with
-  w = 1/(|x|^2 coth u - i t.n), from a^2 and b^2 alone.  The cosh/sinh
-  weights depend on n only through g, so their exp tables are built on
-  one node per orbit of the folded rule under n1 -> -n1 and n2 -> -n2;
-  where g = 0 at every node (lambda = 0, Kaplan's K_0) the even table is
-  one row and the odd half, exactly zero, is not computed.  The sphere
-  sum walks the nodes in fixed-size blocks; every sum is an einsum, never
-  a BLAS call, so values do not depend on the BLAS thread count.  The
-  real part of the construction at lambda = 0 is the classical inverse
-  Fourier transform of the radial Hermite kernel; the lambda-coupling is
-  derived in ``_k_lambda_components``.  The reduced representation needs
-  |x| > 0 and |lambda| < 2; values at x = 0 exist only by homogeneity and
-  are deliberately not extrapolated.
+  It is reduced to |x| = 1 by homogeneity and its u-integral runs in
+  s = coth u - 1 on one fixed 64-node rule (``_s_rule``) whose weights
+  alone depend on g; the S^2 integral runs on the product rule folded
+  onto antipodal pairs.  ``spec`` sets only the sphere order: the
+  u-rule's floor is about 2e-13 and ``abs_tol`` does not lengthen it.
+  The real part at lambda = 0 is the classical inverse Fourier transform
+  of the radial Hermite kernel; the lambda-coupling is derived in
+  ``_k_lambda_components``.  The reduced representation needs |x| > 0
+  and |lambda| < 2; values at x = 0 are deliberately not extrapolated.
 
 * ``heis_k_closed`` / ``heis_k_quadrature`` -- the Heisenberg-type
   degeneration in the {1, i1} plane: the Gamma-product closed form
@@ -52,27 +46,18 @@ Three evaluators and their cross-checks:
   with the sign of lambda (equivalently of t) flipped, which
   ``heis_contour_sign_check`` surfaces.
 
-The u-integrals of ``k_lambda``, ``fourier_consistency`` and the
-Heisenberg-type forms run on fixed Gauss-Legendre panels doubling away
-from 0 (``quad.panel_grid``, cached per grid) and truncated where the
-integrand's decay factor falls below abs_tol/10 (abs_tol/40 for the
-Heisenberg-type forms), so evaluations are deterministic and
-vary smoothly with (x, t) inside finite-difference stencils.  The u-rule
-of ``k_lambda`` and ``fourier_consistency`` comes with its coth u and
-u-weight 4 w/em^2 from ``_u_rule``, cached per tail end.  The stencils
-of ``hermite_residual`` and ``delta_lambda_residual_on_k`` evaluate all
-their points in one call, each Richardson-extrapolated from the steps h
-and h/2, O(h^4).  The Hermite stencil is one array pass over its 17 rows
-x + h * _OFFSETS, with tau and lambda validated once and reduced to
-Python floats: at lambda.tau = 0 one exp per row, otherwise one power
-array on the rows x nodes of the rule and one einsum row reduction.  The
-Delta_lambda stencil is the line stencil of ``diffops`` (at most 29
-points), its points one batched kernel call that builds the
-lambda-dependent tables once.  Every reduction is an einsum, whose sum
-order does not depend on the number of rows, so the values are those of
-``k_tilde_lambda`` and ``k_lambda`` at each point bit for bit.  Large-u
-factors are computed in the form 4 e^{-(2+a)u} / (1-e^{-2u})^2, which
-neither overflows nor cancels.
+The u-integrals of ``fourier_consistency`` and the Heisenberg-type forms
+run on fixed Gauss-Legendre panels doubling away from 0
+(``quad.panel_grid``), truncated where the integrand's decay factor falls
+below abs_tol/10 (abs_tol/40 for the Heisenberg-type forms).  Every rule
+is fixed, so evaluations are deterministic and vary smoothly with (x, t)
+inside finite-difference stencils.  The stencils of ``hermite_residual``
+and ``delta_lambda_residual_on_k`` evaluate all their points in one call,
+Richardson-extrapolated from the steps h and h/2, O(h^4).  Every reduction
+is an einsum, whose sum order does not depend on the number of rows, so
+each stencil value is that of ``k_tilde_lambda`` or ``k_lambda`` at its
+point bit for bit.  Large-u factors are computed in the form
+4 e^{-(2+a)u} / (1-e^{-2u})^2, which neither overflows nor cancels.
 """
 
 from __future__ import annotations
@@ -83,8 +68,8 @@ from functools import lru_cache
 import numpy as np
 
 from .quat import Quaternion
-from .quad import (QuadratureSpec, QuadratureError, _panel_rule, panel_grid,
-                   sphere2_nodes)
+from .quad import (QuadratureSpec, QuadratureError, _leggauss, _panel_rule,
+                   gauss_rule, panel_grid, sphere2_nodes)
 from .diffops import Lambda, _delta_lambda_lines
 
 __all__ = [
@@ -128,11 +113,10 @@ def _tail_end(decay_rate: float, spec: QuadratureSpec, slack: float = 10.0) -> f
 
 @lru_cache(maxsize=128)
 def _u_rule(hi: float):
-    """The u-panel rule on [0, hi] of the K_lambda integrals (of
-    ``_k_lambda_components`` and ``fourier_consistency``), as read-only
+    """The u-panel rule on [0, hi] of ``fourier_consistency``, as read-only
     (u, coth u, 4 w/em^2) with em = expm1(-2u): the nodes, the coth u of
-    the exponent and the weight w times 1/sinh^2 u = 4 e^{-2u}/em^2, the
-    factor e^{-2u} left to the exponent.
+    the exponent and the weight w times 1/sinh^2 u = 4 e^{-2u}/em^2.  Its
+    nodes are not those of ``k_lambda``'s ``_s_rule``.
 
     Cached per tail end ``hi`` and built from the uncached panel rule, so a
     new tail end costs one cache lookup, not two.
@@ -319,6 +303,59 @@ def _sign_orbits(order: int):
     return reps, orbit
 
 
+@lru_cache(maxsize=1)
+def _s_rule():
+    """The fixed rule of K_lambda's u-integrals in s = coth u - 1, read-only.
+
+    dv = -sinh^-2 u du at v = coth u, and e^{2u} = rho = (2+s)/s, so
+
+        int_0^inf sinh^-2 u {cosh,sinh}(g u) F(coth u) du
+            = int_0^inf (rho^{g/2} +- rho^{-g/2})/2 F(1 + s) ds.
+
+    On (0, 1), rho^{+-g/2} = s^alpha (2+s)^{+-g/2}, alpha = -+g/2 > -1, on
+    24 Gauss-Legendre nodes with product-integration weights (Piessens et
+    al., QUADPACK, 1983) w_j(alpha) = sum_k L[k, j] m_k(alpha), where
+    L[k, j] = w_j (2k+1) P~_k(s_j) (shifted Legendre P~_k) and the exact
+    moments of s^alpha are m_0 = 1/(alpha+1), m_k = m_{k-1}
+    (alpha-k+1)/(alpha+k+1).  On (1, inf), 40 Gauss-Legendre nodes in
+    sigma = 1/s, weight sigma^-2 and rho = 1 + 2 sigma.  Returns the 64
+    nodes s, L, the weights at g = 0 and per node log(2 + s) or
+    log(1 + 2 sigma).  Per sphere node within 2e-13 of mpmath relative to
+    |E| + |O| for g in [0, 1.99], t.n/|x|^2 in [0, 7].
+    """
+    x, w = _leggauss(24)
+    legendre = (0.5 * w) * np.polynomial.legendre.legvander(x, 23).T
+    legendre *= (2.0 * np.arange(24.0) + 1.0)[:, None]
+    sigma, w_sigma = gauss_rule(40, 0.0, 1.0)
+    s = np.concatenate([0.5 + 0.5 * x, 1.0 / sigma])
+    w0 = np.concatenate([legendre[0], w_sigma / (sigma * sigma)])
+    log_f = np.concatenate([np.log(2.5 + 0.5 * x), np.log1p(2.0 * sigma)])
+    for arr in (s, legendre, w0, log_f):
+        arr.setflags(write=False)
+    return s, legendre, w0, log_f
+
+
+def _s_weights(g: np.ndarray):
+    """The even and odd weight tables (rho^{g/2} +- rho^{-g/2})/2 of
+    ``_s_rule`` at each g of ``g``, shape (len(g), 64): the moments of
+    both alpha = -+g/2 by one cumprod, their weights by one einsum."""
+    s, legendre, w0, log_f = _s_rule()
+    n_lo, n = len(legendre), len(g)
+    half = 0.5 * g
+    alpha = np.concatenate([-half, half])     # of rho^{g/2}, then rho^{-g/2}
+    k = np.arange(1.0, n_lo)[:, None]
+    m = np.empty((n_lo, 2 * n))
+    m[0] = 1.0 / (alpha + 1.0)
+    np.divide(alpha - k + 1.0, alpha + k + 1.0, out=m[1:])
+    np.cumprod(m, axis=0, out=m)
+    w = np.empty((2 * n, len(s)))
+    w[:, :n_lo] = np.einsum("ko,kj->jo", m, legendre).T
+    w[:, n_lo:] = w0[n_lo:]
+    f = np.exp(np.outer(half, log_f))       # (2+s)^{g/2} and (1+2 sigma)^{g/2}
+    plus, minus = w[:n] * f, w[n:] / f
+    return 0.5 * (plus + minus), 0.5 * (plus - minus)
+
+
 def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
     """Polar-reduced kernel components at the points (xs[i], ts[i]).
 
@@ -329,57 +366,40 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
         K_k  = -c int int  (lambda_k n_k / g) sinh(g u) sinh^-2 u  Im P
                                                               du dsigma
 
-    with c = 6/(2 pi)^5.  This is the inverse Fourier transform in the
-    central variable of the Hermite-kernel system: left multiplication by
-    i_{lambda tau} = sum_k lambda_k tau_k i_k has eigenvalues +-i|g| r,
+    with c = 6/(2 pi)^5: the inverse Fourier transform in the central
+    variable of the Hermite-kernel system.  Left multiplication by
+    i_{lambda tau} = sum_k lambda_k tau_k i_k has eigenvalues +-i g r,
     whose eigenprojections split the transformed equation into two scalar
-    Hermite problems with couplings +-|lambda o tau|; recombining their
-    solutions gives the even (cosh) real part and odd (sinh) imaginary
-    part above.  The naive replacement of both weights by exp(-lambda.n u)
-    is exact only when the central variable is one-dimensional (where all
-    the imaginary units involved commute); in the three-dimensional case
-    it fails the defining equation, which ``delta_lambda_residual_on_k``
-    makes measurable.
-
-    Both integrands are even under n -> -n: g and the cosh/sinh weights
-    are even, Re P is even in b = t.n, and Im P and the axis
-    (lambda o n)/g are both odd.  So the sphere rule is the one folded
-    onto antipodal pairs (``sphere2_nodes(order, fold=True)``, half the
-    nodes).
+    Hermite problems with couplings +-|lambda o tau|; their solutions
+    recombine into the even (cosh) real part and odd (sinh) imaginary
+    part.  The naive weight exp(-lambda.n u) on both is exact only for a
+    one-dimensional centre; ``delta_lambda_residual_on_k`` measures it.
 
     ``xs`` and ``ts`` hold one point per row, shapes (N, 4) and (N, 3).
 
-    * Orbit tables.  The cosh/sinh weights depend on n only through g,
-      which sign flips of n1 and n2 keep, so the two exp tables are built
-      once per call on one node of each orbit (``_sign_orbits``: 272 of
-      the 1024 folded nodes at order 32) and gathered per node.  The
-      u-weight 2 wu/em^2 = (4 wu/em^2)/2 of ``_u_rule`` enters each
-      exponent as its log, and the sphere weight is applied after the
-      u-sum.
-    * lambda = 0.  When g is 0 at every node (lambda = 0, or a lambda with
-      -0.0 components) both tables are the same at every node: the even
-      table is built on one row that multiplies every block by
-      broadcasting, with no gather, and the odd table, exactly 0.0, is
-      neither built nor summed; its sums stay 0.0.  The values are those
-      of the orbit-table path bit for bit.
-    * The w^4 form.  With a = |x|^2 coth u, b = t.n, A = a^2, B = b^2
-      and r = A + B, P = w^4 for w = 1/(a - i b) = (a + i b)/r is
+    * Homogeneity.  P(x, t) = |x|^-8 P(x/|x|, t/|x|^2): each row runs at
+      |x| = 1 with b = t.n/|x|^2 and is multiplied by |x|^-8 at the end,
+      which overflows to inf for |x| below about 1e-39.
+    * The u-integral runs on ``_s_rule``, so a = |x|^2 coth u is 1 + s
+      for every row.  With A = a^2, B = b^2 and r = A + B, P = w^4 for
+      w = 1/(a - i b) = (a + i b)/r is
 
           Re P = (A^2 - 6AB + B^2)/r^4,    Im P = 4ab(A - B)/r^4,
 
-      so each node's u-sums are the products table/r^4 reduced against
-      the u-vectors A^2, A, 1 (even table) and aA, a (odd table), and
-      are combined with the node's B and b afterwards.
-    * Node blocks.  The folded nodes are walked in blocks of about
-      _BLOCK_POINTS grid points, the rows inside each block, in buffers
-      allocated once per call; the per-node sums are reduced over the
-      nodes once at the end.  A single point allocates no node x u array,
-      each row keeps the arithmetic of a single point, and no value
-      depends on the block size.
-    * Reductions.  Every sum is an einsum on operands whose shape does
-      not depend on the number of rows, never a BLAS call: a threaded
-      BLAS sum splits by thread, so the value would depend on the thread
-      count.
+      so each node's sums are the products table/r^4 reduced against
+      A^2, A, 1 (even table) and aA, a (odd table), combined with the
+      node's B and b afterwards.
+    * Both integrands are even under n -> -n, so the sphere rule is
+      ``sphere2_nodes(order, fold=True)``.  The weight tables depend on n
+      only through g, so they are built once per orbit of the rule under
+      n1 -> -n1, n2 -> -n2 (``_sign_orbits``) and gathered per node.
+      Where g = 0 at every node (lambda = 0, also with -0.0 components)
+      the even table is one row broadcast over the nodes and the odd
+      table, exactly zero, is neither built nor summed.
+    * The nodes are walked in blocks of about _BLOCK_POINTS grid points,
+      rows inside each block.  Every sum is an einsum whose operand shapes
+      depend on neither the rows nor the block size, never a BLAS call
+      (it splits by thread): each row equals its single-point value.
 
     Returns c0 of shape (N,) and ck of shape (N, 3).
     """
@@ -388,55 +408,34 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
     ln = nodes * np.asarray(lam.as_tuple())[None, :]  # (lambda o n) per node
     g = np.linalg.norm(ln, axis=1)
     axis = ln / np.where(g > 0.0, g, 1.0)[:, None]    # 0 where lambda o n is
-    u, coth, wu4 = _u_rule(_tail_end(2.0 - lam.norm(), spec))
-
-    # 2 wu cosh(g u)/sinh^2 u and 2 wu sinh(g u)/sinh^2 u per orbit,
-    # overflow-free: 4 e^{-2u} cosh(g u) = 2(e^{-(2-g)u} + e^{-(2+g)u}), the
-    # same with a minus for sinh, and the weight enters each exponent as
-    # log(2 wu/em^2) = log(wu4/2); the slow rate 2-g stays positive because
-    # g <= |lambda| < 2.  With every g = 0 (lambda = 0) the even table is
-    # one row and the odd one is zero.
-    log_w = np.log(0.5 * wu4)
+    s, _, w0, _ = _s_rule()
     flat = not g.any()
     if flat:
-        even = -2.0 * u + log_w
-        np.exp(even, out=even)
-        even += even
+        even = w0
     else:
         reps, orbit = _sign_orbits(order)
-        g_rep = g[reps]
-        even = np.outer(g_rep - 2.0, u)
-        even += log_w
-        np.exp(even, out=even)
-        fast = np.outer(-(2.0 + g_rep), u)
-        fast += log_w
-        np.exp(fast, out=fast)
-        odd = even - fast
-        even += fast
-        del fast
+        even, odd = _s_weights(g[reps])
 
+    a = 1.0 + s
+    A = a * a
+    vec_even, vec_odd = np.stack([A * A, A, np.ones_like(A)]), np.stack([a * A, a])
     # per-row setup and final sums run row by row on 1-D operands: one
     # (rows, nodes) einsum over more than 8192 nodes sums in buffered
     # chunks and gave rows that differ from single-row calls
-    a = np.stack([np.einsum("j,j->", x, x) * coth for x in xs])
-    A = a * a
-    b = np.stack([np.einsum("nk,k->n", nodes, t) for t in ts])  # signed t.n
-    B = b * b
-    # the u-vectors of the even-table sums (A^2, A, 1) and of the odd ones
-    vec_even = np.stack([A * A, A, np.ones_like(A)], axis=1)
-    vec_odd = np.stack([a * A, a], axis=1)
-    # per-node u-sums of table * vec / r^4, rows on axis 1; the odd sums
-    # stay 0 when the odd table is
-    sums = np.zeros((5,) + b.shape)
-    n_nodes, n_u = len(nodes), len(u)
-    step = max(1, _BLOCK_POINTS // n_u)
-    work = np.empty((4, step, n_u))
-    # r^-4 overflows where |x| is tiny (1e-20): the sums are then not
+    xsq = np.array([np.einsum("j,j->", x, x) for x in xs])
+    # b and |x|^-8 overflow where |x| is tiny: the values are then not
     # finite, which k_lambda raises on, so numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, n_nodes, step):
-            blk = slice(s, min(s + step, n_nodes))
-            ev, od, q, prod = work[:, :blk.stop - s]
+        b = np.stack([np.einsum("nk,k->n", nodes, t) / sq for t, sq in zip(ts, xsq)])
+        B = b * b
+        # per-node sums of table * vec / r^4, rows on axis 1; odd ones stay 0
+        sums = np.zeros((5,) + b.shape)
+        n_nodes, n_u = len(nodes), len(s)
+        step = max(1, _BLOCK_POINTS // n_u)
+        work = np.empty((4, step, n_u))
+        for lo in range(0, n_nodes, step):
+            blk = slice(lo, min(lo + step, n_nodes))
+            ev, od, q, prod = work[:, :blk.stop - lo]
             if flat:
                 ev = even                              # broadcast over nodes
             else:
@@ -444,20 +443,20 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
                 np.take(even, orbit[blk], axis=0, out=ev, mode="clip")
                 np.take(odd, orbit[blk], axis=0, out=od, mode="clip")
             for i in range(len(xs)):
-                np.add.outer(B[i, blk], A[i], out=q)   # r
+                np.add.outer(B[i, blk], A, out=q)      # r
                 np.square(q, out=q)
                 np.square(q, out=q)
                 np.reciprocal(q, out=q)
                 np.multiply(ev, q, out=prod)
-                np.einsum("nu,ku->kn", prod, vec_even[i], out=sums[:3, i, blk])
+                np.einsum("nu,ku->kn", prod, vec_even, out=sums[:3, i, blk])
                 if not flat:
                     np.multiply(od, q, out=prod)
-                    np.einsum("nu,ku->kn", prod, vec_odd[i], out=sums[3:, i, blk])
+                    np.einsum("nu,ku->kn", prod, vec_odd, out=sums[3:, i, blk])
         re = sums[0] - 6.0 * B * sums[1] + B * B * sums[2]
         im = 4.0 * b * (sums[3] - B * sums[4])
-    scale = 6.0 / (2.0 * math.pi) ** 5
-    c0 = np.array([scale * np.einsum("n,n->", v, wS) for v in re])
-    ck = np.array([-scale * np.einsum("n,n,nk->k", v, wS, axis) for v in im])
+        scale = 6.0 / (2.0 * math.pi) ** 5 * np.power(xsq, -4.0)
+        c0 = np.array([np.einsum("n,n->", v, wS) for v in re]) * scale
+        ck = np.array([-np.einsum("n,n,nk->k", v, wS, axis) for v in im]) * scale[:, None]
     return c0, ck
 
 
@@ -467,7 +466,7 @@ def k_lambda(x, t, lam, spec: QuadratureSpec) -> Quaternion:
     Real for lambda = 0; homogeneous of degree -8 under (x, t) ->
     (d x, d^2 t) exactly at the level of the rule (shared nodes), and
     conjugated by t -> -t.  Raises QuadratureError where a component is
-    not finite.
+    not finite (|x| below about 1e-39).
     """
     x = _x4(x)
     t = _t3(t)

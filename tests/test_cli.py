@@ -66,7 +66,7 @@ def test_full_report_independent_of_blas_threads(tmp_path, src_env):
 
 # sha256 of the sorted-key compact JSON of the `verify --suite all` report;
 # a change that moves any bit of the report re-pins it and says why
-REPORT_SHA256 = "399bb0059dfc532d4820c39bebdc42e407300638a0e13c0c7f02a09e96fdbbd1"
+REPORT_SHA256 = "1871296226c437b528a48ca9e73cf32ec8bd888afd5afd2da73ec00d493c0207"
 
 
 def test_full_report_digest_pinned(tmp_path, capsys):
@@ -267,11 +267,11 @@ def test_verify_abs_tol_below_nested_range_is_usage_error(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["eval", "klambda", "--x", "1e-20,0,0,0", "--t", "0,0,0", "--lam", "0,0,0"],
-    ["eval", "klambda", "--x", "1e-20,0,0,0", "--t", "0,0,0", "--lam", "0.5,0,0"],
+    ["eval", "klambda", "--x", "1e-40,0,0,0", "--t", "0,0,0", "--lam", "0,0,0"],
+    ["eval", "klambda", "--x", "1e-40,0,0,0", "--t", "0,0,0", "--lam", "0.5,0,0"],
 ])
 def test_eval_non_finite_kernel_value_is_exit_3(argv, capsys):
-    # r^-4 overflows at |x| = 1e-20: exit 3, never "nan ..." with exit 0
+    # |x|^-8 overflows at |x| = 1e-40: exit 3, never "nan ..." with exit 0
     assert cli.main(argv) == 3
     captured = capsys.readouterr()
     assert "not finite" in captured.err
@@ -279,11 +279,11 @@ def test_eval_non_finite_kernel_value_is_exit_3(argv, capsys):
 
 
 def test_eval_non_finite_kernel_value_warns_nothing(src_env):
-    # the r^-4 overflow at |x| = 1e-20 ends in exit 3 with one message, and
+    # the |x|^-8 overflow at |x| = 1e-40 ends in exit 3 with one message, and
     # no numpy RuntimeWarning on stderr on the way
     proc = subprocess.run(
         [sys.executable, "-W", "default::RuntimeWarning", "-m", "qsiegel.cli",
-         "eval", "klambda", "--x", "1e-20,0,0,0", "--t", "0,0,0", "--lam", "0.5,0,0"],
+         "eval", "klambda", "--x", "1e-40,0,0,0", "--t", "0,0,0", "--lam", "0.5,0,0"],
         env=src_env, capture_output=True, text=True)
     assert proc.returncode == 3
     assert "not finite" in proc.stderr
@@ -293,7 +293,7 @@ def test_eval_non_finite_kernel_value_warns_nothing(src_env):
 def test_table_non_finite_kernel_value_is_exit_3(tmp_path, capsys):
     out = tmp_path / "kl.csv"
     assert cli.main(["table", "--kind", "klambda", "--out", str(out),
-                     "--xnorm", "1e-20", "--t", "0", "--lam", "0"]) == 3
+                     "--xnorm", "1e-40", "--t", "0", "--lam", "0"]) == 3
     assert "nan" not in out.read_text()
     assert capsys.readouterr().out == ""
 

@@ -12,7 +12,7 @@ import pytest
 
 from qsiegel.quat import Quaternion
 from qsiegel.quad import (QuadratureError, QuadratureSpec, integrate_1d,
-                          panel_grid, sphere2_nodes)
+                          integrate_nested, panel_grid, sphere2_nodes)
 from qsiegel.diffops import Lambda
 from qsiegel import greens
 from qsiegel.greens import (k_tilde_lambda, hermite_residual, k_lambda,
@@ -162,10 +162,111 @@ def test_k_lambda_matches_kaplan_closed_form(spec):
             want = 1.0 / (4.0 * math.pi ** 4 * (xn ** 4 + float(t @ t)) ** 2)
             assert abs(v.t - want) <= 1e-10 * want
             assert v.imag_norm() <= 1e-10 * want
-    # the smallest |x| of this order: k_lambda raises at 1e-20 (test_cli)
+    # a small |x| of this order: k_lambda raises at 1e-40 (test_cli)
     v = k_lambda(np.array([1e-18, 0.0, 0.0, 0.0]), T_ZERO, LAM0, spec)
     want = 1.0 / (4.0 * math.pi ** 4 * 1e-72 ** 2)
     assert abs(v.t - want) <= 1e-10 * want
+
+
+def test_k_lambda_homogeneity_at_tiny_x(spec):
+    # the kernel runs at |x| = 1 with |x|^-8 applied last, so |x| = 1e-20
+    # is finite (|x|^-8 overflows only below about 1e-39)
+    for lam in (LAM0, (0.5, 0.0, 0.0)):
+        want = 1e160 * k_lambda(X_UNIT, T_ZERO, lam, spec).t
+        v = k_lambda(1e-20 * X_UNIT, T_ZERO, lam, spec)
+        assert abs(v.t - want) <= 1e-12 * want
+        assert v.imag_norm() == 0.0
+
+
+def _j_sphere_mean(lam, spec):
+    """int_{S^2} J(|lambda o n|/2) dsigma, J(z) = (pi z/sin pi z)(1+2z^2)/3,
+    by ``integrate_nested`` in (cos theta, phi) on one octant: J depends on
+    n only through n^2, and the engine shares no node with sphere2_nodes."""
+    l1, l2, l3 = lam
+
+    def f(c, phi):
+        sn = np.sqrt(1.0 - c * c)
+        z = 0.5 * np.sqrt((l1 * sn * np.cos(phi)) ** 2 + (l2 * sn * np.sin(phi)) ** 2
+                          + (l3 * c) ** 2)
+        pz = math.pi * np.where(z == 0.0, 1.0, z)
+        ratio = np.where(z == 0.0, 1.0, pz / np.sin(pz))
+        return ratio * (1.0 + 2.0 * z * z) / 3.0
+
+    res = integrate_nested(((0.0, 1.0), (0.0, 0.5 * math.pi)), f, spec)
+    assert res.converged
+    return 8.0 * res.value
+
+
+@pytest.mark.parametrize("lam, order, bound", [
+    ((0.0, 0.0, 0.0), 32, 1e-13), ((0.8, 0.0, 0.0), 32, 1e-13),
+    ((0.3, -0.7, 0.5), 32, 1e-13), ((1.2, 1.0, 0.6), 32, 1e-13),
+    ((1.95, 0.0, 0.0), 64, 5e-13)])
+def test_k_lambda_t0_beta_integral(lam, order, bound):
+    # at t = 0, P = |x|^-8 tanh^4 u is real and the u-integral is a Beta
+    # integral: K_lambda(x, 0) = 6/(2 pi)^5 |x|^-8 int_{S^2} J(|lambda o n|/2)
+    x = np.array([1.0, 0.2, -0.3, 0.5])
+    mean = _j_sphere_mean(lam, QuadratureSpec(rel_tol=1e-14, abs_tol=1e-15))
+    want = 6.0 / (2.0 * math.pi) ** 5 / float(x @ x) ** 4 * mean
+    v = k_lambda(x, T_ZERO, lam, QuadratureSpec(sphere_order=order))
+    assert abs(v.t - want) <= bound * want
+    assert v.imag_norm() == 0.0
+
+
+def _s_rule_mpmath(g, b):
+    """E and O of one sphere node at |x| = 1 by mpmath at 30 digits:
+    int_0^inf (rho^{g/2} +- rho^{-g/2})/2 {Re, Im}(1 + s - i b)^-4 ds,
+    rho = (2+s)/s, with s = y^p, p = 1/(1 - g/2), on (0, 1), which makes
+    the s^{-g/2} endpoint factor smooth."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        g, b = mp.mpf(g), mp.mpf(b)
+        p = 1 / (1 - g / 2)
+
+        def parts(s):
+            rho = (2 + s) / s
+            q = (1 + s - 1j * b) ** -4
+            return rho ** (g / 2), rho ** (-g / 2), q
+
+        def fe(s):
+            up, down, q = parts(s)
+            return (up + down) / 2 * mp.re(q)
+
+        def fo(s):
+            up, down, q = parts(s)
+            return (up - down) / 2 * mp.im(q)
+
+        def integral(f):
+            lo = mp.quad(lambda y: f(y ** p) * p * y ** (p - 1), [0, 0.5, 0.9, 1])
+            return lo + mp.quad(f, [1, 4, mp.inf])
+
+        return float(integral(fe)), float(integral(fo))
+
+
+@pytest.mark.parametrize("g", [0.0, 1.0, 1.95, 1.99])
+def test_s_rule_matches_mpmath(g):
+    # per sphere node, relative to |E| + |O|; the u-panel rule it replaced
+    # was 2.1e-12 off at g = 0, b = 7
+    s = greens._s_rule()[0]
+    even, odd = greens._s_weights(np.array([g]))
+    for b in (0.0, 1.0, 7.0):
+        q = (1.0 + s - 1j * b) ** -4.0
+        e, o = float(even[0] @ q.real), float(odd[0] @ q.imag)
+        want_e, want_o = _s_rule_mpmath(g, b)
+        assert abs(e - want_e) + abs(o - want_o) <= 5e-13 * (abs(want_e) + abs(want_o))
+
+
+def test_s_rule_read_only_and_gauss_at_g0():
+    s, legendre, w0, log_f = greens._s_rule()
+    assert greens._s_rule()[0] is s
+    assert not any(a.flags.writeable for a in (s, legendre, w0, log_f))
+    assert s.shape == w0.shape == log_f.shape == (64,) and legendre.shape == (24, 24)
+    assert np.all(np.diff(s[:24]) > 0.0) and 0.0 < s[0] and s[23] < 1.0 < s[24:].min()
+    # at g = 0 the product weights are the Gauss weights, the odd ones 0
+    even, odd = greens._s_weights(np.zeros(3))
+    assert np.array_equal(even, np.broadcast_to(w0, even.shape))
+    assert not odd.any()
+    # w0 integrates int_0^inf (1 + s)^-2 ds = 1 to rounding
+    assert abs(float(w0 @ (1.0 + s) ** -2) - 1.0) <= 1e-15
 
 
 def _k_lambda_full_sphere(x, t, lam, order):
@@ -370,9 +471,9 @@ def test_delta_residual_verify_values_pinned(spec):
     # the two kernel_annihilation points of the verify suite, on the line
     # stencil (17 and 25 points in one batched k_lambda call)
     t = np.array([0.5, 0.0, 0.0])
-    assert delta_lambda_residual_on_k(X_UNIT, t, LAM0, spec) == 1.940129596519174e-07
+    assert delta_lambda_residual_on_k(X_UNIT, t, LAM0, spec) == 1.9395751379906958e-07
     assert (delta_lambda_residual_on_k(X_UNIT, t, (0.5, 0.3, 0.0), spec)
-            == 1.8822280875601618e-07)
+            == 1.8767231629042663e-07)
 
 
 def test_hermite_residual_values_pinned(spec):
@@ -418,7 +519,7 @@ def test_k_lambda_negative_zero_lambda_is_lambda0(order, rng):
         want[0][0], *want[1][0])
 
 
-@pytest.mark.parametrize("name", ["_u_rule", "_v_rule", "_sign_orbits"])
+@pytest.mark.parametrize("name", ["_u_rule", "_s_rule", "_v_rule", "_sign_orbits"])
 def test_kernel_tables_cached_and_not_built_at_import(name, src_env):
     code = ("import qsiegel, qsiegel.greens as g; "
             f"assert g.{name}.cache_info().currsize == 0")
