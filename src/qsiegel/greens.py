@@ -23,13 +23,15 @@ Three evaluators and their cross-checks:
 
   where P = (|x|^2 coth u - i t.n)^-4, g(n) = |lambda o n| is the
   componentwise-product norm, and g^ = sum_k (lambda_k n_k / g) i_k.
-  It is reduced to |x| = 1 by homogeneity and its u-integral runs in
-  s = coth u - 1 on one fixed 64-node rule (``_s_rule``) whose weights
-  alone depend on g; the S^2 integral runs on the product rule folded
-  onto antipodal pairs.  ``spec`` sets only the sphere order: the
-  u-rule's floor is about 2e-13 and ``abs_tol`` does not lengthen it.
-  The real part at lambda = 0 is the classical inverse Fourier transform
-  of the radial Hermite kernel; the lambda-coupling is derived in
+  It is reduced to |x| = 1 by homogeneity, b = t.n/|x|^2.  At lambda = 0
+  the u-integral is exact, (1 - 3b^2)/(3 (1 + b^2)^3) per sphere node;
+  otherwise it runs in s = coth u - 1 on one fixed 64-node rule
+  (``_s_rule``) whose weights alone depend on g.  The S^2 integral runs
+  on the product rule folded onto antipodal pairs.  ``spec`` sets only
+  the sphere order: the u-rule's floor is about 2e-13 at lambda != 0 and
+  ``abs_tol`` does not lengthen it.  The real part at lambda = 0 is the
+  classical inverse Fourier transform of the radial Hermite kernel
+  (Kaplan's kernel); the lambda-coupling is derived in
   ``_k_lambda_components``.  The reduced representation needs |x| > 0
   and |lambda| < 2; values at x = 0 are deliberately not extrapolated.
 
@@ -338,7 +340,8 @@ def _s_rule():
 def _s_weights(g: np.ndarray):
     """The even and odd weight tables (rho^{g/2} +- rho^{-g/2})/2 of
     ``_s_rule`` at each g of ``g``, shape (len(g), 64): the moments of
-    both alpha = -+g/2 by one cumprod, their weights by one einsum."""
+    both alpha = -+g/2 by one cumprod, their weights by one einsum, the
+    two signs combined in place."""
     s, legendre, w0, log_f = _s_rule()
     n_lo, n = len(legendre), len(g)
     half = 0.5 * g
@@ -352,8 +355,22 @@ def _s_weights(g: np.ndarray):
     w[:, :n_lo] = np.einsum("ko,kj->jo", m, legendre).T
     w[:, n_lo:] = w0[n_lo:]
     f = np.exp(np.outer(half, log_f))       # (2+s)^{g/2} and (1+2 sigma)^{g/2}
-    plus, minus = w[:n] * f, w[n:] / f
-    return 0.5 * (plus + minus), 0.5 * (plus - minus)
+    plus, minus = w[:n], w[n:]
+    plus *= f
+    minus /= f
+    odd = plus - minus
+    plus += minus
+    plus *= 0.5                             # exact: a power of 2
+    odd *= 0.5
+    return plus, odd
+
+
+def _u_integral_lambda0(B):
+    """int_0^inf Re (1 + s - i b)^-4 ds = Re (1 - i b)^-3 / 3 at B = b^2,
+    elementwise: the u-integral of one sphere node at |x| = 1 and
+    lambda = 0, exact."""
+    d = 1.0 + B
+    return (1.0 - 3.0 * B) / (3.0 * d * d * d)
 
 
 def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
@@ -380,8 +397,17 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
     * Homogeneity.  P(x, t) = |x|^-8 P(x/|x|, t/|x|^2): each row runs at
       |x| = 1 with b = t.n/|x|^2 and is multiplied by |x|^-8 at the end,
       which overflows to inf for |x| below about 1e-39.
-    * The u-integral runs on ``_s_rule``, so a = |x|^2 coth u is 1 + s
-      for every row.  With A = a^2, B = b^2 and r = A + B, P = w^4 for
+    * lambda = 0 (g = 0 at every node: also with -0.0 components, or
+      where every (lambda_k n_k)^2 underflows).  The weight is 1 and each
+      node's u-integral is exact, with no u-rule floor
+      (``_u_integral_lambda0``):
+
+          int_0^inf Re (1 + s - i b)^-4 ds = (1 - 3B)/(3 (1 + B)^3),
+
+      B = b^2, summed over the nodes; ck is -0.0, as the odd half sums
+      to.  No s-rule, orbit or weight table is built.
+    * Otherwise the u-integral runs on ``_s_rule``, so a = |x|^2 coth u is
+      1 + s for every row.  With A = a^2 and r = A + B, P = w^4 for
       w = 1/(a - i b) = (a + i b)/r is
 
           Re P = (A^2 - 6AB + B^2)/r^4,    Im P = 4ab(A - B)/r^4,
@@ -393,9 +419,6 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
       ``sphere2_nodes(order, fold=True)``.  The weight tables depend on n
       only through g, so they are built once per orbit of the rule under
       n1 -> -n1, n2 -> -n2 (``_sign_orbits``) and gathered per node.
-      Where g = 0 at every node (lambda = 0, also with -0.0 components)
-      the even table is one row broadcast over the nodes and the odd
-      table, exactly zero, is neither built nor summed.
     * The nodes are walked in blocks of about _BLOCK_POINTS grid points,
       rows inside each block.  Every sum is an einsum whose operand shapes
       depend on neither the rows nor the block size, never a BLAS call
@@ -405,20 +428,6 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
     """
     order = spec.sphere_order
     nodes, wS = sphere2_nodes(order, fold=True)
-    ln = nodes * np.asarray(lam.as_tuple())[None, :]  # (lambda o n) per node
-    g = np.linalg.norm(ln, axis=1)
-    axis = ln / np.where(g > 0.0, g, 1.0)[:, None]    # 0 where lambda o n is
-    s, _, w0, _ = _s_rule()
-    flat = not g.any()
-    if flat:
-        even = w0
-    else:
-        reps, orbit = _sign_orbits(order)
-        even, odd = _s_weights(g[reps])
-
-    a = 1.0 + s
-    A = a * a
-    vec_even, vec_odd = np.stack([A * A, A, np.ones_like(A)]), np.stack([a * A, a])
     # per-row setup and final sums run row by row on 1-D operands: one
     # (rows, nodes) einsum over more than 8192 nodes sums in buffered
     # chunks and gave rows that differ from single-row calls
@@ -428,20 +437,33 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
     with np.errstate(over="ignore", invalid="ignore"):
         b = np.stack([np.einsum("nk,k->n", nodes, t) / sq for t, sq in zip(ts, xsq)])
         B = b * b
-        # per-node sums of table * vec / r^4, rows on axis 1; odd ones stay 0
-        sums = np.zeros((5,) + b.shape)
+        scale = 6.0 / (2.0 * math.pi) ** 5 * np.power(xsq, -4.0)
+        lam3 = np.asarray(lam.as_tuple())
+        if lam3.any():
+            ln = nodes * lam3[None, :]                # (lambda o n) per node
+            g = np.linalg.norm(ln, axis=1)
+        if not (lam3.any() and g.any()):
+            re = _u_integral_lambda0(B)
+            c0 = np.array([np.einsum("n,n->", v, wS) for v in re]) * scale
+            return c0, np.full((len(xs), 3), -0.0)
+        axis = ln / np.where(g > 0.0, g, 1.0)[:, None]    # 0 where lambda o n is
+        s = _s_rule()[0]
+        reps, orbit = _sign_orbits(order)
+        even, odd = _s_weights(g[reps])
+        a = 1.0 + s
+        A = a * a
+        vec_even, vec_odd = np.stack([A * A, A, np.ones_like(A)]), np.stack([a * A, a])
+        # per-node sums of table * vec / r^4, rows on axis 1
+        sums = np.empty((5,) + b.shape)
         n_nodes, n_u = len(nodes), len(s)
         step = max(1, _BLOCK_POINTS // n_u)
         work = np.empty((4, step, n_u))
         for lo in range(0, n_nodes, step):
             blk = slice(lo, min(lo + step, n_nodes))
             ev, od, q, prod = work[:, :blk.stop - lo]
-            if flat:
-                ev = even                              # broadcast over nodes
-            else:
-                # mode="clip" writes into out directly; the default buffers it
-                np.take(even, orbit[blk], axis=0, out=ev, mode="clip")
-                np.take(odd, orbit[blk], axis=0, out=od, mode="clip")
+            # mode="clip" writes into out directly; the default buffers it
+            np.take(even, orbit[blk], axis=0, out=ev, mode="clip")
+            np.take(odd, orbit[blk], axis=0, out=od, mode="clip")
             for i in range(len(xs)):
                 np.add.outer(B[i, blk], A, out=q)      # r
                 np.square(q, out=q)
@@ -449,12 +471,10 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
                 np.reciprocal(q, out=q)
                 np.multiply(ev, q, out=prod)
                 np.einsum("nu,ku->kn", prod, vec_even, out=sums[:3, i, blk])
-                if not flat:
-                    np.multiply(od, q, out=prod)
-                    np.einsum("nu,ku->kn", prod, vec_odd, out=sums[3:, i, blk])
+                np.multiply(od, q, out=prod)
+                np.einsum("nu,ku->kn", prod, vec_odd, out=sums[3:, i, blk])
         re = sums[0] - 6.0 * B * sums[1] + B * B * sums[2]
         im = 4.0 * b * (sums[3] - B * sums[4])
-        scale = 6.0 / (2.0 * math.pi) ** 5 * np.power(xsq, -4.0)
         c0 = np.array([np.einsum("n,n->", v, wS) for v in re]) * scale
         ck = np.array([-np.einsum("n,n,nk->k", v, wS, axis) for v in im]) * scale[:, None]
     return c0, ck
@@ -463,10 +483,12 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
 def k_lambda(x, t, lam, spec: QuadratureSpec) -> Quaternion:
     """Evaluate the polar-reduced group-space kernel K_lambda(x, t).
 
-    Real for lambda = 0; homogeneous of degree -8 under (x, t) ->
-    (d x, d^2 t) exactly at the level of the rule (shared nodes), and
-    conjugated by t -> -t.  Raises QuadratureError where a component is
-    not finite (|x| below about 1e-39).
+    Real for lambda = 0, where each sphere node's u-integral is exact and
+    the S^2 rule of ``spec.sphere_order`` is the only quadrature; at
+    lambda != 0 the u-integral runs on ``_s_rule``.  Homogeneous of degree
+    -8 under (x, t) -> (d x, d^2 t) exactly at the level of the rule
+    (shared nodes), and conjugated by t -> -t.  Raises QuadratureError
+    where a component is not finite (|x| below about 1e-39).
     """
     x = _x4(x)
     t = _t3(t)
@@ -489,7 +511,8 @@ def k0_sphere(x, t, spec: QuadratureSpec) -> float:
 
     (real part; the imaginary part cancels under n -> -n).  The sign is
     the quadrature-verified positive one.  The real part is even in n, so
-    the rule is the one folded onto antipodal pairs.
+    the rule is the one folded onto antipodal pairs.  Raises
+    QuadratureError where the value is not finite (|x| below about 1e-39).
     """
     x = _x4(x)
     t = _t3(t)
@@ -499,9 +522,15 @@ def k0_sphere(x, t, spec: QuadratureSpec) -> float:
     if not (float(t @ t) < math.inf):
         raise ValueError("t must be finite")
     nodes, wS = sphere2_nodes(spec.sphere_order, fold=True)
-    z = xsq + 1j * np.abs(nodes @ t)
-    p = z ** -3.0
-    return 2.0 / ((2.0 * math.pi) ** 5 * xsq) * float(np.dot(wS, p.real))
+    # z^-3 and the prefactor overflow where |x| is tiny; the value is then
+    # not finite, which raises, so numpy need not warn on the way
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z = xsq + 1j * np.abs(nodes @ t)
+        p = z ** -3.0
+        val = 2.0 / ((2.0 * math.pi) ** 5 * xsq) * float(np.dot(wS, p.real))
+    if not math.isfinite(val):
+        raise QuadratureError("k0_sphere is not finite at this point")
+    return val
 
 
 # ---------------------------------------------------------------------------

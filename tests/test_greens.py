@@ -269,6 +269,59 @@ def test_s_rule_read_only_and_gauss_at_g0():
     assert abs(float(w0 @ (1.0 + s) ** -2) - 1.0) <= 1e-15
 
 
+def test_lambda0_u_integral_matches_s_rule():
+    # the closed form against the s-rule's own sum at g = 0 over the rule's
+    # validated range, relative to |int (1 + s - i b)^-4 ds| = (1+b^2)^-3/2 / 3
+    # (the real part alone vanishes at b = 1/sqrt 3)
+    s, _, w0, _ = greens._s_rule()
+    for b in np.linspace(0.0, 7.0, 141):
+        rule = float(w0 @ ((1.0 + s - 1j * b) ** -4.0).real)
+        scale = 1.0 / (3.0 * (1.0 + b * b) ** 1.5)
+        assert abs(rule - greens._u_integral_lambda0(b * b)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5, 3.0, 30.0, 1e3])
+def test_lambda0_u_integral_matches_mpmath(b):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        bb = mp.mpf(b)
+        ends = [0] + [e for e in (b / 10, b, 10 * b) if e > 0] + [mp.inf]
+        want = mp.quad(lambda s: mp.re((1 + s - 1j * bb) ** -4), ends)
+    assert abs(greens._u_integral_lambda0(b * b) - float(want)) <= 1e-15 * abs(float(want))
+
+
+@pytest.mark.parametrize("order", [32, 33])
+def test_k_lambda_continuous_at_lambda0(order):
+    # the lambda = 0 closed form and the s-rule of lambda != 0 are one
+    # function: the real part is even in lambda, so it moves by O(lambda^2)
+    # at lambda = 1e-9; the imaginary part is the odd part, O(lambda)
+    spec = QuadratureSpec(sphere_order=order)
+    points = [(np.array([1.0, 0.2, -0.3, 0.5]), T_ZERO),            # |t|/|x|^2 = 0
+              (np.array([0.9, 0.4, -0.3, 0.6]), np.array([0.7, -1.2, 0.5])),   # 1.04
+              (np.array([0.5, -0.4, 0.3, 0.2]), np.array([0.0, 0.9, -0.7]))]   # 2.11
+    for x, t in points:
+        assert np.linalg.norm(t) <= 3.0 * float(x @ x)
+        k0 = k_lambda(x, t, LAM0, spec)
+        for lam in ((1e-9, 0.0, 0.0), (0.0, 1e-9, -1e-9)):
+            k = k_lambda(x, t, lam, spec)
+            assert abs(k.t - k0.t) <= 1e-12 * abs(k0.t)
+            assert k.imag_norm() <= 1e-8 * abs(k0.t)
+
+
+def test_k_lambda0_builds_no_s_rule(spec, monkeypatch):
+    # at lambda = 0 the u-integral is the closed form: no s-rule, orbit or
+    # weight table is built, for single points and for stencils
+    def boom(*args):
+        raise AssertionError("lambda = 0 built a u-rule table")
+
+    for name in ("_s_weights", "_sign_orbits", "_s_rule"):
+        monkeypatch.setattr(greens, name, boom)
+    x, t = np.array([0.9, 0.4, -0.3, 0.6]), np.array([0.7, -1.2, 0.5])
+    assert k_lambda(x, t, LAM0, spec).t > 0.0
+    assert k_lambda(x, t, (-0.0, 0.0, -0.0), spec).t > 0.0
+    assert delta_lambda_residual_on_k(X_UNIT, np.array([0.5, 0.0, 0.0]), LAM0, spec) <= 1e-5
+
+
 def _k_lambda_full_sphere(x, t, lam, order):
     """The polar-reduced kernel term by term, as written in the greens
     docstring: the full product rule and numpy's complex power."""
@@ -295,7 +348,7 @@ def _k_lambda_full_sphere(x, t, lam, order):
 def test_k_lambda_components_match_full_sphere_power(order):
     # the folded rule and the real w^4 arithmetic against the full rule
     # with a complex power, at lambda up to |lambda| = 1.95, and at
-    # lambda = 0, where the tables are one row and the odd half is skipped
+    # lambda = 0, where the u-integral is the closed form
     rng = np.random.default_rng(11)
     lams = [(0.4, -0.3, 0.2), (1.95, 0.0, 0.0), (0.0, 1.17, 1.56),
             tuple(1.95 * np.array([1.2, -0.9, 1.1]) / math.sqrt(3.46))]
@@ -328,6 +381,17 @@ def test_k_lambda_matches_sphere_form(spec, rng):
         b = k_lambda(x, t, LAM0, spec)
         assert abs(a - b.t) <= 1e-6 * abs(a)
         assert b.imag_norm() <= 1e-9 * abs(a)
+
+
+@pytest.mark.parametrize("scale", [1e-40, 1e-60])
+def test_k0_sphere_non_finite_raises(spec, scale):
+    # the value is |x|^-8 times a finite sphere sum: at 1e-40 the product
+    # overflows, at 1e-60 already z^-3 = |x|^-6; both raise, and numpy
+    # warns nothing on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError):
+            k0_sphere(scale * X_UNIT, T_ZERO, spec)
 
 
 def test_k0_sphere_heisenberg_marginal(spec):
@@ -471,7 +535,7 @@ def test_delta_residual_verify_values_pinned(spec):
     # the two kernel_annihilation points of the verify suite, on the line
     # stencil (17 and 25 points in one batched k_lambda call)
     t = np.array([0.5, 0.0, 0.0])
-    assert delta_lambda_residual_on_k(X_UNIT, t, LAM0, spec) == 1.9395751379906958e-07
+    assert delta_lambda_residual_on_k(X_UNIT, t, LAM0, spec) == 1.938598234870596e-07
     assert (delta_lambda_residual_on_k(X_UNIT, t, (0.5, 0.3, 0.0), spec)
             == 1.8767231629042663e-07)
 
@@ -504,14 +568,16 @@ def test_batched_rows_match_single_points(rng):
 
 @pytest.mark.parametrize("order", [7, 33])
 def test_k_lambda_negative_zero_lambda_is_lambda0(order, rng):
-    # a lambda with -0.0 components has g = 0 at every node, so it takes
-    # the lambda = 0 tables and gives their values bit for bit, signed
-    # zeros included
+    # a lambda with -0.0 components, or one whose every (lambda_k n_k)^2
+    # underflows, has g = 0 at every node, so it takes the lambda = 0 form
+    # and gives its values bit for bit, signed zeros included
     spec = QuadratureSpec(sphere_order=order)
     xs = rng.normal(size=(5, 4))
     ts = rng.normal(size=(5, 3))
     want = _k_lambda_components(xs, ts, Lambda(0.0, 0.0, 0.0), spec)
-    for lam in ((-0.0, 0.0, 0.0), (0.0, -0.0, -0.0), (-0.0, -0.0, -0.0)):
+    assert np.all(np.signbit(want[1])) and not want[1].any()
+    for lam in ((-0.0, 0.0, 0.0), (0.0, -0.0, -0.0), (-0.0, -0.0, -0.0),
+                (1e-200, 0.0, -1e-170)):
         got = _k_lambda_components(xs, ts, Lambda(*lam), spec)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
@@ -594,7 +660,7 @@ def test_k_tilde_rows_match_per_row_reference(spec, rng, a):
 def test_k_lambda_independent_of_block_size(order, rng, monkeypatch):
     # the per-node u-sums are reduced over nodes once at the end, so one
     # node per block, a ragged split and one block for all give one value,
-    # on the orbit tables and on the one-row tables of lambda = 0
+    # on the orbit tables and in the closed form of lambda = 0
     spec = QuadratureSpec(sphere_order=order)
     xs = rng.normal(size=(3, 4))
     ts = rng.normal(size=(3, 3))
