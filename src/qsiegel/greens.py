@@ -23,13 +23,13 @@ Three evaluators and their cross-checks:
 
   where P = (|x|^2 coth u - i t.n)^-4, g(n) = |lambda o n| is the
   componentwise-product norm, and g^ = sum_k (lambda_k n_k / g) i_k.
-  It is reduced to |x| = 1 by homogeneity, b = t.n/|x|^2.  At lambda = 0
-  the u-integral is exact, (1 - 3b^2)/(3 (1 + b^2)^3) per sphere node;
-  otherwise it runs in s = coth u - 1 on one fixed 64-node rule
-  (``_s_rule``) whose weights alone depend on g.  The S^2 integral runs
-  on the product rule folded onto antipodal pairs.  ``spec`` sets only
-  the sphere order: the u-rule's floor is about 2e-13 at lambda != 0 and
-  ``abs_tol`` does not lengthen it.  The real part at lambda = 0 is the
+  It is reduced to |x| = 1 by homogeneity, b = t.n/|x|^2.  Each sphere
+  node's u-integral is exact at every lambda: a contour shift by
+  atan b turns it into Beta integrals (``_u_integral_lambda``), which at
+  lambda = 0 is (1 - 3b^2)/(3 (1 + b^2)^3).  The S^2 integral runs on
+  the product rule folded onto antipodal pairs and is the only
+  quadrature: ``spec`` sets only the sphere order, and no u-rule floor
+  remains at any lambda.  The real part at lambda = 0 is the
   classical inverse Fourier transform of the radial Hermite kernel
   (Kaplan's kernel); the lambda-coupling is derived in
   ``_k_lambda_components``.  The reduced representation needs |x| > 0
@@ -70,8 +70,8 @@ from functools import lru_cache
 import numpy as np
 
 from .quat import Quaternion
-from .quad import (QuadratureSpec, QuadratureError, _leggauss, _panel_rule,
-                   gauss_rule, panel_grid, sphere2_nodes)
+from .quad import (QuadratureSpec, QuadratureError, _panel_rule, panel_grid,
+                   sphere2_nodes)
 from .diffops import Lambda, _delta_lambda_lines
 
 __all__ = [
@@ -117,8 +117,7 @@ def _tail_end(decay_rate: float, spec: QuadratureSpec, slack: float = 10.0) -> f
 def _u_rule(hi: float):
     """The u-panel rule on [0, hi] of ``fourier_consistency``, as read-only
     (u, coth u, 4 w/em^2) with em = expm1(-2u): the nodes, the coth u of
-    the exponent and the weight w times 1/sinh^2 u = 4 e^{-2u}/em^2.  Its
-    nodes are not those of ``k_lambda``'s ``_s_rule``.
+    the exponent and the weight w times 1/sinh^2 u = 4 e^{-2u}/em^2.
 
     Cached per tail end ``hi`` and built from the uncached panel rule, so a
     new tail end costs one cache lookup, not two.
@@ -273,9 +272,7 @@ def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float = 1e-3) -> floa
 # ---------------------------------------------------------------------------
 # group-space kernel, polar-reduced
 
-# Grid points per block: node x u in the K_lambda sphere sum, whose block
-# buffers are allocated once per call, so no call allocates a node x u
-# array; r x node in fourier_consistency's transform sums.
+# Grid points per block, r x node, in fourier_consistency's transform sums.
 _BLOCK_POINTS = 16384
 
 
@@ -305,72 +302,48 @@ def _sign_orbits(order: int):
     return reps, orbit
 
 
-@lru_cache(maxsize=1)
-def _s_rule():
-    """The fixed rule of K_lambda's u-integrals in s = coth u - 1, read-only.
-
-    dv = -sinh^-2 u du at v = coth u, and e^{2u} = rho = (2+s)/s, so
-
-        int_0^inf sinh^-2 u {cosh,sinh}(g u) F(coth u) du
-            = int_0^inf (rho^{g/2} +- rho^{-g/2})/2 F(1 + s) ds.
-
-    On (0, 1), rho^{+-g/2} = s^alpha (2+s)^{+-g/2}, alpha = -+g/2 > -1, on
-    24 Gauss-Legendre nodes with product-integration weights (Piessens et
-    al., QUADPACK, 1983) w_j(alpha) = sum_k L[k, j] m_k(alpha), where
-    L[k, j] = w_j (2k+1) P~_k(s_j) (shifted Legendre P~_k) and the exact
-    moments of s^alpha are m_0 = 1/(alpha+1), m_k = m_{k-1}
-    (alpha-k+1)/(alpha+k+1).  On (1, inf), 40 Gauss-Legendre nodes in
-    sigma = 1/s, weight sigma^-2 and rho = 1 + 2 sigma.  Returns the 64
-    nodes s, L, the weights at g = 0 and per node log(2 + s) or
-    log(1 + 2 sigma).  Per sphere node within 2e-13 of mpmath relative to
-    |E| + |O| for g in [0, 1.99], t.n/|x|^2 in [0, 7].
-    """
-    x, w = _leggauss(24)
-    legendre = (0.5 * w) * np.polynomial.legendre.legvander(x, 23).T
-    legendre *= (2.0 * np.arange(24.0) + 1.0)[:, None]
-    sigma, w_sigma = gauss_rule(40, 0.0, 1.0)
-    s = np.concatenate([0.5 + 0.5 * x, 1.0 / sigma])
-    w0 = np.concatenate([legendre[0], w_sigma / (sigma * sigma)])
-    log_f = np.concatenate([np.log(2.5 + 0.5 * x), np.log1p(2.0 * sigma)])
-    for arr in (s, legendre, w0, log_f):
-        arr.setflags(write=False)
-    return s, legendre, w0, log_f
-
-
-def _s_weights(g: np.ndarray):
-    """The even and odd weight tables (rho^{g/2} +- rho^{-g/2})/2 of
-    ``_s_rule`` at each g of ``g``, shape (len(g), 64): the moments of
-    both alpha = -+g/2 by one cumprod, their weights by one einsum, the
-    two signs combined in place."""
-    s, legendre, w0, log_f = _s_rule()
-    n_lo, n = len(legendre), len(g)
-    half = 0.5 * g
-    alpha = np.concatenate([-half, half])     # of rho^{g/2}, then rho^{-g/2}
-    k = np.arange(1.0, n_lo)[:, None]
-    m = np.empty((n_lo, 2 * n))
-    m[0] = 1.0 / (alpha + 1.0)
-    np.divide(alpha - k + 1.0, alpha + k + 1.0, out=m[1:])
-    np.cumprod(m, axis=0, out=m)
-    w = np.empty((2 * n, len(s)))
-    w[:, :n_lo] = np.einsum("ko,kj->jo", m, legendre).T
-    w[:, n_lo:] = w0[n_lo:]
-    f = np.exp(np.outer(half, log_f))       # (2+s)^{g/2} and (1+2 sigma)^{g/2}
-    plus, minus = w[:n], w[n:]
-    plus *= f
-    minus /= f
-    odd = plus - minus
-    plus += minus
-    plus *= 0.5                             # exact: a power of 2
-    odd *= 0.5
-    return plus, odd
-
-
 def _u_integral_lambda0(B):
     """int_0^inf Re (1 + s - i b)^-4 ds = Re (1 - i b)^-3 / 3 at B = b^2,
     elementwise: the u-integral of one sphere node at |x| = 1 and
     lambda = 0, exact."""
     d = 1.0 + B
     return (1.0 - 3.0 * B) / (3.0 * d * d * d)
+
+
+def _u_integral_lambda(g, b):
+    """The even and odd u-integrals of one sphere node at |x| = 1,
+    elementwise in broadcast g and b, exact:
+
+        E = int_0^inf sinh^-2 u cosh(g u) Re P du,
+        O = int_0^inf sinh^-2 u sinh(g u) Im P du,    P = (coth u - i b)^-4.
+
+    P(-u) is the conjugate of P(u), so E + iO is half the integral of
+    sinh^-2 u e^{g u} P over the real line.  With b = tan phi that
+    integrand is cos^4 phi e^{g u} sinh^2 u sech^4(u - i phi); shifting
+    the contour by phi leaves the Beta integrals (w = e^{2v})
+
+        int_R e^{a v} sech^4 v dv = 8 B(2 + a/2, 2 - a/2) = (4/3)(1 - a^2/4) G(a/2),
+
+    G(y) = pi y / sin(pi y), whose sum is
+
+        E + iO = G(g/2) e^{i g phi} (1 + g^2/2 - 3b^2 + 3igb) / (3 (1 + b^2)^3).
+
+    The sine of G is taken at min(y, 1 - y), exact for y >= 1/2, so G
+    keeps full relative accuracy as g -> 2 (the scheme of
+    ``_gamma_product``, elementwise); G = 1 at g = 0, where E is
+    ``_u_integral_lambda0``.
+    """
+    y = 0.5 * g
+    gam = np.divide(math.pi * y, np.sin(math.pi * np.minimum(y, 1.0 - y)),
+                    out=np.ones_like(y), where=y > 0.0)
+    B = b * b
+    d = 1.0 + B
+    scale = gam / (3.0 * d * d * d)
+    phase = g * np.arctan(b)
+    cos, sin = np.cos(phase), np.sin(phase)
+    re = 1.0 + 0.5 * g * g - 3.0 * B
+    im = 3.0 * g * b
+    return scale * (cos * re - sin * im), scale * (sin * re + cos * im)
 
 
 def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
@@ -405,90 +378,55 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
           int_0^inf Re (1 + s - i b)^-4 ds = (1 - 3B)/(3 (1 + B)^3),
 
       B = b^2, summed over the nodes; ck is -0.0, as the odd half sums
-      to.  No s-rule, orbit or weight table is built.
-    * Otherwise the u-integral runs on ``_s_rule``, so a = |x|^2 coth u is
-      1 + s for every row.  With A = a^2 and r = A + B, P = w^4 for
-      w = 1/(a - i b) = (a + i b)/r is
-
-          Re P = (A^2 - 6AB + B^2)/r^4,    Im P = 4ab(A - B)/r^4,
-
-      so each node's sums are the products table/r^4 reduced against
-      A^2, A, 1 (even table) and aA, a (odd table), combined with the
-      node's B and b afterwards.
+      to.
+    * Otherwise each node's u-integrals are the closed form of
+      ``_u_integral_lambda`` at its g and b, with no u-rule floor either:
+      the S^2 rule of ``spec.sphere_order`` is the only quadrature at
+      every lambda.
     * Both integrands are even under n -> -n, so the sphere rule is
-      ``sphere2_nodes(order, fold=True)``.  The weight tables depend on n
-      only through g, so they are built once per orbit of the rule under
-      n1 -> -n1, n2 -> -n2 (``_sign_orbits``) and gathered per node.
-    * The nodes are walked in blocks of about _BLOCK_POINTS grid points,
-      rows inside each block.  Every sum is an einsum whose operand shapes
-      depend on neither the rows nor the block size, never a BLAS call
-      (it splits by thread): each row equals its single-point value.
+      ``sphere2_nodes(order, fold=True)``.
+    * Every step is elementwise on (rows, nodes), and every sum a 1-D
+      einsum per row, never a BLAS call (it splits by thread): each row
+      equals its single-point value.
 
     Returns c0 of shape (N,) and ck of shape (N, 3).
     """
-    order = spec.sphere_order
-    nodes, wS = sphere2_nodes(order, fold=True)
+    nodes, wS = sphere2_nodes(spec.sphere_order, fold=True)
     # per-row setup and final sums run row by row on 1-D operands: one
     # (rows, nodes) einsum over more than 8192 nodes sums in buffered
     # chunks and gave rows that differ from single-row calls
     xsq = np.array([np.einsum("j,j->", x, x) for x in xs])
-    # b and |x|^-8 overflow where |x| is tiny: the values are then not
-    # finite, which k_lambda raises on, so numpy need not warn on the way
+    # b and |x|^-8 overflow where |x| is tiny, b^2 where |t|/|x|^2 is
+    # huge: a value that is then not finite raises in k_lambda, and one
+    # that underflows is 0, so numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore"):
         b = np.stack([np.einsum("nk,k->n", nodes, t) / sq for t, sq in zip(ts, xsq)])
-        B = b * b
         scale = 6.0 / (2.0 * math.pi) ** 5 * np.power(xsq, -4.0)
         lam3 = np.asarray(lam.as_tuple())
         if lam3.any():
             ln = nodes * lam3[None, :]                # (lambda o n) per node
-            g = np.linalg.norm(ln, axis=1)
+            g = np.sqrt(np.einsum("nk,nk->n", ln, ln))
         if not (lam3.any() and g.any()):
-            re = _u_integral_lambda0(B)
+            re = _u_integral_lambda0(b * b)
             c0 = np.array([np.einsum("n,n->", v, wS) for v in re]) * scale
             return c0, np.full((len(xs), 3), -0.0)
         axis = ln / np.where(g > 0.0, g, 1.0)[:, None]    # 0 where lambda o n is
-        s = _s_rule()[0]
-        reps, orbit = _sign_orbits(order)
-        even, odd = _s_weights(g[reps])
-        a = 1.0 + s
-        A = a * a
-        vec_even, vec_odd = np.stack([A * A, A, np.ones_like(A)]), np.stack([a * A, a])
-        # per-node sums of table * vec / r^4, rows on axis 1
-        sums = np.empty((5,) + b.shape)
-        n_nodes, n_u = len(nodes), len(s)
-        step = max(1, _BLOCK_POINTS // n_u)
-        work = np.empty((4, step, n_u))
-        for lo in range(0, n_nodes, step):
-            blk = slice(lo, min(lo + step, n_nodes))
-            ev, od, q, prod = work[:, :blk.stop - lo]
-            # mode="clip" writes into out directly; the default buffers it
-            np.take(even, orbit[blk], axis=0, out=ev, mode="clip")
-            np.take(odd, orbit[blk], axis=0, out=od, mode="clip")
-            for i in range(len(xs)):
-                np.add.outer(B[i, blk], A, out=q)      # r
-                np.square(q, out=q)
-                np.square(q, out=q)
-                np.reciprocal(q, out=q)
-                np.multiply(ev, q, out=prod)
-                np.einsum("nu,ku->kn", prod, vec_even, out=sums[:3, i, blk])
-                np.multiply(od, q, out=prod)
-                np.einsum("nu,ku->kn", prod, vec_odd, out=sums[3:, i, blk])
-        re = sums[0] - 6.0 * B * sums[1] + B * B * sums[2]
-        im = 4.0 * b * (sums[3] - B * sums[4])
-        c0 = np.array([np.einsum("n,n->", v, wS) for v in re]) * scale
-        ck = np.array([-np.einsum("n,n,nk->k", v, wS, axis) for v in im]) * scale[:, None]
+        even, odd = _u_integral_lambda(g, b)
+        c0 = np.array([np.einsum("n,n->", v, wS) for v in even]) * scale
+        ck = np.array([-np.einsum("n,n,nk->k", v, wS, axis) for v in odd]) * scale[:, None]
     return c0, ck
 
 
 def k_lambda(x, t, lam, spec: QuadratureSpec) -> Quaternion:
     """Evaluate the polar-reduced group-space kernel K_lambda(x, t).
 
-    Real for lambda = 0, where each sphere node's u-integral is exact and
-    the S^2 rule of ``spec.sphere_order`` is the only quadrature; at
-    lambda != 0 the u-integral runs on ``_s_rule``.  Homogeneous of degree
+    Real for lambda = 0.  Each sphere node's u-integral is exact at every
+    lambda (``_u_integral_lambda``), so the S^2 rule of
+    ``spec.sphere_order`` is the only quadrature.  Homogeneous of degree
     -8 under (x, t) -> (d x, d^2 t) exactly at the level of the rule
     (shared nodes), and conjugated by t -> -t.  Raises QuadratureError
-    where a component is not finite (|x| below about 1e-39).
+    where a component is not finite (|x| below about 1e-39, or
+    |t|/|x|^2 above about 1e154).
     """
     x = _x4(x)
     t = _t3(t)
@@ -496,7 +434,7 @@ def k_lambda(x, t, lam, spec: QuadratureSpec) -> Quaternion:
     _check_lambda_ball(lam)
     if not (0.0 < float(x @ x) < math.inf):
         raise ValueError("x = 0 or non-finite x outside reduced-representation domain")
-    if not (float(t @ t) < math.inf):
+    if not np.isfinite(t).all():
         raise ValueError("t must be finite")
     c0, ck = _k_lambda_components(x[None, :], t[None, :], lam, spec)
     if not (np.isfinite(c0[0]) and np.isfinite(ck[0]).all()):
@@ -519,7 +457,7 @@ def k0_sphere(x, t, spec: QuadratureSpec) -> float:
     xsq = float(x @ x)
     if not (0.0 < xsq < math.inf):
         raise ValueError("x = 0 or non-finite x outside reduced-representation domain")
-    if not (float(t @ t) < math.inf):
+    if not np.isfinite(t).all():
         raise ValueError("t must be finite")
     nodes, wS = sphere2_nodes(spec.sphere_order, fold=True)
     # z^-3 and the prefactor overflow where |x| is tiny; the value is then
@@ -694,7 +632,7 @@ def fourier_consistency(x, t, lam, spec: QuadratureSpec,
     xsq = float(x @ x)
     if not (1.0 <= math.sqrt(xsq) < math.inf):
         raise ValueError("finite |x| >= 1 keeps the oscillatory integral tame")
-    if not (float(t @ t) < math.inf):
+    if not np.isfinite(t).all():
         raise ValueError("t must be finite")
     ref = k_lambda(x, t, lam, spec)
 

@@ -66,7 +66,7 @@ def test_full_report_independent_of_blas_threads(tmp_path, src_env):
 
 # sha256 of the sorted-key compact JSON of the `verify --suite all` report;
 # a change that moves any bit of the report re-pins it and says why
-REPORT_SHA256 = "abca634df64452907239027f78b9d6b1d294aaa0969bf684a5de260ecf3d8d4b"
+REPORT_SHA256 = "6d801d8790ab02d933342c32e640520bf885232987adbf8ba0790a60c0fd79b0"
 
 
 def test_full_report_digest_pinned(tmp_path, capsys):
@@ -284,6 +284,19 @@ def test_eval_non_finite_kernel_value_warns_nothing(src_env):
     proc = subprocess.run(
         [sys.executable, "-W", "default::RuntimeWarning", "-m", "qsiegel.cli",
          "eval", "klambda", "--x", "1e-40,0,0,0", "--t", "0,0,0", "--lam", "0.5,0,0"],
+        env=src_env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "not finite" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_eval_huge_finite_t_warns_nothing(src_env):
+    # t = 1e200 is finite, so it is no usage error: (t.n)^2 overflows, the
+    # value is not finite and the run ends in exit 3, with no numpy
+    # RuntimeWarning on stderr on the way
+    proc = subprocess.run(
+        [sys.executable, "-W", "default::RuntimeWarning", "-m", "qsiegel.cli",
+         "eval", "klambda", "--x", "1,0,0,0", "--t", "1e200,0,0", "--lam", "0.5,0.2,0"],
         env=src_env, capture_output=True, text=True)
     assert proc.returncode == 3
     assert "not finite" in proc.stderr

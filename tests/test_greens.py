@@ -198,9 +198,9 @@ def _j_sphere_mean(lam, spec):
 
 
 @pytest.mark.parametrize("lam, order, bound", [
-    ((0.0, 0.0, 0.0), 32, 1e-13), ((0.8, 0.0, 0.0), 32, 1e-13),
-    ((0.3, -0.7, 0.5), 32, 1e-13), ((1.2, 1.0, 0.6), 32, 1e-13),
-    ((1.95, 0.0, 0.0), 64, 5e-13)])
+    ((0.0, 0.0, 0.0), 32, 1e-14), ((0.8, 0.0, 0.0), 32, 1e-14),
+    ((0.3, -0.7, 0.5), 32, 1e-14), ((1.2, 1.0, 0.6), 32, 1e-14),
+    ((1.95, 0.0, 0.0), 64, 1e-13)])
 def test_k_lambda_t0_beta_integral(lam, order, bound):
     # at t = 0, P = |x|^-8 tanh^4 u is real and the u-integral is a Beta
     # integral: K_lambda(x, 0) = 6/(2 pi)^5 |x|^-8 int_{S^2} J(|lambda o n|/2)
@@ -212,7 +212,7 @@ def test_k_lambda_t0_beta_integral(lam, order, bound):
     assert v.imag_norm() == 0.0
 
 
-def _s_rule_mpmath(g, b):
+def _u_integral_mpmath(g, b):
     """E and O of one sphere node at |x| = 1 by mpmath at 30 digits:
     int_0^inf (rho^{g/2} +- rho^{-g/2})/2 {Re, Im}(1 + s - i b)^-4 ds,
     rho = (2+s)/s, with s = y^p, p = 1/(1 - g/2), on (0, 1), which makes
@@ -237,47 +237,39 @@ def _s_rule_mpmath(g, b):
 
         def integral(f):
             lo = mp.quad(lambda y: f(y ** p) * p * y ** (p - 1), [0, 0.5, 0.9, 1])
-            return lo + mp.quad(f, [1, 4, mp.inf])
+            # the scale of (1 + s - i b)^-4 is |b| where that exceeds 4
+            ends = [1, 4] + [e for e in (abs(b), 10 * abs(b)) if e > 4] + [mp.inf]
+            return lo + mp.quad(f, ends)
 
         return float(integral(fe)), float(integral(fo))
 
 
-@pytest.mark.parametrize("g", [0.0, 1.0, 1.95, 1.99])
-def test_s_rule_matches_mpmath(g):
-    # per sphere node, relative to |E| + |O|; the u-panel rule it replaced
-    # was 2.1e-12 off at g = 0, b = 7
-    s = greens._s_rule()[0]
-    even, odd = greens._s_weights(np.array([g]))
-    for b in (0.0, 1.0, 7.0):
-        q = (1.0 + s - 1j * b) ** -4.0
-        e, o = float(even[0] @ q.real), float(odd[0] @ q.imag)
-        want_e, want_o = _s_rule_mpmath(g, b)
-        assert abs(e - want_e) + abs(o - want_o) <= 5e-13 * (abs(want_e) + abs(want_o))
+@pytest.mark.parametrize("g", [0.0, 0.5, 1.0, 1.95, 1.99])
+def test_u_integral_lambda_matches_mpmath(g):
+    # per sphere node, relative to |E| + |O|; the 64-node rule it replaced
+    # was within 5e-13 of this oracle
+    for b in (0.0, 1.0, 7.0, 30.0):
+        e, o = greens._u_integral_lambda(np.array([g]), np.array([b]))
+        want_e, want_o = _u_integral_mpmath(g, b)
+        assert abs(e[0] - want_e) + abs(o[0] - want_o) <= 2e-15 * (abs(want_e) + abs(want_o))
 
 
-def test_s_rule_read_only_and_gauss_at_g0():
-    s, legendre, w0, log_f = greens._s_rule()
-    assert greens._s_rule()[0] is s
-    assert not any(a.flags.writeable for a in (s, legendre, w0, log_f))
-    assert s.shape == w0.shape == log_f.shape == (64,) and legendre.shape == (24, 24)
-    assert np.all(np.diff(s[:24]) > 0.0) and 0.0 < s[0] and s[23] < 1.0 < s[24:].min()
-    # at g = 0 the product weights are the Gauss weights, the odd ones 0
-    even, odd = greens._s_weights(np.zeros(3))
-    assert np.array_equal(even, np.broadcast_to(w0, even.shape))
-    assert not odd.any()
-    # w0 integrates int_0^inf (1 + s)^-2 ds = 1 to rounding
-    assert abs(float(w0 @ (1.0 + s) ** -2) - 1.0) <= 1e-15
-
-
-def test_lambda0_u_integral_matches_s_rule():
-    # the closed form against the s-rule's own sum at g = 0 over the rule's
-    # validated range, relative to |int (1 + s - i b)^-4 ds| = (1+b^2)^-3/2 / 3
-    # (the real part alone vanishes at b = 1/sqrt 3)
-    s, _, w0, _ = greens._s_rule()
-    for b in np.linspace(0.0, 7.0, 141):
-        rule = float(w0 @ ((1.0 + s - 1j * b) ** -4.0).real)
-        scale = 1.0 / (3.0 * (1.0 + b * b) ** 1.5)
-        assert abs(rule - greens._u_integral_lambda0(b * b)) <= 1e-14 * scale
+def test_u_integral_lambda_at_b0_and_g0():
+    # at b = 0, E = J(g/2) = G(g/2)(1 + g^2/2)/3 with G(z) = Gamma(1+z)
+    # Gamma(1-z) from math.gamma, and O = 0; at g = 0 it is the lambda = 0
+    # closed form
+    g = np.array([0.0, 0.1, 0.5, 1.0, 1.5, 1.95, 1.99, 1.999])
+    e, o = greens._u_integral_lambda(g, np.zeros_like(g))
+    for gi, ei in zip(g.tolist(), e.tolist()):
+        z = 0.5 * gi
+        want = math.gamma(1.0 + z) * math.gamma(1.0 - z) * (1.0 + 2.0 * z * z) / 3.0
+        assert abs(ei - want) <= 4e-15 * want
+    assert not o.any()
+    b = np.linspace(-7.0, 7.0, 141)
+    e, o = greens._u_integral_lambda(np.zeros_like(b), b)
+    scale = 1.0 / (3.0 * (1.0 + b * b) ** 1.5)       # |int (1 + s - i b)^-4 ds|
+    assert np.all(np.abs(e - greens._u_integral_lambda0(b * b)) <= 4e-16 * scale)
+    assert not o.any()
 
 
 @pytest.mark.parametrize("b", [0.0, 0.5, 3.0, 30.0, 1e3])
@@ -292,7 +284,7 @@ def test_lambda0_u_integral_matches_mpmath(b):
 
 @pytest.mark.parametrize("order", [32, 33])
 def test_k_lambda_continuous_at_lambda0(order):
-    # the lambda = 0 closed form and the s-rule of lambda != 0 are one
+    # the lambda = 0 closed form and the closed form of lambda != 0 are one
     # function: the real part is even in lambda, so it moves by O(lambda^2)
     # at lambda = 1e-9; the imaginary part is the odd part, O(lambda)
     spec = QuadratureSpec(sphere_order=order)
@@ -308,18 +300,20 @@ def test_k_lambda_continuous_at_lambda0(order):
             assert k.imag_norm() <= 1e-8 * abs(k0.t)
 
 
-def test_k_lambda0_builds_no_s_rule(spec, monkeypatch):
-    # at lambda = 0 the u-integral is the closed form: no s-rule, orbit or
-    # weight table is built, for single points and for stencils
+def test_k_lambda_builds_no_u_rule(spec, monkeypatch):
+    # every u-integral of k_lambda is in closed form: no u-rule, panel grid
+    # or orbit table is built, at lambda = 0 or not, for single points and
+    # stencils
     def boom(*args):
-        raise AssertionError("lambda = 0 built a u-rule table")
+        raise AssertionError("k_lambda built a u-rule")
 
-    for name in ("_s_weights", "_sign_orbits", "_s_rule"):
+    for name in ("_u_rule", "panel_grid", "_sign_orbits"):
         monkeypatch.setattr(greens, name, boom)
     x, t = np.array([0.9, 0.4, -0.3, 0.6]), np.array([0.7, -1.2, 0.5])
-    assert k_lambda(x, t, LAM0, spec).t > 0.0
-    assert k_lambda(x, t, (-0.0, 0.0, -0.0), spec).t > 0.0
-    assert delta_lambda_residual_on_k(X_UNIT, np.array([0.5, 0.0, 0.0]), LAM0, spec) <= 1e-5
+    for lam in (LAM0, (-0.0, 0.0, -0.0), (0.5, 0.3, 0.0), (1.2, -0.9, 0.8)):
+        assert k_lambda(x, t, lam, spec).t != 0.0
+        assert delta_lambda_residual_on_k(X_UNIT, np.array([0.5, 0.0, 0.0]), lam,
+                                          spec) <= 1e-5
 
 
 def _k_lambda_full_sphere(x, t, lam, order):
@@ -473,9 +467,27 @@ _LAM = (0.3, 0.0, 0.0)
     lambda s: heis_k_quadrature(_X, 0.5, math.nan, s),
 ])
 def test_non_finite_input_raises(spec, call):
-    # each guard is a negated comparison, which NaN fails; never a NaN value
+    # each guard fails on NaN; never a NaN value
     with pytest.raises(ValueError):
         call(spec)
+
+
+def test_huge_finite_t_is_not_a_domain_error(spec):
+    # t is finite however large: where b^2 = (t.n/|x|^2)^2 overflows the
+    # value is not finite and raises QuadratureError; where only (1 + b^2)^3
+    # does, it underflows to 0.0 like the true kernel, at every lambda
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = np.array([1e200, 0.0, 0.0])
+        for call in (lambda: k_lambda(X_UNIT, huge, _LAM, spec),
+                     lambda: k_lambda(X_UNIT, huge, LAM0, spec),
+                     lambda: k0_sphere(X_UNIT, huge, spec),
+                     lambda: fourier_consistency(X_UNIT, huge, _LAM, spec)):
+            with pytest.raises(QuadratureError, match="not finite"):
+                call()
+        for lam in (_LAM, LAM0):
+            v = k_lambda(X_UNIT, np.array([1e150, 0.0, 0.0]), lam, spec)
+            assert v.components() == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_k_tilde_rows_reject_any_non_finite_row(spec):
@@ -537,7 +549,7 @@ def test_delta_residual_verify_values_pinned(spec):
     t = np.array([0.5, 0.0, 0.0])
     assert delta_lambda_residual_on_k(X_UNIT, t, LAM0, spec) == 1.938598234870596e-07
     assert (delta_lambda_residual_on_k(X_UNIT, t, (0.5, 0.3, 0.0), spec)
-            == 1.8767231629042663e-07)
+            == 1.8827788529960547e-07)
 
 
 def test_hermite_residual_values_pinned(spec):
@@ -585,7 +597,7 @@ def test_k_lambda_negative_zero_lambda_is_lambda0(order, rng):
         want[0][0], *want[1][0])
 
 
-@pytest.mark.parametrize("name", ["_u_rule", "_s_rule", "_v_rule", "_sign_orbits"])
+@pytest.mark.parametrize("name", ["_u_rule", "_v_rule", "_sign_orbits"])
 def test_kernel_tables_cached_and_not_built_at_import(name, src_env):
     code = ("import qsiegel, qsiegel.greens as g; "
             f"assert g.{name}.cache_info().currsize == 0")
@@ -657,20 +669,19 @@ def test_k_tilde_rows_match_per_row_reference(spec, rng, a):
 
 
 @pytest.mark.parametrize("order", [7, 32])
-def test_k_lambda_independent_of_block_size(order, rng, monkeypatch):
-    # the per-node u-sums are reduced over nodes once at the end, so one
-    # node per block, a ragged split and one block for all give one value,
-    # on the orbit tables and in the closed form of lambda = 0
+def test_k_lambda_independent_of_block_size(order, monkeypatch):
+    # k_lambda itself has no blocks; its Fourier-route check sums the
+    # r-nodes block by block into per-node sums, so one r-node per block,
+    # a ragged split and one block for all agree to rounding: no r-node
+    # is dropped or counted twice
     spec = QuadratureSpec(sphere_order=order)
-    xs = rng.normal(size=(3, 4))
-    ts = rng.normal(size=(3, 3))
-    lams = (Lambda(1.2, -0.9, 0.8), Lambda(0.0, 0.0, 0.0))
-    wants = [_k_lambda_components(xs, ts, lam, spec) for lam in lams]
+    x, t = np.array([1.2, 0.4, -0.3, 0.2]), np.array([0.3, -0.2, 0.1])
+    lams = ((0.4, 0.2, -0.1), LAM0)
+    wants = [fourier_consistency(x, t, lam, spec) for lam in lams]
     for points in (1, 1000, 10 ** 7):
         monkeypatch.setattr(greens, "_BLOCK_POINTS", points)
         for lam, want in zip(lams, wants):
-            got = _k_lambda_components(xs, ts, lam, spec)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert abs(fourier_consistency(x, t, lam, spec) - want) <= 1e-13
 
 
 @pytest.mark.parametrize("order", [2, 7, 8, 32, 33, 128])

@@ -12,6 +12,8 @@ against its bound of 1e-2.  An exact t = 0 oracle at lambda != 0
 (ROADMAP item 1) and an independent Fourier route (item 2) close it.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,28 @@ def _on_lambda(fn):
     return patch
 
 
+def _u_integral_defect(half=0.5, phase_sign=1.0, im_sign=1.0, g2=0.5):
+    """``greens._u_integral_lambda`` with one factor of its closed form
+    changed: G(half g), e^{phase_sign i g phi}, the im_sign 3igb term and
+    the g2 g^2 term."""
+    def defect(real):
+        def u_integral(g, b):
+            y = half * g
+            gam = np.divide(math.pi * y, np.sin(math.pi * np.minimum(y, 1.0 - y)),
+                            out=np.ones_like(y), where=y > 0.0)
+            d = 1.0 + b * b
+            scale = gam / (3.0 * d * d * d)
+            phase = phase_sign * g * np.arctan(b)
+            re = 1.0 + g2 * g * g - 3.0 * b * b
+            im = im_sign * 3.0 * g * b
+            return (scale * (np.cos(phase) * re - np.sin(phase) * im),
+                    scale * (np.sin(phase) * re + np.cos(phase) * im))
+        return u_integral
+    return defect
+
+
+_BOTH_ROUTES = {"kernel_annihilation_lambda", "fourier_route_consistency"}
+
 # (name of the patched greens function, wrapper of the real one, checks
 # that must fail)
 DEFECTS = {
@@ -48,6 +72,14 @@ DEFECTS = {
     "closed_form_1-2B": ("_u_integral_lambda0",
                          lambda real: lambda B: (1.0 - 2.0 * B) / (3.0 * (1.0 + B) ** 3),
                          {"kernel_annihilation_lambda0"}),
+    "closed_form_G(g)": ("_u_integral_lambda", _u_integral_defect(half=1.0),
+                         {"fourier_route_consistency"}),
+    "closed_form_-3igb": ("_u_integral_lambda", _u_integral_defect(im_sign=-1.0),
+                          _BOTH_ROUTES),
+    "closed_form_conjugate_phase": ("_u_integral_lambda",
+                                    _u_integral_defect(phase_sign=-1.0), _BOTH_ROUTES),
+    "closed_form_no_g^2": ("_u_integral_lambda", _u_integral_defect(g2=0.0),
+                           _BOTH_ROUTES),
     "ck_x1.1": ("_k_lambda_components", _on_components(lambda c0, ck: (c0, 1.1 * ck)),
                 {"kernel_annihilation_lambda"}),
     "ck_rolled": ("_k_lambda_components",
