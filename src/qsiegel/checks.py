@@ -82,13 +82,12 @@ def _erratum(name, adjudicated, candidates, notes="") -> CheckResult:
                        "info", "erratum", True, notes)
 
 
-def _rand_quat(rng) -> Quaternion:
-    return Quaternion(*rng.normal(size=4))
-
-
-# Randomized checks draw all samples at once and evaluate them as batches
-# (Quaternions with array components, one sample per entry), drawing the
-# stream in the same order as a loop over samples.
+# Randomized checks, the diffops ones included, draw all samples at once and
+# evaluate them as batches (Quaternions with array components, one sample
+# per entry), drawing the stream in the same order as a loop over samples.
+# dilation_norm_homogeneity is the exception: its normal and uniform draws
+# interleave, one factor after each element, so one array draw would change
+# its samples and the report; it draws per sample.
 
 def _draw(rng, n: int, width: int) -> np.ndarray:
     """n samples of ``width`` normals each: one row per coordinate, one
@@ -340,11 +339,8 @@ def _diffops(spec: QuadratureSpec):
                             f"(|imag| = {Quaternion(0, val.a, val.b, val.c).norm():.1e})")
 
     def tangency():
-        rng = np.random.default_rng(307)
-        worst = 0.0
-        for _ in range(50):
-            bp = boundary_point(_rand_quat(rng), tuple(rng.normal(size=3)))
-            worst = max(worst, crf_tangency_residual(bp))
+        x = _draw(np.random.default_rng(307), 50, 7)
+        worst = _worst(crf_tangency_residual(boundary_point(Quaternion(*x[:4]), x[4:])))
         return _bound_check("boundary_annihilation", worst, 1e-7,
                             "dbar_{q1} r + 2 q1 dbar_{q2} r on the boundary")
 
@@ -361,13 +357,12 @@ def _diffops(spec: QuadratureSpec):
                             "sphere integral reproduces f(q) = q at the center")
 
     def dq_pairing():
-        rng = np.random.default_rng(311)
-        worst = 0.0
-        for _ in range(200):
-            hs = [_rand_quat(rng) for _ in range(4)]
-            det = np.linalg.det(np.array([h.components() for h in hs]))
-            worst = max(worst, abs(scalar_product(hs[0], dq_eval(*hs[1:])) - det)
-                        / max(abs(det), 1.0))
+        x = _draw(np.random.default_rng(311), 200, 16)
+        h1, h2, h3, h4 = (Quaternion(*x[i:i + 4]) for i in range(0, 16, 4))
+        # sample n's matrix has the components of h1..h4 as its rows
+        det = np.linalg.det(x.reshape(4, 4, -1).transpose(2, 0, 1))
+        worst = _worst(np.abs(scalar_product(h1, dq_eval(h2, h3, h4)) - det)
+                       / np.maximum(np.abs(det), 1.0))
         return _bound_check("volume_pairing", worst, 1e-12,
                             "<h1, Dq(h2,h3,h4)> = det")
 

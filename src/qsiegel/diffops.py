@@ -42,13 +42,17 @@ the stencil points of one point or of a (7, N) batch, and returns (N,)
 components for a batch, so ``apply_op(op, f, ., h)`` is itself a field
 and nested operators need no special code.  The Cauchy-Fueter integral
 passes one row of sphere nodes at a time as a Quaternion with array
-components.
+components.  ``crf_tangency_residual`` and ``dq_eval`` take batches the
+same way, a SiegelPoint or Quaternions whose components are (N,) arrays,
+one sample per entry, evaluated in one pass; each entry equals its own
+call bit for bit, and a single point is a batch of one.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -157,29 +161,6 @@ class QPoly:
     def left_mul(self, q: Quaternion) -> "QPoly":
         return QPoly({k: q * v for k, v in self.c.items()})
 
-    def mul(self, other: "QPoly") -> "QPoly":
-        """Product; quaternion coefficients multiply in the given order."""
-        out = {}
-        for ka, va in self.c.items():
-            for kb, vb in other.c.items():
-                k = tuple(a + b for a, b in zip(ka, kb))
-                prod = va * vb
-                out[k] = out.get(k, ZERO) + prod
-        return QPoly(out)
-
-    def diff(self, coord: int) -> "QPoly":
-        """Partial derivative; t-coordinates (coord >= 4) give zero."""
-        if coord >= 4:
-            return QPoly()
-        out = {}
-        for k, v in self.c.items():
-            if k[coord] == 0:
-                continue
-            e = list(k)
-            e[coord] -= 1
-            out[tuple(e)] = out.get(tuple(e), ZERO) + v * float(k[coord])
-        return QPoly(out)
-
     def eval(self, x) -> Quaternion:
         """Value at x = (x0..x3), each a float or an (N,) array."""
         acc = ZERO
@@ -204,6 +185,36 @@ class QPoly:
 
     def __repr__(self):
         return f"QPoly({self.c!r})"
+
+
+@lru_cache(maxsize=None)
+def _leibniz(alpha) -> tuple:
+    """(gamma, alpha - gamma, binomial) of d^alpha (b g) = sum_gamma
+    C(alpha, gamma) d^(alpha - gamma) b d^gamma g for an x-polynomial b:
+    its t-derivatives vanish, so gamma keeps alpha's t-orders and
+    alpha - gamma is an x multi-index (4-tuple)."""
+    terms = []
+    for gx in itertools.product(*(range(a + 1) for a in alpha[:4])):
+        binom = math.prod(math.comb(a, g) for a, g in zip(alpha, gx))
+        terms.append((gx + alpha[4:], tuple(a - g for a, g in zip(alpha, gx)), binom))
+    return tuple(terms)
+
+
+def _diff(c, delta) -> dict:
+    """d^delta of the polynomial {exponent: Quaternion} c, in the same
+    form, for an x multi-index delta; the factors multiply in one
+    coordinate after another, falling."""
+    if not any(delta):
+        return c
+    out = {}
+    for e, v in c.items():
+        if any(ei < di for ei, di in zip(e, delta)):
+            continue
+        for i, d in enumerate(delta):
+            for j in range(d):
+                v = v * float(e[i] - j)
+        out[tuple(ei - di for ei, di in zip(e, delta))] = v
+    return out
 
 
 class QuatDiffOp:
@@ -240,25 +251,35 @@ class QuatDiffOp:
         return QuatDiffOp({k: v.left_mul(q) for k, v in self.terms.items()})
 
     def compose(self, other: "QuatDiffOp") -> "QuatDiffOp":
-        """Operator product self . other via the Leibniz rule."""
-        out = {}
+        """Operator product self . other via the Leibniz rule.
+
+        The coefficients are accumulated as plain {exponent: Quaternion}
+        dicts per derivative key, each coefficient of ``other`` is
+        differentiated once per derivative it needs, and every QPoly is
+        built once, at the end.
+        """
+        out = {}        # derivative key -> {exponent: Quaternion}
+        derivs = {}     # (beta, alpha - gamma) -> that derivative of other's coefficient
         for alpha, a_poly in self.terms.items():
+            leibniz = _leibniz(alpha)
             for beta, b_poly in other.terms.items():
-                for gamma in itertools.product(*(range(ai + 1) for ai in alpha)):
-                    binom = 1
-                    deriv = b_poly
-                    for i in range(N_COORDS):
-                        binom *= math.comb(alpha[i], gamma[i])
-                        for _ in range(alpha[i] - gamma[i]):
-                            deriv = deriv.diff(i)
-                        if deriv.is_zero():
-                            break
-                    if deriv.is_zero():
+                for gamma, delta, binom in leibniz:
+                    deriv = derivs.get((beta, delta))
+                    if deriv is None:
+                        deriv = derivs[beta, delta] = _diff(b_poly.c, delta)
+                    if not deriv:
                         continue
-                    key = tuple(g + b for g, b in zip(gamma, beta))
-                    contrib = a_poly.mul(deriv).scale(float(binom))
-                    out[key] = out[key] + contrib if key in out else contrib
-        return QuatDiffOp(out)
+                    prod = {}
+                    for ka, va in a_poly.c.items():
+                        for kb, vb in deriv.items():
+                            k = tuple(map(operator.add, ka, kb))
+                            prod[k] = prod[k] + va * vb if k in prod else va * vb
+                    acc = out.setdefault(tuple(map(operator.add, gamma, beta)), {})
+                    for k, v in prod.items():
+                        if binom != 1:
+                            v = v * float(binom)
+                        acc[k] = acc[k] + v if k in acc else v
+        return QuatDiffOp({k: QPoly(c) for k, c in out.items()})
 
     def order(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
@@ -324,22 +345,18 @@ def h_field() -> QuatDiffOp:
 # ---------------------------------------------------------------------------
 # finite-difference application
 
-def _check_steps(p, h):
-    """Steps per coordinate of p, a point (n,) or a batch (n, N) with the
-    coordinates on axis 0; h is a float or a length-n array.  Raises
-    ValueError unless every step is positive and finite and moves every
-    point to a new one on either side, with h*h not underflowing."""
-    n = p.shape[0]
-    steps = np.broadcast_to(np.asarray(h, dtype=float), (n,)).copy()
+def _check_steps(p, s):
+    """Raise ValueError unless every step of s, an array that broadcasts
+    against the point or batch p, is positive and finite and moves every
+    coordinate of p to a new value on either side, with s*s not
+    underflowing."""
     # negated, so that a NaN step fails it too
-    if not np.all((steps > 0.0) & (steps < math.inf)):
+    if not np.all((s > 0.0) & (s < math.inf)):
         raise ValueError("step must be positive and finite")
-    # either side of the stencil collapsing onto p, or h*h underflowing in
+    # either side of the stencil collapsing onto p, or s*s underflowing in
     # the second-difference denominators
-    s = steps.reshape((n,) + (1,) * (p.ndim - 1))
     if np.any((p + s == p) | (p - s == p) | (s * s == 0.0)):
         raise ValueError("step underflows at this point")
-    return steps
 
 
 # the central-difference stencil of a term, by (derivative order, number
@@ -365,7 +382,8 @@ def _apply(op: QuatDiffOp, f, p, h):
     p = np.asarray(p, dtype=float)
     if p.ndim not in (1, 2) or p.shape[0] != N_COORDS:
         raise ValueError("point must have 7 coordinates, or be a (7, N) batch")
-    steps = _check_steps(p, h)
+    steps = np.broadcast_to(np.asarray(h, dtype=float), (N_COORDS,)).copy()
+    _check_steps(p, steps.reshape((N_COORDS,) + (1,) * (p.ndim - 1)))
     pts = p.reshape(N_COORDS, -1)
     x = p[:4].tolist() if p.ndim == 1 else p[:4]
     index = {(0,) * N_COORDS: 0}
@@ -585,40 +603,41 @@ def box_b_identity_residual(f, p, h=1e-3) -> float:
 # ---------------------------------------------------------------------------
 # tangential Cauchy-Riemann check on the boundary
 
-def crf_tangency_residual(p, h: float = 1e-5) -> float:
-    """|dbar_{q1} r + 2 q1 dbar_{q2} r| at a boundary point.
+def crf_tangency_residual(p, h: float = 1e-5):
+    """|dbar_{q1} r + 2 q1 dbar_{q2} r| at boundary points.
 
     dbar is (1/2)(d/dx0 + sum i_m d/dx_m) per quaternion coordinate,
-    evaluated by central differences on the height function; the
+    evaluated by central differences on the height function r; the
     combination is tangential, so the residual is zero up to stencil
-    rounding.  The step is h (1 + |p|).  Raises BoundaryError off the
-    boundary, and ValueError for a step that is not positive and finite
-    or that collapses a side of the stencil onto p (as ``apply_op``).
+    rounding.  The step is h (1 + |p|), |p| the norm of the point's eight
+    coordinates.  p is a SiegelPoint or a batch of them (components of
+    shape (N,)); the 16 stencil points of all N points go through one
+    ``height`` call, and a batch returns the (N,) residuals, each equal bit
+    for bit to its point's own call, which returns a float.  Raises
+    BoundaryError off the boundary (for a batch, carrying the height of
+    the first point off it, as ``boundary_coords``), and ValueError for a
+    step that is not positive and finite or that collapses a side of the
+    stencil onto a point (as ``apply_op``).
     """
     from .siegel import SiegelPoint, height, boundary_coords
 
     boundary_coords(p)   # validates |height| within the boundary tolerance
-    base = np.array(p.q1.components() + p.q2.components())
-
-    def r_of(v):
-        return height(SiegelPoint(Quaternion(*v[:4]), Quaternion(*v[4:])))
-
-    step = _check_steps(base, h * (1.0 + np.linalg.norm(base)))[0]
-
-    def partial(i):
-        up, dn = base.copy(), base.copy()
-        up[i] += step
-        dn[i] -= step
-        return (r_of(up) - r_of(dn)) / (2.0 * step)
-
-    def dbar(block):
-        acc = Quaternion(partial(block))
-        for m in range(3):
-            acc = acc + _IMAG[m] * partial(block + 1 + m)
-        return acc * 0.5
-
-    res = dbar(0) + p.q1 * dbar(4) * 2.0
-    return res.norm()
+    comps = np.broadcast_arrays(*p.q1.components(), *p.q2.components())
+    base = np.array(comps, dtype=float).reshape(8, -1)
+    # each column's norm by one BLAS dot, as np.linalg.norm takes it
+    rows = np.ascontiguousarray(base.T)
+    step = h * (1.0 + np.sqrt(np.matmul(rows[:, None], rows[:, :, None])[:, 0, 0]))
+    _check_steps(base, step)
+    # coordinate i moved by +step at stencil point 2i and by -step at 2i + 1
+    pts = np.repeat(base[:, None, :], 16, axis=1)
+    for i in range(8):
+        pts[i, 2 * i] = base[i] + step
+        pts[i, 2 * i + 1] = base[i] - step
+    r = height(SiegelPoint(Quaternion(*pts[:4]), Quaternion(*pts[4:])))
+    d = (r[0::2] - r[1::2]) / (2.0 * step)
+    dbar_q1, dbar_q2 = Quaternion(*d[:4]) * 0.5, Quaternion(*d[4:]) * 0.5
+    res = (dbar_q1 + Quaternion(*base[:4]) * dbar_q2 * 2.0).norm()
+    return res if comps[0].ndim else float(res[0])
 
 
 # ---------------------------------------------------------------------------
@@ -636,26 +655,32 @@ def dq_eval(h2: Quaternion, h3: Quaternion, h4: Quaternion) -> Quaternion:
 
     Dq(h2, h3, h4) = sum_mu (-1)^mu M_mu e_mu with M_mu the 3x3 minors of
     the component rows; equivalently <h1, Dq(...)> = det[h1; h2; h3; h4]
-    for every h1.  Arguments are canonically ordered before evaluation so
-    the form is exactly alternating: repeated arguments give exactly zero
-    and permutations flip only the sign bit.
+    for every h1.  The arguments are Quaternions with float components or
+    a batch of them, components that broadcast to (N,), one triple per
+    column; a batch returns (N,) components, each column equal bit for
+    bit to its own call.  Each triple is put in lexicographic order of its
+    components before the minors are taken, so the form is exactly
+    alternating: a repeated argument gives exactly zero in its own column,
+    and a permutation flips only the sign bit.  Raises ValueError when any
+    component of any argument is NaN or infinite.
     """
-    rows = [h2.components(), h3.components(), h4.components()]
-    if rows[0] == rows[1] or rows[0] == rows[2] or rows[1] == rows[2]:
-        return ZERO
-    order = sorted(range(3), key=lambda i: rows[i])
-    sign = 1.0
-    # parity of the sorting permutation (3 elements: count inversions)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if order[i] > order[j]:
-                sign = -sign
-    r = [rows[i] for i in order]
-    minors = [
-        _det3([[row[c] for c in cols] for row in r])
-        for cols in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-    ]
-    return Quaternion(minors[0], -minors[1], minors[2], -minors[3]) * sign
+    comps = np.broadcast_arrays(*h2.components(), *h3.components(), *h4.components())
+    rows = np.array(comps, dtype=float).reshape(3, 4, -1)   # argument, component, column
+    if not np.isfinite(rows).all():
+        raise ValueError("Dq of a NaN or infinite vector")
+    # the lexicographic order of each column's triple, the first component
+    # the primary key, and its parity
+    order = np.lexsort(rows.transpose(1, 0, 2)[::-1], axis=0)
+    inversions = ((order[0] > order[1]).astype(int) + (order[0] > order[2])
+                  + (order[1] > order[2]))
+    sign = 1.0 - 2.0 * (inversions % 2)
+    r = np.take_along_axis(rows, order[:, None, :], axis=0)
+    minors = [_det3(r[:, cols]) for cols in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))]
+    value = np.array([minors[0], -minors[1], minors[2], -minors[3]]) * sign
+    repeated = ((rows[0] == rows[1]).all(axis=0) | (rows[0] == rows[2]).all(axis=0)
+                | (rows[1] == rows[2]).all(axis=0))
+    value[:, repeated] = 0.0
+    return Quaternion(*(value if comps[0].ndim else value[:, 0].tolist()))
 
 
 def _cf_run(f, q0: Quaternion, radius: float, order: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""The randomized algebra, group and siegel checks, run as batches."""
+"""The randomized algebra, group, siegel and diffops checks, run as batches."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,8 @@ PINNED = {
     ("siegel", "action_composition"): 1.4735466201043096e-14,
     ("siegel", "action_height_invariance"): 7.993605777301127e-15,
     ("siegel", "boundary_coordinate_roundtrip"): 0.0,
+    ("diffops", "boundary_annihilation"): 2.2540421120516087e-11,
+    ("diffops", "volume_pairing"): 1.2212453270876722e-15,
 }
 
 
@@ -45,6 +47,24 @@ def test_cayley_roundtrip_keeps_its_samples(spec, monkeypatch):
     monkeypatch.setattr(checks, "cayley_to_siegel", spy)
     assert _check(spec, "siegel", "cayley_roundtrip")().passed
     assert sizes == [(365,)]
+
+
+def test_diffops_suite_one_call_per_batched_check(spec, monkeypatch):
+    # each randomized diffops check takes all its samples in one call
+    calls = {"crf_tangency_residual": 0, "dq_eval": 0}
+
+    def counted(name):
+        real = getattr(checks, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(checks, name, counted(name))
+    assert checks.run_suite("diffops", spec)["passed"]
+    assert calls == {"crf_tangency_residual": 1, "dq_eval": 1}
 
 
 @pytest.mark.parametrize("suite, name", [("group", "associativity"),

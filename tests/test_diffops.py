@@ -18,7 +18,7 @@ from qsiegel.diffops import (N_COORDS, Lambda, make_x, hbar_field, h_field,
                              _sum_x_squared, _x_fields, _box_b_ops,
                              _as_components, _cf_run, _det3)
 from qsiegel.quad import QuadratureError, QuadratureSpec, sphere3_angles
-from qsiegel.siegel import boundary_point
+from qsiegel.siegel import BoundaryError, SiegelPoint, boundary_point, height
 
 
 def _dt_op(k, coeff):
@@ -172,6 +172,93 @@ def test_dq_volume_pairing(rng):
         det = np.linalg.det(np.array([h.components() for h in hs]))
         got = scalar_product(hs[0], dq_eval(hs[1], hs[2], hs[3]))
         assert abs(got - det) <= 1e-12 * max(1.0, abs(det))
+
+
+def _boundary_batch(rng, n):
+    x = rng.normal(size=(7, n)) * rng.uniform(0.1, 10.0, size=n)
+    return boundary_point(Quaternion(*x[:4]), x[4:])
+
+
+def _column(q, j):
+    return Quaternion(*(float(c[j]) for c in q.components()))
+
+
+def _bits(v):
+    return [float(c).hex() for c in np.ravel(v)]
+
+
+def test_tangency_batch_matches_single_points(rng):
+    bp = _boundary_batch(rng, 60)
+    res = crf_tangency_residual(bp)
+    assert res.shape == (60,)
+    single = [crf_tangency_residual(SiegelPoint(_column(bp.q1, j), _column(bp.q2, j)))
+              for j in range(60)]
+    assert all(isinstance(v, float) for v in single)
+    assert _bits(res) == _bits(single)
+    assert np.max(res) <= 1e-7
+
+
+def test_tangency_batch_off_boundary_point_raises_its_height(rng):
+    bp = _boundary_batch(rng, 50)
+    t = bp.q2.t.copy()
+    t[23] += 1e-3
+    off = SiegelPoint(bp.q1, Quaternion(t, bp.q2.a, bp.q2.b, bp.q2.c))
+    with pytest.raises(BoundaryError) as err:
+        crf_tangency_residual(off)
+    assert err.value.height == height(off)[23]
+
+
+def _dq_batch(rng, n):
+    return [Quaternion(*rng.normal(size=(4, n))) for _ in range(3)]
+
+
+def test_dq_batch_matches_single_triples(rng):
+    # every 7th triple repeats h2 as h4; in every 5th, h3 shares h2's first
+    # two components, so the lexicographic order reaches the third
+    c2, c3, c4 = ([c.copy() for c in h.components()] for h in _dq_batch(rng, 60))
+    cols = np.arange(60)
+    for k in range(4):
+        c4[k][cols % 7 == 0] = c2[k][cols % 7 == 0]
+    for k in range(2):
+        c3[k][cols % 5 == 0] = c2[k][cols % 5 == 0]
+    hs = [Quaternion(*c) for c in (c2, c3, c4)]
+    got = dq_eval(*hs)
+    assert not np.any(np.array(got.components())[:, cols % 7 == 0])
+    assert got.t.shape == (60,)
+    for j in range(60):
+        want = dq_eval(*(_column(h, j) for h in hs))
+        assert _bits([c[j] for c in got.components()]) == _bits(want.components())
+
+
+def test_dq_batch_swap_flips_only_the_sign_bit(rng):
+    h2, h3, h4 = _dq_batch(rng, 50)
+    a = np.array(dq_eval(h2, h3, h4).components())
+    b = np.array(dq_eval(h4, h3, h2).components())
+    assert np.array_equal(np.abs(a), np.abs(b))
+    assert np.all(np.signbit(a) != np.signbit(b))
+
+
+def test_dq_batch_repeated_argument_zero_in_its_column_only(rng):
+    h2, h3, h4 = _dq_batch(rng, 50)
+    comps = [c.copy() for c in h4.components()]
+    for c, c2 in zip(comps, h2.components()):
+        c[17] = c2[17]
+    base = np.array(dq_eval(h2, h3, h4).components())
+    got = np.array(dq_eval(h2, h3, Quaternion(*comps)).components())
+    assert _bits(got[:, 17]) == _bits([0.0] * 4)
+    keep = np.arange(50) != 17
+    assert np.array_equal(got[:, keep], base[:, keep])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_dq_non_finite_argument_raises(rng, bad):
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        dq_eval(Quaternion(bad), I2, I3)
+    h2, h3, h4 = _dq_batch(rng, 20)
+    c = h3.c.copy()
+    c[11] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        dq_eval(h2, Quaternion(h3.t, h3.a, h3.b, c), h4)
 
 
 def test_dq_on_standard_basis():

@@ -1,8 +1,9 @@
-"""The greens verify suite against deliberately broken kernels.
+"""The greens and diffops verify suites against deliberately broken code.
 
-Each defect below is patched into one evaluator of ``qsiegel.greens``, and
-``run_suite("greens")`` must then fail, in the checks named with it.  A
-suite that passes a broken kernel proves nothing about a working one.
+Each defect below is patched into one evaluator of ``qsiegel.greens`` or
+``qsiegel.diffops``, and ``run_suite`` of that suite must then fail, in
+the checks named with it.  A suite that passes broken code proves nothing
+about working code.
 
 Known gap, not asserted here: K_lambda scaled by 1.01 at lambda != 0
 still passes every check.  The annihilation residual is normalized by
@@ -12,12 +13,14 @@ against its bound of 1e-2.  An exact t = 0 oracle at lambda != 0
 (ROADMAP item 1) and an independent Fourier route (item 2) close it.
 """
 
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
 
-from qsiegel import checks, greens
+from qsiegel import checks, diffops, greens
 from qsiegel.diffops import Lambda
 
 
@@ -100,6 +103,67 @@ def test_greens_suite_fails_on_defect(spec, monkeypatch, defect):
     name, wrap, must_fail = DEFECTS[defect]
     monkeypatch.setattr(greens, name, wrap(getattr(greens, name)))
     report = checks.run_suite("greens", spec)
+    failed = {c["name"] for c in report["checks"]
+              if c["category"] != "erratum" and not c["pass"]}
+    assert not report["passed"]
+    assert must_fail <= failed
+
+
+def _rewritten(fn, old, new):
+    """fn recompiled in a copy of its module's namespace, with the one
+    occurrence of ``old`` in its source replaced by ``new``."""
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1, f"mutation site {old!r} not unique in {fn.__name__}"
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+def _flipped_x1_coefficient(real):
+    # X1's t1-coefficient 2 x0 becomes -2 x0
+    return (real[0], ((0, -2.0),) + real[1][1:]) + real[2:]
+
+
+def _scaled_cf_run(real):
+    return lambda *a: real(*a) * 1.001
+
+
+# (module, name of the patched object, wrapper of the real one, checks that
+# must fail); checks looks up crf_tangency_residual and dq_eval in its own
+# namespace, so those are patched there
+DIFFOPS_DEFECTS = {
+    "x_tcoeff_sign": (diffops, "_X_TCOEFF", _flipped_x1_coefficient, {"bracket_table"}),
+    "no_leibniz_derivative": (diffops, "_leibniz",
+                              lambda real: lambda alpha: ((alpha, (0, 0, 0, 0), 1),),
+                              {"bracket_table"}),
+    "dq_minor_sign": (checks, "dq_eval",
+                      lambda real: _rewritten(real, "-minors[1]", "minors[1]"),
+                      {"volume_pairing"}),
+    "tangency_no_factor_2": (checks, "crf_tangency_residual",
+                             lambda real: _rewritten(real, "dbar_q2 * 2.0", "dbar_q2"),
+                             {"boundary_annihilation"}),
+    "cf_run_x1.001": (diffops, "_cf_run", _scaled_cf_run,
+                      {"reproducing_constant", "reproducing_identity"}),
+}
+
+
+@pytest.fixture
+def fresh_operators():
+    """Empty the cached operators before and after a test, so that none
+    built from a patched definition outlives it."""
+    caches = (diffops._sum_x_squared, diffops._x_fields, diffops._box_b_ops)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("defect", sorted(DIFFOPS_DEFECTS))
+def test_diffops_suite_fails_on_defect(spec, monkeypatch, fresh_operators, defect):
+    module, name, wrap, must_fail = DIFFOPS_DEFECTS[defect]
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    report = checks.run_suite("diffops", spec)
     failed = {c["name"] for c in report["checks"]
               if c["category"] != "erratum" and not c["pass"]}
     assert not report["passed"]
