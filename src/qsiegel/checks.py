@@ -84,10 +84,8 @@ def _erratum(name, adjudicated, candidates, notes="") -> CheckResult:
 
 # Randomized checks, the diffops ones included, draw all samples at once and
 # evaluate them as batches (Quaternions with array components, one sample
-# per entry), drawing the stream in the same order as a loop over samples.
-# dilation_norm_homogeneity is the exception: its normal and uniform draws
-# interleave, one factor after each element, so one array draw would change
-# its samples and the report; it draws per sample.
+# per entry).  Most draw the stream in the same order as a loop over samples;
+# dilation_norm_homogeneity draws every element, then every factor.
 
 def _draw(rng, n: int, width: int) -> np.ndarray:
     """n samples of ``width`` normals each: one row per coordinate, one
@@ -203,12 +201,8 @@ def _group(spec: QuadratureSpec):
 
     def dil_norm():
         rng = np.random.default_rng(107)
-        # each sample draws its factor after its element: draw per sample
-        x = np.empty((2000, 8))
-        for row in x:
-            row[:7] = rng.normal(size=7)
-            row[7] = rng.uniform(0.1, 3.0)
-        g, r = _group_rows(x.T), x[:, 7]
+        g = _group_rows(_draw(rng, 2000, 7))
+        r = rng.uniform(0.1, 3.0, 2000)
         worst = _worst(np.abs(homogeneous_norm(dilate(r, g))
                               - r * homogeneous_norm(g)))
         return _bound_check("dilation_norm_homogeneity", worst, 1e-11)

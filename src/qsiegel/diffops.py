@@ -114,7 +114,10 @@ def _as_components(v, m: int) -> np.ndarray:
     """(4, m) components of an array field's value at m points: a
     Quaternion or a real, each part a scalar or an (m,) array."""
     comps = v.components() if isinstance(v, Quaternion) else (v, 0.0, 0.0, 0.0)
-    return np.array([np.broadcast_to(np.asarray(c, dtype=float), (m,)) for c in comps])
+    out = np.empty((4, m))
+    for i, c in enumerate(comps):
+        out[i] = c
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ Three evaluators and their cross-checks:
       K~_lambda = e^{-c} / (4 pi^2 |x|^2) int_0^inf e^{-s} (s/(s+2c))^mu ds,
 
   mu = lambda.n/2, whose integral runs on one fixed rule (``_v_rule``)
-  and is exactly 1 at mu = 0.
+  and is exactly 1 at mu = 0.  ``k_tilde_lambda`` and ``hermite_residual``
+  share one row path, ``_k_tilde_rows``, on the ray that ``_tau_ray``
+  reads from tau and lambda as Python floats.
 
 * ``k_lambda`` -- the group-space kernel in its polar-reduced form
 
@@ -60,6 +62,9 @@ is an einsum, whose sum order does not depend on the number of rows, so
 each stencil value is that of ``k_tilde_lambda`` or ``k_lambda`` at its
 point bit for bit.  Large-u factors are computed in the form
 4 e^{-(2+a)u} / (1-e^{-2u})^2, which neither overflows nor cancels.
+
+An x that is not finite, or finite with an overflowing |x|^2, raises
+ValueError with no numpy warning (``_x_sq``; ``_k_tilde_rows`` for K~).
 """
 
 from __future__ import annotations
@@ -86,11 +91,12 @@ __all__ = [
     "delta_lambda_residual_on_k",
 ]
 
-def _check_lambda_ball(lam: Lambda):
+def _check_lambda_ball(l1: float, l2: float, l3: float):
     # negated, so that a NaN component fails it too
-    if not (lam.norm() < 2.0):
+    norm = math.hypot(l1, l2, l3)
+    if not (norm < 2.0):
         raise ValueError(
-            f"lambda decay condition fails: |lambda| = {lam.norm():.6g} is not < 2")
+            f"lambda decay condition fails: |lambda| = {norm:.6g} is not < 2")
 
 
 def _x4(x) -> np.ndarray:
@@ -98,6 +104,22 @@ def _x4(x) -> np.ndarray:
     if x.shape != (4,):
         raise ValueError("x must have 4 components")
     return x
+
+
+def _x_sq(x: np.ndarray) -> float:
+    """|x|^2 = x @ x of a 4-vector, for the x guards of the evaluators.
+
+    Raises ValueError where x is finite but |x|^2 overflows.  The test runs
+    on Python floats, which overflow to inf without a numpy warning.  A
+    non-finite x returns its NaN or inf, which the caller's guard rejects.
+    """
+    a, b, c, d = x.tolist()
+    sq = a * a + b * b + c * c + d * d
+    if sq < math.inf:
+        return float(x @ x)
+    if math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d):
+        raise ValueError("|x|^2 overflows: x is finite but too large")
+    return sq
 
 
 def _t3(t) -> np.ndarray:
@@ -173,17 +195,20 @@ def _v_rule():
     return z, wz, r1, wr1, i0
 
 
-def _tau_ray(tau, lam: Lambda) -> tuple:
-    """(|tau|^2, |tau|, lambda.tau) as Python floats, for a tau of three
-    components that is nonzero and finite, |lambda| < 2, and a decay rate
-    2 + lambda.tau/|tau| that is positive."""
+def _tau_ray(tau, lam) -> tuple:
+    """(|tau|^2, |tau|, lambda.tau) as Python floats, for a lambda (a
+    ``Lambda`` or any 3-sequence of reals) with |lambda| < 2, a tau of
+    three components that is nonzero and finite, and a decay rate
+    2 + lambda.tau/|tau| that is positive.  The lambda guard is
+    ``_check_lambda_ball``'s, which a NaN component fails; no ``Lambda``
+    is built."""
+    l1, l2, l3 = lam.as_tuple() if isinstance(lam, Lambda) else map(float, lam)
     t1, t2, t3 = _t3(tau).tolist()
-    _check_lambda_ball(lam)
+    _check_lambda_ball(l1, l2, l3)
     tsq = t1 * t1 + t2 * t2 + t3 * t3
     tnorm = math.sqrt(tsq)
     if not (0.0 < tnorm < math.inf):
         raise ValueError("tau must be nonzero and finite")
-    l1, l2, l3 = lam.as_tuple()
     lt = l1 * t1 + l2 * t2 + l3 * t3
     if not (lt / tnorm > -2.0):
         raise ValueError(f"lambda decay condition fails on this ray: {lt / tnorm:.6g} <= -2")
@@ -202,17 +227,21 @@ def _k_tilde_rows(xs: np.ndarray, ray: tuple, spec: QuadratureSpec) -> list:
     call, and I is one einsum row reduction of (2c + s)^{-mu} against
     them, whose sum order does not depend on the number of rows (a BLAS
     product's does), so each row equals its single-row evaluation.  The
-    rule is the same for every ``spec``.
+    rule is the same for every ``spec``.  Raises ValueError where a row is
+    0 or not finite, or where a finite row's |x|^2 overflows.
     """
     _, tnorm, lt = ray
     xsq = np.einsum("ij,ij->i", xs, xs)
     # the sum is NaN or inf when any row is, at a fraction of a per-row test
     xl = xsq.tolist()
     if 0.0 in xl or not (sum(xl) < math.inf):
+        if 0.0 not in xl and np.isfinite(xs).all():
+            raise ValueError("|x|^2 overflows: x is finite but too large")
         raise ValueError("x = 0 or non-finite x outside reduced-representation domain")
     c = tnorm * xsq
     val = np.exp(-c)
-    val /= (4.0 * math.pi ** 2) * xsq
+    xsq *= 4.0 * math.pi ** 2
+    val /= xsq
     z, wz, r1, wr1, i0 = _v_rule()
     if lt == 0.0:
         val *= i0
@@ -222,7 +251,9 @@ def _k_tilde_rows(xs: np.ndarray, ray: tuple, spec: QuadratureSpec) -> list:
     s = z ** k
     nodes = np.concatenate([s, r1])
     w = np.concatenate([k * wz * np.exp(-s), wr1 * r1 ** mu])
-    terms = np.add.outer(2.0 * np.minimum(c, _C_CAP), nodes)
+    np.minimum(c, _C_CAP, out=c)
+    c *= 2.0
+    terms = np.add.outer(c, nodes)
     np.power(terms, -mu, out=terms)
     val *= np.einsum("nj,j->n", terms, w)
     return val.tolist()
@@ -230,9 +261,17 @@ def _k_tilde_rows(xs: np.ndarray, ray: tuple, spec: QuadratureSpec) -> list:
 
 def k_tilde_lambda(x, tau, lam, spec: QuadratureSpec) -> float:
     """Evaluate K~_lambda(x, tau) in the v = coth u form on the fixed rule
-    of ``_v_rule``."""
+    of ``_v_rule``.  ``lam`` is a ``Lambda`` or a 3-sequence of reals."""
     x = _x4(x)
-    return _k_tilde_rows(x[None, :], _tau_ray(tau, Lambda.from_seq(lam)), spec)[0]
+    return _k_tilde_rows(x[None, :], _tau_ray(tau, lam), spec)[0]
+
+
+@lru_cache(maxsize=8)
+def _step_table(h: float) -> np.ndarray:
+    """The 17 Hermite stencil offsets at step h, h * _OFFSETS, read-only."""
+    table = h * _OFFSETS
+    table.setflags(write=False)
+    return table
 
 
 def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float = 1e-3) -> float:
@@ -244,15 +283,17 @@ def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float = 1e-3) -> floa
 
     and the residual is the Richardson extrapolation |4 D(h/2) - D(h)| / 3,
     O(h^4).  The 17 stencil values come from one ``_k_tilde_rows`` call, so
-    they are those of 17 ``k_tilde_lambda`` evaluations.  The step must be
-    positive and finite, and must not collapse the stencil: ValueError when
-    x_l + h/2 == x_l or x_l - h/2 == x_l in some coordinate, or
-    (h/2)^2 == 0.
+    they are those of 17 ``k_tilde_lambda`` evaluations.  ``lam`` is a
+    ``Lambda`` or a 3-sequence of reals, read by ``_tau_ray`` after the
+    guards on x and h.  The step must be positive and finite, and must not
+    collapse the stencil: ValueError when x_l + h/2 == x_l or
+    x_l - h/2 == x_l in some coordinate, or (h/2)^2 == 0.  The offsets
+    come from a cached read-only table per step (``_step_table``).
     """
     x = _x4(x)
-    lam = Lambda.from_seq(lam)
     xl = x.tolist()
-    xsq = sum(v * v for v in xl)
+    x0, x1, x2, x3 = xl
+    xsq = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
     if not (math.sqrt(xsq) >= 0.3):
         raise ValueError("|x| >= 0.3 required away from the singular support")
     if not (0.0 < h < math.inf):
@@ -261,12 +302,15 @@ def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float = 1e-3) -> floa
     if half * half == 0.0 or any(v + half == v or v - half == v for v in xl):
         raise ValueError("step underflows at this point")
     ray = _tau_ray(tau, lam)
-    k = _k_tilde_rows(x + h * _OFFSETS, ray, spec)
+    k = _k_tilde_rows(x + _step_table(h), ray, spec)
     center = k[0]
-    lap = [sum(k[i + l] - 2.0 * center + k[i + 4 + l] for l in range(4)) / (s * s)
-           for i, s in ((1, h), (9, half))]
+    c2 = 2.0 * center
+    lap_h = ((k[1] - c2 + k[5]) + (k[2] - c2 + k[6]) + (k[3] - c2 + k[7])
+             + (k[4] - c2 + k[8])) / (h * h)
+    lap_half = ((k[9] - c2 + k[13]) + (k[10] - c2 + k[14]) + (k[11] - c2 + k[15])
+                + (k[12] - c2 + k[16])) / (half * half)
     tsq, _, lt = ray
-    return abs((4.0 * lap[1] - lap[0]) / 3.0 - (4.0 * xsq * tsq + 4.0 * lt) * center)
+    return abs((4.0 * lap_half - lap_h) / 3.0 - (4.0 * xsq * tsq + 4.0 * lt) * center)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +475,8 @@ def k_lambda(x, t, lam, spec: QuadratureSpec) -> Quaternion:
     x = _x4(x)
     t = _t3(t)
     lam = Lambda.from_seq(lam)
-    _check_lambda_ball(lam)
-    if not (0.0 < float(x @ x) < math.inf):
+    _check_lambda_ball(*lam.as_tuple())
+    if not (0.0 < _x_sq(x) < math.inf):
         raise ValueError("x = 0 or non-finite x outside reduced-representation domain")
     if not np.isfinite(t).all():
         raise ValueError("t must be finite")
@@ -454,7 +498,7 @@ def k0_sphere(x, t, spec: QuadratureSpec) -> float:
     """
     x = _x4(x)
     t = _t3(t)
-    xsq = float(x @ x)
+    xsq = _x_sq(x)
     if not (0.0 < xsq < math.inf):
         raise ValueError("x = 0 or non-finite x outside reduced-representation domain")
     if not np.isfinite(t).all():
@@ -502,7 +546,7 @@ def heis_k_closed(x, t: float, lam: float) -> Quaternion:
     x = _x4(x)
     t = float(t)
     lam = float(lam)
-    xsq = float(x @ x)
+    xsq = _x_sq(x)
     if not (xsq < math.inf and abs(t) < math.inf and abs(lam) < math.inf):
         raise ValueError("x, t and lambda must be finite")
     if xsq == 0.0 and t == 0.0:
@@ -539,7 +583,7 @@ def heis_k_quadrature(x, t: float, lam: float, spec: QuadratureSpec) -> Quaterni
     lam = float(lam)
     if not (abs(lam) < 2.0):
         raise ValueError("|lambda| < 2 required")
-    xsq = float(x @ x)
+    xsq = _x_sq(x)
     if not (xsq < math.inf and abs(t) < math.inf):
         raise ValueError("x and t must be finite")
     if xsq == 0.0 and t == 0.0:
@@ -577,7 +621,7 @@ def heis_contour_sign_check(x, t: float, lam: float, spec: QuadratureSpec) -> di
     lam = float(lam)
     if not (abs(lam) < 2.0):
         raise ValueError("|lambda| < 2 required")
-    xsq = float(x @ x)
+    xsq = _x_sq(x)
     if not (xsq < math.inf and abs(t) < math.inf):
         raise ValueError("x and t must be finite")
 
@@ -628,8 +672,8 @@ def fourier_consistency(x, t, lam, spec: QuadratureSpec,
     x = _x4(x)
     t = _t3(t)
     lam = Lambda.from_seq(lam)
-    _check_lambda_ball(lam)
-    xsq = float(x @ x)
+    _check_lambda_ball(*lam.as_tuple())
+    xsq = _x_sq(x)
     if not (1.0 <= math.sqrt(xsq) < math.inf):
         raise ValueError("finite |x| >= 1 keeps the oscillatory integral tame")
     if not np.isfinite(t).all():
@@ -699,8 +743,8 @@ def delta_lambda_residual_on_k(x, t, lam, spec: QuadratureSpec, h=0.005):
     x = _x4(x)
     t = _t3(t)
     lam = Lambda.from_seq(lam)
-    _check_lambda_ball(lam)
-    hnorm_sq = float(x @ x) + float(np.linalg.norm(t))
+    _check_lambda_ball(*lam.as_tuple())
+    hnorm_sq = _x_sq(x) + float(np.linalg.norm(t))
     if not (0.5 <= math.sqrt(hnorm_sq) < math.inf and float(np.linalg.norm(x)) > 0.3):
         raise ValueError("probe point too close to the kernel singularity or not finite")
 

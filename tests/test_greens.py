@@ -559,6 +559,72 @@ def test_hermite_residual_values_pinned(spec):
     assert (hermite_residual(np.array([0.8, -0.3, 0.5, 0.2]), np.array([0.4, -0.7, 0.3]),
                              (0.3, -0.2, 0.4), spec)
             == 2.1389487403489227e-11)
+    # lambda = 0, where three quarters of perfbench's residuals run, and an
+    # explicit step
+    x, tau = np.array([0.8, -0.3, 0.5, 0.2]), np.array([0.4, -0.7, 0.3])
+    assert hermite_residual(x, tau, LAM0, spec) == 6.37150089632943e-11
+    assert hermite_residual(x, tau, LAM0, spec, h=4e-3) == 3.975469259343001e-12
+
+
+def test_hermite_residual_one_k_tilde_call(spec, monkeypatch):
+    # the 17 stencil rows share one _k_tilde_rows call, the only K~ path
+    real = greens._k_tilde_rows
+    shapes = []
+
+    def spy(xs, ray, s):
+        shapes.append(xs.shape)
+        return real(xs, ray, s)
+
+    monkeypatch.setattr(greens, "_k_tilde_rows", spy)
+    for lam in (LAM0, (0.3, -0.2, 0.4)):
+        hermite_residual(np.array([0.8, -0.3, 0.5, 0.2]), np.array([0.4, -0.7, 0.3]),
+                         lam, spec)
+    assert shapes == [(17, 4), (17, 4)]
+
+
+@pytest.mark.parametrize("tau, lam", [
+    (np.array([0.4, -0.7, 0.3]), (0.3, -0.2, 0.4)),
+    (np.array([0.4, -0.7, 0.3]), (0.0, 0.0, 0.0)),
+    (np.array([0.4, -0.7, 0.3]), (-0.0, 1e-300, 0.0)),
+    (np.array([1.0, 0.0, 0.0]), (1.99, 0.0, 0.0)),
+    (np.array([1.0, 0.0, 0.0]), (2.0, 0.0, 0.0)),         # |lambda| < 2 fails
+    (np.array([1.0, 0.0, 0.0]), (math.nan, 0.0, 0.0)),    # so does a NaN
+    (np.array([-1.0, 0.0, 0.0]), (1.5, 1.3, 0.0)),        # decay on the ray fails
+    (np.zeros(3), (0.3, 0.0, 0.0)),                       # tau = 0
+])
+def test_lambda_and_tuple_agree(spec, tau, lam):
+    # a Lambda and a tuple of its components give the same float, or the
+    # same error
+    x = np.array([0.8, -0.3, 0.5, 0.2])
+    for f in (k_tilde_lambda, hermite_residual):
+        outcomes = []
+        for arg in (Lambda(*lam), lam, list(lam), np.array(lam)):
+            try:
+                outcomes.append(f(x, tau, arg, spec))
+            except ValueError as e:
+                outcomes.append(str(e))
+        assert len(set(outcomes)) == 1, outcomes
+
+
+def test_finite_x_with_overflowing_square_raises(spec):
+    # |x|^2 of x = 1e200 e_0 overflows: every x guard raises ValueError
+    # naming the overflow, with no numpy RuntimeWarning on the way
+    big = np.array([1e200, 0.0, 0.0, 0.0])
+    t = np.array([0.5, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: k_lambda(big, t, _LAM, spec),
+                     lambda: k_lambda(big, t, LAM0, spec),
+                     lambda: k0_sphere(big, t, spec),
+                     lambda: k_tilde_lambda(big, t, _LAM, spec),
+                     lambda: hermite_residual(big, t, _LAM, spec, h=1e190),
+                     lambda: heis_k_closed(big, 0.5, 0.3),
+                     lambda: heis_k_quadrature(big, 0.5, 0.3, spec),
+                     lambda: heis_contour_sign_check(big, 0.5, 0.3, spec),
+                     lambda: fourier_consistency(big, t, _LAM, spec),
+                     lambda: delta_lambda_residual_on_k(big, t, _LAM, spec)):
+            with pytest.raises(ValueError, match="overflows"):
+                call()
 
 
 def test_batched_rows_match_single_points(rng):
