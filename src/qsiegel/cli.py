@@ -226,8 +226,9 @@ _TABLE_KINDS = {
 }
 
 
-def emit_table(kind: str, grid: dict, out, spec: QuadratureSpec) -> int:
-    """Write a CSV table of kernel values; returns the number of data rows.
+def emit_table(kind: str, grid: dict, out: str, spec: QuadratureSpec) -> int:
+    """Write a CSV table of kernel values to the path ``out`` ("-" for
+    stdout); returns the number of data rows.
 
     grid holds one float list per axis: klambda/heis use xnorm, t, lam;
     szego uses height.  Precondition-violating points become rows marked
@@ -239,15 +240,7 @@ def emit_table(kind: str, grid: dict, out, spec: QuadratureSpec) -> int:
     axes, rows = _TABLE_KINDS[kind]
     header = list(axes) + ["k_t", "k_i1", "k_i2", "k_i3",
                            "err_est", "status", "note"]
-    close = False
-    if isinstance(out, str):
-        if out == "-":
-            fh = sys.stdout
-        else:
-            fh = open(out, "w")
-            close = True
-    else:
-        fh = out
+    fh = sys.stdout if out == "-" else open(out, "w")
     try:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
@@ -257,7 +250,7 @@ def emit_table(kind: str, grid: dict, out, spec: QuadratureSpec) -> int:
             count += 1
         return count
     finally:
-        if close:
+        if fh is not sys.stdout:
             fh.close()
 
 

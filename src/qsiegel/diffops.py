@@ -284,9 +284,6 @@ class QuatDiffOp:
                         acc[k] = acc[k] + v if k in acc else v
         return QuatDiffOp({k: QPoly(c) for k, c in out.items()})
 
-    def order(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -64,7 +64,8 @@ point bit for bit.  Large-u factors are computed in the form
 4 e^{-(2+a)u} / (1-e^{-2u})^2, which neither overflows nor cancels.
 
 An x that is not finite, or finite with an overflowing |x|^2, raises
-ValueError with no numpy warning (``_x_sq``; ``_k_tilde_rows`` for K~).
+ValueError with no numpy warning (``_x_sq``; ``_k_tilde_rows`` for K~), and
+so does such a t in ``delta_lambda_residual_on_k``.
 """
 
 from __future__ import annotations
@@ -75,8 +76,7 @@ from functools import lru_cache
 import numpy as np
 
 from .quat import Quaternion
-from .quad import (QuadratureSpec, QuadratureError, _panel_rule, panel_grid,
-                   sphere2_nodes)
+from .quad import QuadratureSpec, QuadratureError, panel_grid, sphere2_nodes
 from .diffops import Lambda, _delta_lambda_lines
 
 __all__ = [
@@ -106,20 +106,23 @@ def _x4(x) -> np.ndarray:
     return x
 
 
-def _x_sq(x: np.ndarray) -> float:
-    """|x|^2 = x @ x of a 4-vector, for the x guards of the evaluators.
+def _sq_guard(v: np.ndarray, name: str) -> None:
+    """Raise ValueError where the vector v is finite but |v|^2 overflows.
 
-    Raises ValueError where x is finite but |x|^2 overflows.  The test runs
-    on Python floats, which overflow to inf without a numpy warning.  A
-    non-finite x returns its NaN or inf, which the caller's guard rejects.
+    The test runs on Python floats, which overflow to inf without a numpy
+    warning.  A non-finite v passes, for the caller's guard to reject.
     """
-    a, b, c, d = x.tolist()
-    sq = a * a + b * b + c * c + d * d
-    if sq < math.inf:
-        return float(x @ x)
-    if math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d):
-        raise ValueError("|x|^2 overflows: x is finite but too large")
-    return sq
+    comps = v.tolist()
+    if not sum(c * c for c in comps) < math.inf and all(map(math.isfinite, comps)):
+        raise ValueError(f"|{name}|^2 overflows: {name} is finite but too large")
+
+
+def _x_sq(x: np.ndarray) -> float:
+    """|x|^2 = x @ x of a 4-vector, for the x guards of the evaluators,
+    after ``_sq_guard``.  A non-finite x gives its NaN or inf, which the
+    caller's guard rejects."""
+    _sq_guard(x, "x")
+    return float(x @ x)
 
 
 def _t3(t) -> np.ndarray:
@@ -133,24 +136,6 @@ def _tail_end(decay_rate: float, spec: QuadratureSpec, slack: float = 10.0) -> f
     """u* with e^{-decay_rate * u*} = abs_tol/slack, the relative level at
     which the integrand tail is discarded."""
     return math.log(slack / spec.abs_tol) / decay_rate
-
-
-@lru_cache(maxsize=128)
-def _u_rule(hi: float):
-    """The u-panel rule on [0, hi] of ``fourier_consistency``, as read-only
-    (u, coth u, 4 w/em^2) with em = expm1(-2u): the nodes, the coth u of
-    the exponent and the weight w times 1/sinh^2 u = 4 e^{-2u}/em^2.
-
-    Cached per tail end ``hi`` and built from the uncached panel rule, so a
-    new tail end costs one cache lookup, not two.
-    """
-    u, w = _panel_rule(0.0, 0.5, hi)
-    em = np.expm1(-2.0 * u)
-    coth = (2.0 + em) / (-em)
-    wu4 = 4.0 * w / (em * em)
-    coth.setflags(write=False)
-    wu4.setflags(write=False)
-    return u, coth, wu4
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +636,13 @@ def heis_contour_sign_check(x, t: float, lam: float, spec: QuadratureSpec) -> di
 # ---------------------------------------------------------------------------
 # Fourier-route consistency and the PDE residual
 
-def fourier_consistency(x, t, lam, spec: QuadratureSpec,
-                        tau_radius: float = 16.0) -> float:
+# fourier_consistency inverts the transform over |tau| < _TAU_RADIUS
+_TAU_RADIUS = 16.0
+
+
+def fourier_consistency(x, t, lam, spec: QuadratureSpec) -> float:
     """Relative deviation between k_lambda and the truncated inverse
-    transform of the partial-transform kernel over |tau| < R.
+    transform of the partial-transform kernel over |tau| < R = 16.
 
     The transform couples to the center through left multiplication by
     i_(lambda o tau), so its inversion splits per direction n into the
@@ -687,7 +675,12 @@ def fourier_consistency(x, t, lam, spec: QuadratureSpec,
     g = np.linalg.norm(ln, axis=1)
     axis = np.where(g[:, None] > 0.0,
                     ln / np.where(g[:, None] > 0.0, g[:, None], 1.0), 0.0)
-    u, coth, wu4 = _u_rule(_tail_end(2.0 - lam.norm(), spec))
+    # the u-panel rule, with coth u and the weight w times
+    # 1/sinh^2 u = 4 e^{-2u}/em^2, em = expm1(-2u)
+    u, w = panel_grid(0.0, 0.5, _tail_end(2.0 - lam.norm(), spec))
+    em = np.expm1(-2.0 * u)
+    coth = (2.0 + em) / (-em)
+    wu4 = 4.0 * w / (em * em)
     # e^{-(2 +- g)u} depends on n only through g, so once per sign-flip orbit
     e_plus = np.exp(-np.outer(2.0 + g[reps], u))
     e_minus = np.exp(-np.outer(2.0 - g[reps], u))
@@ -716,9 +709,9 @@ def fourier_consistency(x, t, lam, spec: QuadratureSpec,
         ck = -np.einsum("n,n,nk->k", per_node[1], wS, axis)
         return c0, ck, float(np.einsum("n,n->", per_node[2], wS))
 
-    r, wr = panel_grid(0.0, 0.5, tau_radius)
+    r, wr = panel_grid(0.0, 0.5, _TAU_RADIUS)
     c0, ck, _ = transform_sums(r, wr)
-    rshell, wshell = panel_grid(tau_radius, 0.5, tau_radius + 2.0)
+    rshell, wshell = panel_grid(_TAU_RADIUS, 0.5, _TAU_RADIUS + 2.0)
     _, _, shell_mass = transform_sums(rshell, wshell)
     scale = 1.0 / (2.0 * math.pi) ** 3
     tail_bound = 2.0 * scale * shell_mass
@@ -737,14 +730,17 @@ def delta_lambda_residual_on_k(x, t, lam, spec: QuadratureSpec, h=0.005):
     the Richardson-extrapolated line stencil of ``diffops`` (steps h and
     h/2, O(h^4)): about 2e-7 at the verify suite's points at the default
     step.  Its 17 to 29 points are evaluated in one batched kernel call,
-    and |K| is its centre value.  A step that collapses the stencil raises
-    ValueError.
+    and |K| is its centre value.  A step that collapses the stencil, or a
+    finite t whose |t|^2 overflows, raises ValueError; a centre value that
+    underflows to 0 raises QuadratureError.
     """
     x = _x4(x)
     t = _t3(t)
     lam = Lambda.from_seq(lam)
     _check_lambda_ball(*lam.as_tuple())
-    hnorm_sq = _x_sq(x) + float(np.linalg.norm(t))
+    xsq = _x_sq(x)
+    _sq_guard(t, "t")
+    hnorm_sq = xsq + float(np.linalg.norm(t))
     if not (0.5 <= math.sqrt(hnorm_sq) < math.inf and float(np.linalg.norm(x)) > 0.3):
         raise ValueError("probe point too close to the kernel singularity or not finite")
 
@@ -756,4 +752,8 @@ def delta_lambda_residual_on_k(x, t, lam, spec: QuadratureSpec, h=0.005):
 
     p = np.concatenate([x, t])
     value, centre = _delta_lambda_lines(f, p, lam, h)
-    return value.norm() / (centre.norm() / hnorm_sq)
+    scale = centre.norm() / hnorm_sq
+    if scale == 0.0:
+        raise QuadratureError("K_lambda underflows to 0 at this point: the "
+                              "normalized residual is undefined")
+    return value.norm() / scale

@@ -33,7 +33,6 @@ __all__ = [
     "QuadResult",
     "integrate_1d",
     "integrate_nested",
-    "gauss_rule",
     "panel_grid",
     "sphere2_nodes",
     "sphere3_angles",
@@ -106,13 +105,6 @@ def _leggauss(n: int):
     return x, w
 
 
-def gauss_rule(n: int, a: float, b: float):
-    """Gauss-Legendre nodes and weights mapped to [a, b]."""
-    x, w = _leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
-
-
 _PANEL_NODES = 24
 
 
@@ -126,19 +118,14 @@ def panel_grid(lo: float, first: float, hi: float):
     (nodes, weights) with _PANEL_NODES nodes per panel; the result is
     cached, so callers must not modify it.
     """
-    return _panel_rule(lo, first, hi)
-
-
-def _panel_rule(lo: float, first: float, hi: float):
-    """``panel_grid`` uncached, for callers that cache a table derived
-    from the rule."""
     edges = [lo, lo + first]
     while edges[-1] < hi:
         edges.append(min(2.0 * edges[-1], hi))
     a, b = np.array(edges[:-1]), np.array(edges[1:])
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     x, w = _leggauss(_PANEL_NODES)
-    # gauss_rule's mapping, all panels at once (one row per panel)
+    # each panel's rule mapped from [-1, 1], all panels at once (one row
+    # per panel)
     nodes = (mid[:, None] + half[:, None] * x).ravel()
     weights = (half[:, None] * w).ravel()
     nodes.setflags(write=False)

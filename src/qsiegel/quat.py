@@ -120,9 +120,6 @@ class Quaternion:
     def imag_norm(self) -> float:
         return math.hypot(self.a, self.b, self.c)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return self.imag_norm() <= tol
-
     def components(self) -> tuple:
         return (self.t, self.a, self.b, self.c)
 

@@ -168,6 +168,17 @@ def test_k_lambda_matches_kaplan_closed_form(spec):
     assert abs(v.t - want) <= 1e-10 * want
 
 
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_k_lambda_matches_kaplan_off_axis(spec, r):
+    # Kaplan's form at |t|/|x|^2 = r along a direction off every axis, up
+    # to r = 2, where the S^2 rule's error grows (8.0e-12 at order 32)
+    t_hat = np.array([0.3, -0.4, 0.866])
+    t = r * t_hat / np.linalg.norm(t_hat)
+    v = k_lambda(X_UNIT, t, LAM0, spec)
+    want = 1.0 / (4.0 * math.pi ** 4 * (1.0 + float(t @ t)) ** 2)
+    assert abs(v.t - want) <= 1e-9 * want
+
+
 def test_k_lambda_homogeneity_at_tiny_x(spec):
     # the kernel runs at |x| = 1 with |x|^-8 applied last, so |x| = 1e-20
     # is finite (|x|^-8 overflows only below about 1e-39)
@@ -307,7 +318,7 @@ def test_k_lambda_builds_no_u_rule(spec, monkeypatch):
     def boom(*args):
         raise AssertionError("k_lambda built a u-rule")
 
-    for name in ("_u_rule", "panel_grid", "_sign_orbits"):
+    for name in ("panel_grid", "_sign_orbits"):
         monkeypatch.setattr(greens, name, boom)
     x, t = np.array([0.9, 0.4, -0.3, 0.6]), np.array([0.7, -1.2, 0.5])
     for lam in (LAM0, (-0.0, 0.0, -0.0), (0.5, 0.3, 0.0), (1.2, -0.9, 0.8)):
@@ -627,6 +638,25 @@ def test_finite_x_with_overflowing_square_raises(spec):
                 call()
 
 
+def test_residual_t_with_overflowing_square_raises(spec):
+    # |t|^2 of t = 1e200 e_1 overflows: ValueError naming the overflow,
+    # with no numpy RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (LAM0, _LAM):
+            with pytest.raises(ValueError, match=r"\|t\|\^2 overflows"):
+                delta_lambda_residual_on_k(np.ones(4), (1e200, 0.0, 0.0), lam, spec)
+
+
+def test_residual_with_underflowing_centre_raises(spec):
+    # at lambda = 0 and t = 1e150 e_1 the centre value K underflows to 0,
+    # so the residual normalized by |K| is undefined
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="underflows to 0"):
+            delta_lambda_residual_on_k(np.ones(4), (1e150, 0.0, 0.0), LAM0, spec)
+
+
 def test_batched_rows_match_single_points(rng):
     # 63 rows, as many as a Delta_lambda stencil; at order 33 the 1089
     # folded nodes span several node blocks and a partial last one
@@ -663,25 +693,11 @@ def test_k_lambda_negative_zero_lambda_is_lambda0(order, rng):
         want[0][0], *want[1][0])
 
 
-@pytest.mark.parametrize("name", ["_u_rule", "_v_rule", "_sign_orbits"])
+@pytest.mark.parametrize("name", ["_v_rule", "_sign_orbits"])
 def test_kernel_tables_cached_and_not_built_at_import(name, src_env):
     code = ("import qsiegel, qsiegel.greens as g; "
             f"assert g.{name}.cache_info().currsize == 0")
     subprocess.run([sys.executable, "-c", code], check=True, env=src_env)
-
-
-def test_u_rule_read_only_and_equal_to_panel_rule():
-    hi = greens._tail_end(2.0 - 0.58, QuadratureSpec())
-    u, coth, wu4 = greens._u_rule(hi)
-    assert greens._u_rule(hi)[1] is coth
-    assert not any(a.flags.writeable for a in (u, coth, wu4))
-    x, w = panel_grid(0.0, 0.5, hi)
-    em = np.expm1(-2.0 * x)
-    assert np.array_equal(u, x)
-    assert np.array_equal(coth, (2.0 + em) / (-em))
-    assert np.array_equal(wu4, 4.0 * w / (em * em))
-    # k_lambda's log-weight log(2 w/em^2), taken as log(wu4/2), bit for bit
-    assert np.array_equal(np.log(0.5 * wu4), np.log(2.0 * w / (em * em)))
 
 
 def test_v_rule_read_only_and_exact_at_mu0():

@@ -92,6 +92,13 @@ DEFECTS = {
                        {"kernel_annihilation_lambda"}),
     "lambda_x0.9": ("_k_lambda_components", _on_lambda(lambda lam: 0.9 * lam),
                     {"kernel_annihilation_lambda"}),
+    # the naive weight exp(-(lambda.n) u) of a one-dimensional centre:
+    # g = |lambda.n| and axis n sign(lambda.n), for g = |lambda o n| and
+    # axis (lambda o n)/g
+    "naive_weight": ("_k_lambda_components",
+                     lambda real: _rewritten(real, "nodes * lam3[None, :]",
+                                             "nodes * (nodes @ lam3)[:, None]"),
+                     _BOTH_ROUTES),
     "k_tilde_x1.001": ("_k_tilde_rows",
                        lambda real: lambda xs, ray, spec: [1.001 * v for v in real(xs, ray, spec)],
                        {"hermite_kernel_value"}),

@@ -152,8 +152,6 @@ def test_component_views():
     assert q.imag() == (2.0, 3.0, 4.0)
     assert Quaternion.from_seq([1, 2, 3, 4]) == q
     np.testing.assert_array_equal(q.to_array(), [1.0, 2.0, 3.0, 4.0])
-    assert q.is_real() is False
-    assert Quaternion(5.0).is_real()
 
 
 def _row(q, i):
