@@ -48,20 +48,32 @@ Three evaluators and their cross-checks:
   r = (|x|^4+t^2)^{1/4}, e^{-i phi} = (|x|^2-it)/r^2.  The two printed
   forms agree with each other; both equal the direct unshifted u-integral
   with the sign of lambda (equivalently of t) flipped, which
-  ``heis_contour_sign_check`` surfaces.
+  ``heis_contour_sign_check`` surfaces.  Both integrands take conjugate
+  values at u and -u, so each runs both half-lines on one cached rule
+  (``_heis_rule``) in one pass over u >= 0 (``_both_half_lines``).  The
+  rule's first panel is 0.5 min(1, cos phi) snapped down to a power of
+  two, and its last edge the first lattice edge past the slower side's
+  tail end, so nearby points share it.  ``heis_k_quadrature`` raises
+  QuadratureError where the pinch |t| >> |x|^2 makes its sum cancel
+  beyond rel_tol.
 
 The u-integrals of ``fourier_consistency`` and the Heisenberg-type forms
-run on fixed Gauss-Legendre panels doubling away from 0
-(``quad.panel_grid``), truncated where the integrand's decay factor falls
-below abs_tol/10 (abs_tol/40 for the Heisenberg-type forms).  Every rule
-is fixed, so evaluations are deterministic and vary smoothly with (x, t)
-inside finite-difference stencils.  The stencils of ``hermite_residual``
-and ``delta_lambda_residual_on_k`` evaluate all their points in one call,
-Richardson-extrapolated from the steps h and h/2, O(h^4).  Every reduction
-is an einsum, whose sum order does not depend on the number of rows, so
-each stencil value is that of ``k_tilde_lambda`` or ``k_lambda`` at its
-point bit for bit.  Large-u factors are computed in the form
-4 e^{-(2+a)u} / (1-e^{-2u})^2, which neither overflows nor cancels.
+run on Gauss-Legendre panels doubling away from 0 (``quad.panel_grid``),
+truncated where the integrand's decay factor falls below abs_tol/10
+(abs_tol/40 for the Heisenberg-type forms).  Every rule is a function of
+the inputs, so evaluations are deterministic.  The rules of ``k_lambda``
+and ``k_tilde_lambda`` do not depend on (x, t), so their values vary
+smoothly inside finite-difference stencils; the Heisenberg-type rule does,
+through its discrete key, and no stencil differentiates it.  The stencils
+of ``hermite_residual`` and ``delta_lambda_residual_on_k`` evaluate all
+their points in one call, Richardson-extrapolated from the steps h and
+h/2, O(h^4).  Every quadrature sum but ``k0_sphere``'s is an einsum, whose
+sum order does not depend on the number of rows, so each stencil value is
+that of ``k_tilde_lambda`` or ``k_lambda`` at its point bit for bit.
+Large-u factors are computed with e^{-2u}, never e^{2u}:
+4 e^{-(2+a)u} / (1-e^{-2u})^2 in ``fourier_consistency``, and
+e^{-(2 +- lambda)u} times c/(1 + c e^{-2u})^2 in the Heisenberg-type forms,
+which neither overflow nor cancel.
 
 An x that is not finite, or finite with an overflowing |x|^2, raises
 ValueError with no numpy warning (``_x_sq``; ``_k_tilde_rows`` for K~), and
@@ -546,15 +558,50 @@ def heis_k_closed(x, t: float, lam: float) -> Quaternion:
     return Quaternion(val.real, val.imag, 0.0, 0.0)
 
 
-def _damped_sech_sq(u: np.ndarray, phi: float, lam: float) -> np.ndarray:
-    """e^{-lam u} sech^2(u + i phi) for u >= 0, |lam| < 2.
+# heis_k_quadrature's cancellation error near the pinch is at most about
+# 0.18 eps / cos^2 phi (against mpmath, lambda in {-1.9, 0, 1.9}); it raises
+# where _PINCH_EPS / cos^2 phi, 2.8 times that, exceeds rel_tol
+_PINCH_EPS = 0.5 * np.finfo(float).eps
 
-    Computed as 4 c e^{-(2+lam) u}/(1 + c e^{-2u})^2 with c = e^{-2i phi}:
-    the growing factor e^{-lam u} (lam < 0) is folded into the decaying
-    one, so the far end of the u-grid gives 0, not inf * 0 = nan.
+
+@lru_cache(maxsize=64)
+def _heis_panels(first: float, hi: float):
+    """(u, 4w, e^{-2u}) of ``panel_grid(0, first, hi)``, read-only."""
+    u, w = panel_grid(0.0, first, hi)
+    w4 = 4.0 * w
+    em = np.exp(-2.0 * u)
+    w4.setflags(write=False)
+    em.setflags(write=False)
+    return u, w4, em
+
+
+def _heis_rule(cphi: float, lam: float, spec: QuadratureSpec):
+    """The u-rule of both half-lines of a Heisenberg-type integral at
+    cos phi = cphi, as ``_heis_panels(first, hi)``.
+
+    ``first`` is 0.5 min(1, cphi) snapped down to a power of two, and
+    ``hi`` the edge first * 2^m of the doubling lattice at or past the
+    slower side's tail end, e^{-(2-|lam|) hi} <= abs_tol/40.  So the rule
+    comes from a small discrete set of keys, shared by nearby points.
     """
-    c = complex(math.cos(2.0 * phi), -math.sin(2.0 * phi))
-    return 4.0 * c * np.exp(-(2.0 + lam) * u) / (1.0 + c * np.exp(-2.0 * u)) ** 2
+    first = math.ldexp(1.0, math.frexp(0.5 * min(1.0, cphi))[1] - 1)
+    m, e = math.frexp(_tail_end(2.0 - abs(lam), spec, 40.0) / first)
+    return _heis_panels(first, math.ldexp(first, e if m > 0.5 else e - 1))
+
+
+def _both_half_lines(u, w4, lam: float, y) -> complex:
+    """int_R e^{-lam u} f(u) du for an f with f(-u) = conj f(u) on the
+    real line, from y = e^{2u} f(u)/4 at the nodes u >= 0 of a
+    ``_heis_rule``:
+
+        sum 4w e^{-(2+lam)u} y + conj sum 4w e^{-(2-lam)u} y,
+
+    one (2, N) exp table and one einsum.  Both rates are positive for
+    |lam| < 2, so the far nodes give 0, not inf * 0.
+    """
+    e = np.exp(np.multiply.outer((-(2.0 + lam), -(2.0 - lam)), u))
+    s = np.einsum("kn,n->k", e, w4 * y)
+    return s[0] + s[1].conjugate()
 
 
 def heis_k_quadrature(x, t: float, lam: float, spec: QuadratureSpec) -> Quaternion:
@@ -562,6 +609,18 @@ def heis_k_quadrature(x, t: float, lam: float, spec: QuadratureSpec) -> Quaterni
 
     (1/8 pi^3) (|x|^4+t^2)^-1 int_R e^{-lam u} sech^2(u + i phi) du with
     phi = atan2(t, |x|^2).  Must match ``heis_k_closed``.
+
+    sech^2(u + i phi) = 4 e^{-2u} c/(1 + c e^{-2u})^2 with c = e^{-2i phi},
+    and sech^2(-u + i phi) is its conjugate, so both half-lines run on the
+    one rule of ``_heis_rule`` with Y = c/(1 + c e^{-2u})^2
+    (``_both_half_lines``): Gauss-Legendre panels doubling from a first
+    panel of about cos(phi)/2 up to the slower side's tail end.
+
+    Reads ``spec.abs_tol`` (the tail end) and ``spec.rel_tol`` (the pinch
+    floor).  As |t|/|x|^2 grows the contour pinches (cos phi -> 0) and the
+    sum cancels to about 0.18 eps/cos^2 phi; QuadratureError is raised
+    where 0.5 eps/cos^2 phi exceeds rel_tol, i.e. below
+    cos phi = 3.3e-4 at rel_tol = 1e-9.
     """
     x = _x4(x)
     t = float(t)
@@ -574,18 +633,16 @@ def heis_k_quadrature(x, t: float, lam: float, spec: QuadratureSpec) -> Quaterni
     if xsq == 0.0 and t == 0.0:
         raise ValueError("(x, t) = 0 is the kernel singularity")
     cphi = xsq / math.hypot(xsq, t)
-    if cphi < 1e-6:
+    if not (cphi * cphi * spec.rel_tol >= _PINCH_EPS):
         raise QuadratureError(
-            "contour pinches at |phi| -> pi/2 (|t| >> |x|^2); budget exhausted")
+            f"contour pinches at |phi| -> pi/2 (|t| >> |x|^2): cos phi = {cphi:.3g} "
+            f"is below {math.sqrt(_PINCH_EPS / spec.rel_tol):.3g}, where the "
+            f"cancellation error exceeds rel_tol")
+    u, w4, em = _heis_rule(cphi, lam, spec)
     phi = math.atan2(t, xsq)
-    first = 0.5 * min(1.0, cphi)
-    acc = 0.0 + 0.0j
-    # u >= 0 side: e^{-lam u} sech^2(u+i phi) decays like e^{-(2+lam)u}
-    u, w = panel_grid(0.0, first, _tail_end(2.0 + lam, spec, 40.0))
-    acc += np.dot(w, _damped_sech_sq(u, phi, lam))
-    # u < 0 side: substitute u -> -u; sech^2(-u + i phi) = sech^2(u - i phi)
-    u, w = panel_grid(0.0, first, _tail_end(2.0 - lam, spec, 40.0))
-    acc += np.dot(w, _damped_sech_sq(u, -phi, -lam))
+    c = complex(math.cos(2.0 * phi), -math.sin(2.0 * phi))
+    d = 1.0 + c * em
+    acc = _both_half_lines(u, w4, lam, c / (d * d))
     val = acc / (8.0 * math.pi ** 3 * (xsq * xsq + t * t))
     return Quaternion(val.real, val.imag, 0.0, 0.0)
 
@@ -599,7 +656,9 @@ def heis_contour_sign_check(x, t: float, lam: float, spec: QuadratureSpec) -> di
 
     and its distances to heis_k_closed evaluated at +lam and at -lam.
     The direct form matches the closed form at the flipped sign; both
-    printed displays are mutually consistent at the printed sign.
+    printed displays are mutually consistent at the printed sign.  The
+    integrand at -u is the conjugate of that at u, so both half-lines run
+    on the ``_heis_rule`` of cos phi = 1 (first panel 0.5).
     """
     x = _x4(x)
     t = float(t)
@@ -609,18 +668,10 @@ def heis_contour_sign_check(x, t: float, lam: float, spec: QuadratureSpec) -> di
     xsq = _x_sq(x)
     if not (xsq < math.inf and abs(t) < math.inf):
         raise ValueError("x and t must be finite")
-
-    def side(sign):
-        # u and -u branches; bracket^2 at large |u| grows like e^{2|u|}/4
-        u, w = panel_grid(0.0, 0.5, _tail_end(2.0 + sign * lam, spec, 40.0))
-        em = np.exp(-2.0 * u)
-        # e^{-u} (|x|^2 cosh u - i t sinh u) at u>0 equals
-        # (|x|^2 (1+e^{-2u}) - i t (1-e^{-2u}))/2; for the -u branch flip t
-        br = 0.5 * (xsq * (1.0 + em) - 1j * sign * t * (1.0 - em))
-        vals = np.exp(-(sign * lam + 2.0) * u) / (br * br)
-        return np.dot(w, vals)
-
-    direct = (side(1.0) + side(-1.0)) / (8.0 * math.pi ** 3)
+    u, w4, em = _heis_rule(1.0, lam, spec)
+    # 2 e^{-u} (|x|^2 cosh u - i t sinh u)
+    br = xsq * (1.0 + em) - 1j * t * (1.0 - em)
+    direct = _both_half_lines(u, w4, lam, 1.0 / (br * br)) / (8.0 * math.pi ** 3)
     closed_plus = heis_k_closed(x, t, lam)
     closed_minus = heis_k_closed(x, t, -lam)
     dval = Quaternion(direct.real, direct.imag, 0.0, 0.0)

@@ -102,6 +102,21 @@ DEFECTS = {
     "k_tilde_x1.001": ("_k_tilde_rows",
                        lambda real: lambda xs, ray, spec: [1.001 * v for v in real(xs, ray, spec)],
                        {"hermite_kernel_value"}),
+    # heis_k_quadrature's two half-lines on one rule: the u < 0 side
+    # without its conjugate, the +-lambda exp rows swapped, and the rule cut
+    # at the faster side's tail end (1.4e-7 against the 1e-7 bound, at
+    # lambda = -1)
+    "heis_no_conjugate": ("_both_half_lines",
+                          lambda real: _rewritten(real, "s[0] + s[1].conjugate()",
+                                                  "s[0] + s[1]"),
+                          {"heisenberg_oracle"}),
+    "heis_lambda_rows_swapped": ("_both_half_lines",
+                                 lambda real: _rewritten(real, "(-(2.0 + lam), -(2.0 - lam))",
+                                                         "(-(2.0 - lam), -(2.0 + lam))"),
+                                 {"heisenberg_oracle"}),
+    "heis_fast_tail_end": ("_heis_rule",
+                           lambda real: _rewritten(real, "2.0 - abs(lam)", "2.0 + abs(lam)"),
+                           {"heisenberg_oracle"}),
 }
 
 
