@@ -496,7 +496,7 @@ def _greens(spec: QuadratureSpec):
                     c = greens.heis_k_closed(x, t, lam)
                     q = greens.heis_k_quadrature(x, t, lam, spec)
                     worst = max(worst, (q - c).norm() / c.norm())
-        return _bound_check("heisenberg_oracle", worst, 1e-7,
+        return _bound_check("heisenberg_oracle", worst, spec.rel_tol,
                             "closed form vs contour quadrature, 27 points")
 
     def k0_sign_erratum():

@@ -178,8 +178,12 @@ def _klambda_rows(grid, spec):
                     continue
                 x = np.array([xn, 0.0, 0.0, 0.0])
                 t = np.array([t1, 0.0, 0.0])
-                v = greens.k_lambda(x, t, (l1, 0.0, 0.0), spec)
-                v2 = greens.k_lambda(x, t, (l1, 0.0, 0.0), hi)
+                try:
+                    v = greens.k_lambda(x, t, (l1, 0.0, 0.0), spec)
+                    v2 = greens.k_lambda(x, t, (l1, 0.0, 0.0), hi)
+                except QuadratureError as e:
+                    yield inputs + [""] * 5 + ["error", str(e)]
+                    continue
                 yield inputs + _quat_cells(v) + [repr(float((v2 - v).norm())),
                                                  "ok", ""]
 
@@ -198,6 +202,9 @@ def _heis_rows(grid, spec):
                     q = greens.heis_k_quadrature(x, t, lam, spec)
                 except ValueError as e:
                     yield inputs + [""] * 5 + ["skipped", str(e)]
+                    continue
+                except QuadratureError as e:
+                    yield inputs + [""] * 5 + ["error", str(e)]
                     continue
                 yield inputs + _quat_cells(v) + [repr(float((q - v).norm())),
                                                  "ok", ""]
@@ -232,8 +239,10 @@ def emit_table(kind: str, grid: dict, out: str, spec: QuadratureSpec) -> int:
 
     grid holds one float list per axis: klambda/heis use xnorm, t, lam;
     szego uses height.  Precondition-violating points become rows marked
-    "skipped" with a reason, never silently dropped.  An empty grid gives
-    a header-only file.
+    "skipped" with a reason, never silently dropped, and points whose
+    evaluation raises QuadratureError rows marked "error" with its message.
+    An empty grid gives a header-only file.  Raises QuadratureError once
+    the table is complete if any row is an "error" row.
     """
     if kind not in _TABLE_KINDS:
         raise ValueError(f"unknown table kind {kind!r}")
@@ -244,14 +253,18 @@ def emit_table(kind: str, grid: dict, out: str, spec: QuadratureSpec) -> int:
     try:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        count = 0
+        count = errors = 0
         for row in rows(grid, spec):
             w.writerow(row)
             count += 1
-        return count
+            errors += row[-2] == "error"
     finally:
         if fh is not sys.stdout:
             fh.close()
+    if errors:
+        raise QuadratureError(f"{errors} of {count} table rows did not converge; "
+                              f"they are written with status error")
+    return count
 
 
 def run_table(args) -> int:

@@ -15,7 +15,7 @@ Three evaluators and their cross-checks:
 
   mu = lambda.n/2, whose integral runs on one fixed rule (``_v_rule``)
   and is exactly 1 at mu = 0.  ``k_tilde_lambda`` and ``hermite_residual``
-  share one row path, ``_k_tilde_rows``, on the ray that ``_tau_ray``
+  share its one path (``_v_integral``) and the ray that ``_tau_ray``
   reads from tau and lambda as Python floats.
 
 * ``k_lambda`` -- the group-space kernel in its polar-reduced form
@@ -50,10 +50,8 @@ Three evaluators and their cross-checks:
   with the sign of lambda (equivalently of t) flipped, which
   ``heis_contour_sign_check`` surfaces.  Both integrands take conjugate
   values at u and -u, so each runs both half-lines on one cached rule
-  (``_heis_rule``) in one pass over u >= 0 (``_both_half_lines``).  The
-  rule's first panel is 0.5 min(1, cos phi) snapped down to a power of
-  two, and its last edge the first lattice edge past the slower side's
-  tail end, so nearby points share it.  ``heis_k_quadrature`` raises
+  (``_heis_rule``, keyed so that nearby points share it) in one pass over
+  u >= 0 (``_both_half_lines``).  ``heis_k_quadrature`` raises
   QuadratureError where the pinch |t| >> |x|^2 makes its sum cancel
   beyond rel_tol.
 
@@ -64,12 +62,15 @@ truncated where the integrand's decay factor falls below abs_tol/10
 the inputs, so evaluations are deterministic.  The rules of ``k_lambda``
 and ``k_tilde_lambda`` do not depend on (x, t), so their values vary
 smoothly inside finite-difference stencils; the Heisenberg-type rule does,
-through its discrete key, and no stencil differentiates it.  The stencils
-of ``hermite_residual`` and ``delta_lambda_residual_on_k`` evaluate all
-their points in one call, Richardson-extrapolated from the steps h and
-h/2, O(h^4).  Every quadrature sum but ``k0_sphere``'s is an einsum, whose
-sum order does not depend on the number of rows, so each stencil value is
-that of ``k_tilde_lambda`` or ``k_lambda`` at its point bit for bit.
+through its discrete key, and no stencil differentiates it.  Both stencils
+are Richardson-extrapolated from the steps h and h/2, O(h^4).
+``delta_lambda_residual_on_k`` evaluates all its points in one call; every
+quadrature sum but ``k0_sphere``'s is an einsum, whose sum order does not
+depend on the number of rows, so each of them is ``k_lambda``'s value at
+its point bit for bit.  ``hermite_residual`` returns the absolute |H K~|,
+K~(x) times a stencil of the ratios K~(x_i)/K~(x) at the step
+min(1e-3, 0.02/(|tau||x|)) from the local scale: no row rounds away or
+underflows, and where K~(x) is subnormal only that one factor loses bits.
 Large-u factors are computed with e^{-2u}, never e^{2u}:
 4 e^{-(2+a)u} / (1-e^{-2u})^2 in ``fourier_consistency``, and
 e^{-(2 +- lambda)u} times c/(1 + c e^{-2u})^2 in the Heisenberg-type forms,
@@ -119,11 +120,9 @@ def _x4(x) -> np.ndarray:
 
 
 def _sq_guard(v: np.ndarray, name: str) -> None:
-    """Raise ValueError where the vector v is finite but |v|^2 overflows.
-
-    The test runs on Python floats, which overflow to inf without a numpy
-    warning.  A non-finite v passes, for the caller's guard to reject.
-    """
+    """Raise ValueError where the vector v is finite but |v|^2 overflows,
+    tested on Python floats, which overflow to inf without a numpy warning.
+    A non-finite v passes, for the caller's guard to reject."""
     comps = v.tolist()
     if not sum(c * c for c in comps) < math.inf and all(map(math.isfinite, comps)):
         raise ValueError(f"|{name}|^2 overflows: {name} is finite but too large")
@@ -152,12 +151,6 @@ def _tail_end(decay_rate: float, spec: QuadratureSpec, slack: float = 10.0) -> f
 
 # ---------------------------------------------------------------------------
 # Hermite-space kernel
-
-# The 17 rows of the Hermite stencil in units of the step: the centre,
-# then +e_l and -e_l for l = 0..3, then +e_l/2 and -e_l/2.
-_OFFSETS = np.concatenate([np.zeros((1, 4)), np.eye(4), -np.eye(4),
-                           0.5 * np.eye(4), -0.5 * np.eye(4)])
-_OFFSETS.setflags(write=False)
 
 # e^{-c} is 0.0 past c = 745.2, so I(c) is taken at c capped here: finite
 # for every c, where a c of inf would give 0 * inf.
@@ -194,11 +187,10 @@ def _v_rule():
 
 def _tau_ray(tau, lam) -> tuple:
     """(|tau|^2, |tau|, lambda.tau) as Python floats, for a lambda (a
-    ``Lambda`` or any 3-sequence of reals) with |lambda| < 2, a tau of
-    three components that is nonzero and finite, and a decay rate
-    2 + lambda.tau/|tau| that is positive.  The lambda guard is
-    ``_check_lambda_ball``'s, which a NaN component fails; no ``Lambda``
-    is built."""
+    ``Lambda`` or any 3-sequence of reals) with |lambda| < 2, a nonzero and
+    finite tau of three components, and a positive decay rate
+    2 + lambda.tau/|tau|.  The lambda guard is ``_check_lambda_ball``'s,
+    which a NaN component fails; no ``Lambda`` is built."""
     l1, l2, l3 = lam.as_tuple() if isinstance(lam, Lambda) else map(float, lam)
     t1, t2, t3 = _t3(tau).tolist()
     _check_lambda_ball(l1, l2, l3)
@@ -218,14 +210,11 @@ def _k_tilde_rows(xs: np.ndarray, ray: tuple, spec: QuadratureSpec) -> list:
 
         K~ = e^{-c} / (4 pi^2 |x|^2) * I,   I = int_0^inf e^{-s} (s/(s+2c))^mu ds,
 
-    with c = |tau||x|^2 and mu = lambda.tau/(2|tau|), on the fixed rule of
-    ``_v_rule``.  At mu = 0 I is the rule's constant I0, so a row costs one
-    exp.  Otherwise the nodes and weights of this mu are built once per
-    call, and I is one einsum row reduction of (2c + s)^{-mu} against
-    them, whose sum order does not depend on the number of rows (a BLAS
-    product's does), so each row equals its single-row evaluation.  The
-    rule is the same for every ``spec``.  Raises ValueError where a row is
-    0 or not finite, or where a finite row's |x|^2 overflows.
+    with c = |tau||x|^2 and mu = lambda.tau/(2|tau|).  At mu = 0 I is the
+    constant I0 of ``_v_rule``, so a row costs one exp; otherwise I is one
+    ``_v_integral`` pass, so each row equals its single-row evaluation.
+    The rule is the same for every ``spec``.  Raises ValueError where a row
+    is 0 or not finite, or where a finite row's |x|^2 overflows.
     """
     _, tnorm, lt = ray
     xsq = np.einsum("ij,ij->i", xs, xs)
@@ -239,11 +228,16 @@ def _k_tilde_rows(xs: np.ndarray, ray: tuple, spec: QuadratureSpec) -> list:
     val = np.exp(-c)
     xsq *= 4.0 * math.pi ** 2
     val /= xsq
-    z, wz, r1, wr1, i0 = _v_rule()
-    if lt == 0.0:
-        val *= i0
-        return val.tolist()
-    mu = 0.5 * lt / tnorm
+    val *= _v_rule()[4] if lt == 0.0 else _v_integral(c, 0.5 * lt / tnorm)
+    return val.tolist()
+
+
+def _v_integral(c: np.ndarray, mu: float) -> np.ndarray:
+    """I of ``_k_tilde_rows`` at each entry of the array c (overwritten),
+    mu != 0: one einsum row reduction of (2c + s)^{-mu} against the nodes
+    and weights of this mu on ``_v_rule``, whose sum order does not depend
+    on the number of rows (a BLAS product's does)."""
+    z, wz, r1, wr1, _ = _v_rule()
     k = 1.0 / (1.0 + mu)
     s = z ** k
     nodes = np.concatenate([s, r1])
@@ -252,8 +246,7 @@ def _k_tilde_rows(xs: np.ndarray, ray: tuple, spec: QuadratureSpec) -> list:
     c *= 2.0
     terms = np.add.outer(c, nodes)
     np.power(terms, -mu, out=terms)
-    val *= np.einsum("nj,j->n", terms, w)
-    return val.tolist()
+    return np.einsum("nj,j->n", terms, w)
 
 
 def k_tilde_lambda(x, tau, lam, spec: QuadratureSpec) -> float:
@@ -263,51 +256,71 @@ def k_tilde_lambda(x, tau, lam, spec: QuadratureSpec) -> float:
     return _k_tilde_rows(x[None, :], _tau_ray(tau, lam), spec)[0]
 
 
-@lru_cache(maxsize=8)
-def _step_table(h: float) -> np.ndarray:
-    """The 17 Hermite stencil offsets at step h, h * _OFFSETS, read-only."""
-    table = h * _OFFSETS
-    table.setflags(write=False)
-    return table
-
-
-def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float = 1e-3) -> float:
+def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float | None = None) -> float:
     """|H~_lambda K~_lambda| at x, zero away from x = 0 up to stencil and
-    quadrature error.  For s in (h, h/2)
+    quadrature error: K~(x) |(4 L(h/2) - L(h))/3 - 4|x|^2|tau|^2 - 4 lambda.tau|,
+    the Richardson extrapolation (O(h^4)) of the 17-point stencil
 
-        D(s) = sum_l [K~(x + s e_l) - 2 K~(x) + K~(x - s e_l)] / s^2
-               - (4|x|^2|tau|^2 + 4 lambda.tau) K~(x),
+        L(s) = sum_l [rho(x + s e_l) + rho(x - s e_l) - 2] / s^2,
+        rho_i - 1 = (|x|^2 expm1(-|tau| d_i) - d_i)/(|x|^2 + d_i) q_i + q_i - 1
 
-    and the residual is the Richardson extrapolation |4 D(h/2) - D(h)| / 3,
-    O(h^4).  The 17 stencil values come from one ``_k_tilde_rows`` call, so
-    they are those of 17 ``k_tilde_lambda`` evaluations.  ``lam`` is a
-    ``Lambda`` or a 3-sequence of reals, read by ``_tau_ray`` after the
-    guards on x and h.  The step must be positive and finite, and must not
-    collapse the stencil: ValueError when x_l + h/2 == x_l or
-    x_l - h/2 == x_l in some coordinate, or (h/2)^2 == 0.  The offsets
-    come from a cached read-only table per step (``_step_table``).
+    on the ratios rho_i = K~(x_i)/K~(x), with d_i = |x_i|^2 - |x|^2 formed
+    exactly (+-2s x_l + s^2) and q_i = I(c_i)/I(c) (``_k_tilde_rows``): 1 at
+    lambda.tau = 0, where the call runs on Python floats, and otherwise one
+    ``_v_integral`` pass.  No row rounds away or underflows: where K~(x) is
+    subnormal only that factor loses bits, and where it underflows the
+    residual is 0.0.  The default step is min(1e-3, 0.02/(|tau||x|)); an
+    explicit ``h`` is used as given.  ``lam`` is a ``Lambda`` or a
+    3-sequence of reals.  ValueError where |x| < 0.3, where a finite x's
+    |x|^2 overflows, where an explicit step is not positive and finite,
+    where the step collapses the stencil (x_l +- h/2 == x_l, or
+    (h/2)^2 == 0, as for an x that is not finite), or where a ratio is
+    not finite (a step far too large).
     """
     x = _x4(x)
     xl = x.tolist()
     x0, x1, x2, x3 = xl
-    xsq = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
-    if not (math.sqrt(xsq) >= 0.3):
+    s0 = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+    if not (math.sqrt(s0) >= 0.3):
         raise ValueError("|x| >= 0.3 required away from the singular support")
-    if not (0.0 < h < math.inf):
+    if s0 == math.inf:     # raises for a finite x; an inf one fails the step guard
+        _sq_guard(x, "x")
+    if h is not None and not (0.0 < h < math.inf):
         raise ValueError("step must be positive and finite")
+    tsq, tnorm, lt = _tau_ray(tau, lam)
+    if h is None:
+        h = min(1e-3, 0.02 / (tnorm * math.sqrt(s0)))
     half = 0.5 * h
-    if half * half == 0.0 or any(v + half == v or v - half == v for v in xl):
+    quarter = half * half
+    if (quarter == 0.0 or x0 + half == x0 or x0 - half == x0 or x1 + half == x1
+            or x1 - half == x1 or x2 + half == x2 or x2 - half == x2
+            or x3 + half == x3 or x3 - half == x3):
         raise ValueError("step underflows at this point")
-    ray = _tau_ray(tau, lam)
-    k = _k_tilde_rows(x + _step_table(h), ray, spec)
-    center = k[0]
-    c2 = 2.0 * center
-    lap_h = ((k[1] - c2 + k[5]) + (k[2] - c2 + k[6]) + (k[3] - c2 + k[7])
-             + (k[4] - c2 + k[8])) / (h * h)
-    lap_half = ((k[9] - c2 + k[13]) + (k[10] - c2 + k[14]) + (k[11] - c2 + k[15])
-                + (k[12] - c2 + k[16])) / (half * half)
-    tsq, _, lt = ray
-    return abs((4.0 * lap_half - lap_h) / 3.0 - (4.0 * xsq * tsq + 4.0 * lt) * center)
+    hh = h * h
+    a0, a1, a2, a3 = h * x0, h * x1, h * x2, h * x3
+    ds = [hh + 2.0 * a0, hh - 2.0 * a0, hh + 2.0 * a1, hh - 2.0 * a1,
+          hh + 2.0 * a2, hh - 2.0 * a2, hh + 2.0 * a3, hh - 2.0 * a3,
+          quarter + a0, quarter - a0, quarter + a1, quarter - a1,
+          quarter + a2, quarter - a2, quarter + a3, quarter - a3]
+    rate = -tnorm
+    try:
+        dr = [(s0 * math.expm1(rate * d) - d) / (s0 + d) for d in ds]
+    except (OverflowError, ZeroDivisionError):   # a row at 0, or past the float range
+        dr = [math.nan]
+    c0 = tnorm * s0
+    k0 = math.exp(-c0) / (4.0 * math.pi ** 2 * s0)
+    if lt == 0.0:
+        i0 = 1.0
+        k0 *= _v_rule()[4]
+    else:
+        c = np.array([c0] + [c0 + tnorm * d for d in ds])
+        i0, *i = _v_integral(c, 0.5 * lt / tnorm).tolist()
+        dr = [r * v + (v - i0) for r, v in zip(dr, i)]    # I0 (rho_i - 1)
+    lap = (4.0 * sum(dr[8:]) / quarter - sum(dr[:8]) / hh) / 3.0
+    res = k0 * abs(lap - (4.0 * s0 * tsq + 4.0 * lt) * i0)
+    if not math.isfinite(res):
+        raise ValueError("step too large at this point: a stencil ratio is not finite")
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -408,24 +421,15 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
 
     ``xs`` and ``ts`` hold one point per row, shapes (N, 4) and (N, 3).
 
-    * Homogeneity.  P(x, t) = |x|^-8 P(x/|x|, t/|x|^2): each row runs at
-      |x| = 1 with b = t.n/|x|^2 and is multiplied by |x|^-8 at the end,
-      which overflows to inf for |x| below about 1e-39.
-    * lambda = 0 (g = 0 at every node: also with -0.0 components, or
-      where every (lambda_k n_k)^2 underflows).  The weight is 1 and each
-      node's u-integral is exact, with no u-rule floor
-      (``_u_integral_lambda0``):
-
-          int_0^inf Re (1 + s - i b)^-4 ds = (1 - 3B)/(3 (1 + B)^3),
-
-      B = b^2, summed over the nodes; ck is -0.0, as the odd half sums
-      to.
-    * Otherwise each node's u-integrals are the closed form of
-      ``_u_integral_lambda`` at its g and b, with no u-rule floor either:
-      the S^2 rule of ``spec.sphere_order`` is the only quadrature at
-      every lambda.
-    * Both integrands are even under n -> -n, so the sphere rule is
-      ``sphere2_nodes(order, fold=True)``.
+    * Homogeneity: each row runs at |x| = 1 with b = t.n/|x|^2 and is
+      multiplied by |x|^-8, which overflows to inf below |x| ~ 1e-39.
+    * At lambda = 0 (g = 0 at every node: also with -0.0 components, or
+      where every (lambda_k n_k)^2 underflows) each node's u-integral is
+      ``_u_integral_lambda0``, (1 - 3B)/(3 (1 + B)^3) at B = b^2, and ck is
+      -0.0, as the odd half sums to; otherwise it is the closed form of
+      ``_u_integral_lambda``.  So the S^2 rule of ``spec.sphere_order``,
+      folded onto antipodal pairs (both integrands are even in n), is the
+      only quadrature at every lambda.
     * Every step is elementwise on (rows, nodes), and every sum a 1-D
       einsum per row, never a BLAS call (it splits by thread): each row
       equals its single-point value.
@@ -612,15 +616,11 @@ def heis_k_quadrature(x, t: float, lam: float, spec: QuadratureSpec) -> Quaterni
 
     sech^2(u + i phi) = 4 e^{-2u} c/(1 + c e^{-2u})^2 with c = e^{-2i phi},
     and sech^2(-u + i phi) is its conjugate, so both half-lines run on the
-    one rule of ``_heis_rule`` with Y = c/(1 + c e^{-2u})^2
-    (``_both_half_lines``): Gauss-Legendre panels doubling from a first
-    panel of about cos(phi)/2 up to the slower side's tail end.
-
-    Reads ``spec.abs_tol`` (the tail end) and ``spec.rel_tol`` (the pinch
-    floor).  As |t|/|x|^2 grows the contour pinches (cos phi -> 0) and the
-    sum cancels to about 0.18 eps/cos^2 phi; QuadratureError is raised
-    where 0.5 eps/cos^2 phi exceeds rel_tol, i.e. below
-    cos phi = 3.3e-4 at rel_tol = 1e-9.
+    one rule of ``_heis_rule`` (``_both_half_lines``).  Reads
+    ``spec.abs_tol`` (the tail end) and ``spec.rel_tol`` (the pinch floor):
+    as |t|/|x|^2 grows the contour pinches (cos phi -> 0) and the sum
+    cancels to about 0.18 eps/cos^2 phi, so QuadratureError is raised where
+    0.5 eps/cos^2 phi exceeds rel_tol, below cos phi = 3.3e-4 at 1e-9.
     """
     x = _x4(x)
     t = float(t)

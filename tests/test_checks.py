@@ -104,13 +104,12 @@ def test_kernel_defect_fails_annihilation_lambda(spec, monkeypatch, defect):
 
 
 def test_hermite_sign_defect_fails_annihilation(spec, monkeypatch):
-    # K~ with the sign of lambda.tau flipped in its rows solves the Hermite
-    # equation of -lambda, not of lambda: the check reads about 0.8,
-    # against a true 3e-9
-    real = greens._k_tilde_rows
+    # K~ with the sign of mu = lambda.tau/(2|tau|) flipped on its one I path
+    # solves the Hermite equation of -lambda, not of lambda: the check reads
+    # about 0.8, against a true 1.3e-9
+    real = greens._v_integral
     assert _check(spec, "greens", "hermite_annihilation")().passed
-    monkeypatch.setattr(greens, "_k_tilde_rows",
-                        lambda xs, ray, s: real(xs, (ray[0], ray[1], -ray[2]), s))
+    monkeypatch.setattr(greens, "_v_integral", lambda c, mu: real(c, -mu))
     res = _check(spec, "greens", "hermite_annihilation")()
     assert not res.passed
     assert res.computed > 1e-2

@@ -66,7 +66,7 @@ def test_full_report_independent_of_blas_threads(tmp_path, src_env):
 
 # sha256 of the sorted-key compact JSON of the `verify --suite all` report;
 # a change that moves any bit of the report re-pins it and says why
-REPORT_SHA256 = "649c09384581f442ee7d4b308e054f8e260fbdb58619e284dd0e9dd4c6d998fc"
+REPORT_SHA256 = "161056816167df96cee40b9ed4f2ed88823f4d394b597a9b161860875560db99"
 
 
 def test_full_report_digest_pinned(tmp_path, capsys):
@@ -309,6 +309,21 @@ def test_table_non_finite_kernel_value_is_exit_3(tmp_path, capsys):
                      "--xnorm", "1e-40", "--t", "0", "--lam", "0"]) == 3
     assert "nan" not in out.read_text()
     assert capsys.readouterr().out == ""
+
+
+def test_table_keeps_rows_that_raise(capsys):
+    # xnorm = 0.01 at t = 1 lies inside the heis pinch floor: its row is
+    # written with status error and the message, the valid xnorm = 1 row
+    # after it is kept, and the command exits 3 once the table is complete
+    assert cli.main(["table", "--kind", "heis", "--out", "-",
+                     "--xnorm", "0.01,1", "--t", "1", "--lam", "0"]) == 3
+    captured = capsys.readouterr()
+    rows = list(csv.reader(captured.out.splitlines()))
+    assert len(rows) == 3
+    assert rows[1][8] == "error" and "contour pinches" in rows[1][9]
+    assert rows[1][3:8] == [""] * 5
+    assert rows[2][8] == "ok"
+    assert "1 of 2 table rows" in captured.err
 
 
 def test_eval_bad_vector_length():

@@ -82,15 +82,21 @@ def test_ktilde_preconditions(spec):
         k_tilde_lambda(X_UNIT, np.array([1.0, 0.0, 0.0]), (2.0, 0.0, 0.0), spec)
 
 
-def _k_tilde_tricomi(xsq, tnorm, a):
+def _k_tilde_mp(mp, xsq, tnorm, a):
     """K~ from the v = coth u form in closed form, I = 2c G(1+mu) U(1+mu, 2, 2c)
-    with Tricomi's U, c = tnorm xsq and mu = a/2, by mpmath at 30 digits."""
+    with Tricomi's U, c = tnorm xsq and mu = a/2, as an mpf at mpmath's
+    working precision; I = 1 at mu = 0."""
+    c = mp.mpf(tnorm) * mp.mpf(xsq)
+    mu = mp.mpf(a) / 2
+    i = 2 * c * mp.gamma(1 + mu) * mp.hyperu(1 + mu, 2, 2 * c) if mu else 1
+    return mp.exp(-c) / (4 * mp.pi ** 2 * mp.mpf(xsq)) * i
+
+
+def _k_tilde_tricomi(xsq, tnorm, a):
+    """``_k_tilde_mp`` by mpmath at 30 digits, as a float."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
-        c = mp.mpf(tnorm) * mp.mpf(xsq)
-        mu = mp.mpf(a) / 2
-        i = 2 * c * mp.gamma(1 + mu) * mp.hyperu(1 + mu, 2, 2 * c)
-        return float(mp.exp(-c) / (4 * mp.pi ** 2 * mp.mpf(xsq)) * i)
+        return float(_k_tilde_mp(mp, xsq, tnorm, a))
 
 
 @pytest.mark.parametrize("a", [-1.95, -1.9, -0.5, 0.0, 0.9, 1.95])
@@ -563,34 +569,118 @@ def test_delta_residual_verify_values_pinned(spec):
             == 1.8827788529960547e-07)
 
 
-def test_hermite_residual_values_pinned(spec):
-    # values of 17 single-point k_tilde_lambda evaluations per residual
-    assert (hermite_residual(X_UNIT, np.array([1.0, 0.0, 0.0]), (0.5, 0.0, 0.0), spec)
-            == 9.963972702475843e-11)
-    assert (hermite_residual(np.array([0.8, -0.3, 0.5, 0.2]), np.array([0.4, -0.7, 0.3]),
-                             (0.3, -0.2, 0.4), spec)
-            == 2.1389487403489227e-11)
+def _hermite_stencil_mp(x, tau, lam, h):
+    """The Richardson-extrapolated 17-point Hermite stencil of
+    ``hermite_residual`` applied to the exact K~ (``_k_tilde_mp``), by
+    mpmath at 40 digits: its O(h^4) truncation alone.  Returns it and K~(x)
+    as mpfs."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        x = [mp.mpf(float(v)) for v in x]
+        tau = [mp.mpf(float(v)) for v in tau]
+        tnorm = mp.sqrt(mp.fsum(v * v for v in tau))
+        lt = mp.fsum(mp.mpf(float(a)) * b for a, b in zip(lam, tau))
+
+        def k(xs):
+            return _k_tilde_mp(mp, mp.fsum(v * v for v in xs), tnorm, lt / tnorm)
+
+        k0 = k(x)
+
+        def d(step):
+            lap = mp.fsum(k([v + sign * step if j == l else v for j, v in enumerate(x)]) - k0
+                          for l in range(4) for sign in (1, -1)) / step ** 2
+            return lap - (4 * mp.fsum(v * v for v in x) * tnorm ** 2 + 4 * lt) * k0
+
+        step = mp.mpf(h)
+        return abs((4 * d(step / 2) - d(step)) / 3), k0
+
+
+# (x, tau, lambda, step, pinned value); the default step is 1e-3 at these
+# points
+_HERMITE_PINS = [
+    (X_UNIT, (1.0, 0.0, 0.0), (0.5, 0.0, 0.0), None, 4.0180437179654495e-11),
+    ((0.8, -0.3, 0.5, 0.2), (0.4, -0.7, 0.3), (0.3, -0.2, 0.4), None,
+     1.7647583010369564e-11),
     # lambda = 0, where three quarters of perfbench's residuals run, and an
     # explicit step
+    ((0.8, -0.3, 0.5, 0.2), (0.4, -0.7, 0.3), LAM0, None, 1.573034719780824e-15),
+    ((0.8, -0.3, 0.5, 0.2), (0.4, -0.7, 0.3), LAM0, 4e-3, 7.0657234171193e-13),
+]
+
+
+def test_hermite_residual_values_pinned(spec):
+    # each pin is the stencil of the exact K~ up to rounding.  Each ratio
+    # rho_i - 1 is formed to a few eps relative, and the +-e_l pairs cancel
+    # its O(h) part, so the x-factor leaves about eps/h relative to
+    # K~(1 + 4|x|^2|tau|^2); at lambda.tau != 0 each I(c_i)/I(c) carries a
+    # few eps of its own, which the stencil divides by h^2
+    eps = np.finfo(float).eps
+    for x, tau, lam, h, pinned in _HERMITE_PINS:
+        x, tau = np.array(x), np.array(tau)
+        got = (hermite_residual(x, tau, lam, spec) if h is None
+               else hermite_residual(x, tau, lam, spec, h=h))
+        assert got == pinned
+        step = 1e-3 if h is None else h
+        bound = 256.0 * eps / (step if not any(lam) else step * step)
+        want, k0 = _hermite_stencil_mp(x, tau, lam, step)
+        scale = float(k0) * (1.0 + 4.0 * float(x @ x) * float(tau @ tau))
+        assert abs(got - float(want)) <= bound * scale
+
+
+@pytest.mark.parametrize("lam", [LAM0, (0.5, -0.3, 0.2)])
+@pytest.mark.parametrize("c", [100.0, 400.0, 700.0, 741.0])
+def test_hermite_residual_at_large_c(spec, c, lam):
+    # |x| = 1 and c = |tau||x|^2 up to where e^{-c} is subnormal: at the
+    # default step min(1e-3, 0.02/(|tau||x|)) the residual stays within
+    # the check's 1e-6 of K~ (1 + 4c^2), with K~ from mpmath; at h = 1e-3
+    # it read 1.9e-3 at c = 700 and 1.2 at c = 741
+    mp = pytest.importorskip("mpmath")
+    x = np.array([0.5, 0.5, 0.5, 0.5])
+    n = np.array([0.36, 0.48, 0.8])
+    tau = c * n
+    tnorm = float(np.linalg.norm(tau))
+    r = hermite_residual(x, tau, lam, spec)
+    with mp.workdps(30):
+        kref = _k_tilde_mp(mp, 1.0, tnorm, float(np.dot(lam, tau)) / tnorm)
+        assert float(mp.mpf(r) / (kref * (1 + 4 * mp.mpf(c) ** 2))) <= 1e-6
+
+
+def test_hermite_residual_default_step(spec):
+    # the default step is min(1e-3, 0.02/(|tau||x|)): an explicit step of
+    # that value gives the same float, and one that collapses the stencil
+    # raises the same ValueError given or defaulted
+    x = np.array([0.8, -0.3, 0.5, 0.2])
+    n = np.array([0.36, 0.48, 0.8])
+    for c, lam in ((0.5, LAM0), (0.5, (0.3, -0.2, 0.4)), (300.0, LAM0),
+                   (300.0, (0.3, -0.2, 0.4))):
+        tau = c * n
+        h = min(1e-3, 0.02 / (float(np.linalg.norm(tau)) * float(np.linalg.norm(x))))
+        assert hermite_residual(x, tau, lam, spec) == hermite_residual(x, tau, lam, spec, h=h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for step in ({}, {"h": 1e-20}):
+            with pytest.raises(ValueError, match="step underflows"):
+                hermite_residual(x, 1e17 * n, LAM0, spec, **step)
+
+
+def test_hermite_residual_i_path_calls(spec, monkeypatch):
+    # at lambda.tau = 0 the stencil calls no I-row function; otherwise it
+    # calls the one I path of K~ once, at the 17 values of c
+    calls = []
+    for name in ("_v_integral", "_k_tilde_rows"):
+        real = getattr(greens, name)
+
+        def spy(*a, real=real, name=name):
+            calls.append((name, len(a[0])))
+            return real(*a)
+
+        monkeypatch.setattr(greens, name, spy)
     x, tau = np.array([0.8, -0.3, 0.5, 0.2]), np.array([0.4, -0.7, 0.3])
-    assert hermite_residual(x, tau, LAM0, spec) == 6.37150089632943e-11
-    assert hermite_residual(x, tau, LAM0, spec, h=4e-3) == 3.975469259343001e-12
-
-
-def test_hermite_residual_one_k_tilde_call(spec, monkeypatch):
-    # the 17 stencil rows share one _k_tilde_rows call, the only K~ path
-    real = greens._k_tilde_rows
-    shapes = []
-
-    def spy(xs, ray, s):
-        shapes.append(xs.shape)
-        return real(xs, ray, s)
-
-    monkeypatch.setattr(greens, "_k_tilde_rows", spy)
-    for lam in (LAM0, (0.3, -0.2, 0.4)):
-        hermite_residual(np.array([0.8, -0.3, 0.5, 0.2]), np.array([0.4, -0.7, 0.3]),
-                         lam, spec)
-    assert shapes == [(17, 4), (17, 4)]
+    for lam in (LAM0, (0.7, 0.4, 0.0), (-0.0, 0.0, 0.0)):     # lambda.tau = 0
+        hermite_residual(x, tau, lam, spec)
+    assert calls == []
+    hermite_residual(x, tau, (0.3, -0.2, 0.4), spec)
+    assert calls == [("_v_integral", 17)]
 
 
 @pytest.mark.parametrize("tau, lam", [
@@ -730,6 +820,12 @@ def _k_tilde_rows_per_row(xs, tau, lam):
     return out
 
 
+# the 17 points of the Hermite stencil in units of the step: the centre,
+# then +e_l and -e_l for l = 0..3, then +e_l/2 and -e_l/2
+_STENCIL_OFFSETS = np.concatenate([np.zeros((1, 4)), np.eye(4), -np.eye(4),
+                                   0.5 * np.eye(4), -0.5 * np.eye(4)])
+
+
 @pytest.mark.parametrize("a", [0.0, 0.9, -1.9])
 def test_k_tilde_rows_match_per_row_reference(spec, rng, a):
     # the summation order and the powers differ from the per-row form, so
@@ -743,7 +839,7 @@ def test_k_tilde_rows_match_per_row_reference(spec, rng, a):
         n /= np.linalg.norm(n)
         tau = c / float(x @ x) * n
         lam = Lambda(*(a * n))
-        xs = x + 1e-3 * greens._OFFSETS
+        xs = x + 1e-3 * _STENCIL_OFFSETS
         got = _k_tilde_rows(xs, _tau_ray(tau, lam), spec)
         want = _k_tilde_rows_per_row(xs, tau, lam)
         for g, v in zip(got, want):

@@ -102,10 +102,20 @@ DEFECTS = {
     "k_tilde_x1.001": ("_k_tilde_rows",
                        lambda real: lambda xs, ray, spec: [1.001 * v for v in real(xs, ray, spec)],
                        {"hermite_kernel_value"}),
+    # K~'s own prefactor 1/(4 pi^2 |x|^2), which the Hermite stencil does
+    # not read, and the stencil's x-factor e^{-|tau| d} s/(s + d) with its
+    # s/(s + d) dropped
+    "k_tilde_prefactor_2pi^2": ("_k_tilde_rows",
+                                lambda real: _rewritten(real, "4.0 * math.pi ** 2",
+                                                        "2.0 * math.pi ** 2"),
+                                {"hermite_kernel_value"}),
+    "hermite_x_factor": ("hermite_residual",
+                         lambda real: _rewritten(real, "/ (s0 + d)", "/ s0"),
+                         {"hermite_annihilation"}),
     # heis_k_quadrature's two half-lines on one rule: the u < 0 side
     # without its conjugate, the +-lambda exp rows swapped, and the rule cut
-    # at the faster side's tail end (1.4e-7 against the 1e-7 bound, at
-    # lambda = -1)
+    # at the faster side's tail end (1.4e-7 against the rel_tol bound of
+    # 1e-9, at lambda = -1)
     "heis_no_conjugate": ("_both_half_lines",
                           lambda real: _rewritten(real, "s[0] + s[1].conjugate()",
                                                   "s[0] + s[1]"),
