@@ -336,7 +336,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(pt)
     pt.set_defaults(func=run_table)
 
-    pe = sub.add_parser("eval", help="evaluate one kernel at one point")
+    pe = sub.add_parser(
+        "eval", help="evaluate one kernel at one point",
+        description="Evaluate one kernel at one point.  Of the quadrature flags, "
+                    "ktilde reads none (its rule is fixed); klambda reads only "
+                    "--sphere-order; heis reads --rel-tol (the pinch floor) and "
+                    "--abs-tol (the tail end).  None reads --max-subdiv.")
     pe.add_argument("kernel", choices=["klambda", "ktilde", "heis"])
     pe.add_argument("--x", required=True,
                     help="4 components a,b,c,d" )

@@ -67,10 +67,10 @@ are Richardson-extrapolated from the steps h and h/2, O(h^4).
 ``delta_lambda_residual_on_k`` evaluates all its points in one call; every
 quadrature sum but ``k0_sphere``'s is an einsum, whose sum order does not
 depend on the number of rows, so each of them is ``k_lambda``'s value at
-its point bit for bit.  ``hermite_residual`` returns the absolute |H K~|,
-K~(x) times a stencil of the ratios K~(x_i)/K~(x) at the step
-min(1e-3, 0.02/(|tau||x|)) from the local scale: no row rounds away or
-underflows, and where K~(x) is subnormal only that one factor loses bits.
+its point bit for bit.  ``hermite_residual`` returns the absolute |H K~|:
+K~ = F(|x|^2), so it is K~(x) times a 5-row stencil in s = |x|^2 of the
+ratios F(s_i)/F(s) at the step min(1e-3, 0.02/(|tau||x|)) from the local
+scale; no row rounds away or underflows.
 Large-u factors are computed with e^{-2u}, never e^{2u}:
 4 e^{-(2+a)u} / (1-e^{-2u})^2 in ``fourier_consistency``, and
 e^{-(2 +- lambda)u} times c/(1 + c e^{-2u})^2 in the Heisenberg-type forms,
@@ -152,11 +152,6 @@ def _tail_end(decay_rate: float, spec: QuadratureSpec, slack: float = 10.0) -> f
 # ---------------------------------------------------------------------------
 # Hermite-space kernel
 
-# e^{-c} is 0.0 past c = 745.2, so I(c) is taken at c capped here: finite
-# for every c, where a c of inf would give 0 * inf.
-_C_CAP = 1e3
-
-
 @lru_cache(maxsize=1)
 def _v_rule():
     """The fixed rule of I = int_0^inf e^{-s} (s/(s+2c))^mu ds, read-only.
@@ -170,7 +165,7 @@ def _v_rule():
     e^{-1} int_0^inf e^{-r} ((1+r)/(1+r+2c))^mu dr on 32 Gauss-Laguerre
     nodes.  Returns (z, wz, 1 + r, e^{-1} wr, I0), I0 being the rule's value
     at mu = 0 (1 - 1.1e-16).  Within 1e-10 of mpmath's
-    2c Gamma(1+mu) U(1+mu, 2, 2c) for c in [1e-6, 700], |mu| <= 0.975.
+    2c Gamma(1+mu) U(1+mu, 2, 2c) for c in [1e-6, 750], |mu| <= 0.975.
     """
     t = np.arange(-50, 51) / 16.0
     u = 0.5 * math.pi * np.sinh(t)
@@ -211,10 +206,11 @@ def _k_tilde_rows(xs: np.ndarray, ray: tuple, spec: QuadratureSpec) -> list:
         K~ = e^{-c} / (4 pi^2 |x|^2) * I,   I = int_0^inf e^{-s} (s/(s+2c))^mu ds,
 
     with c = |tau||x|^2 and mu = lambda.tau/(2|tau|).  At mu = 0 I is the
-    constant I0 of ``_v_rule``, so a row costs one exp; otherwise I is one
-    ``_v_integral`` pass, so each row equals its single-row evaluation.
-    The rule is the same for every ``spec``.  Raises ValueError where a row
-    is 0 or not finite, or where a finite row's |x|^2 overflows.
+    constant I0 of ``_v_rule``; otherwise I is one ``_v_integral`` pass on
+    the rows whose value does not underflow, so each row equals its
+    single-row value.  The rule is the same for every ``spec``.  Raises
+    ValueError where a row is 0 or not finite, or where a finite row's
+    |x|^2 overflows.
     """
     _, tnorm, lt = ray
     xsq = np.einsum("ij,ij->i", xs, xs)
@@ -228,7 +224,11 @@ def _k_tilde_rows(xs: np.ndarray, ray: tuple, spec: QuadratureSpec) -> list:
     val = np.exp(-c)
     xsq *= 4.0 * math.pi ** 2
     val /= xsq
-    val *= _v_rule()[4] if lt == 0.0 else _v_integral(c, 0.5 * lt / tnorm)
+    if lt == 0.0:
+        val *= _v_rule()[4]
+    else:
+        live = val > 0.0
+        val[live] *= _v_integral(c[live], 0.5 * lt / tnorm)
     return val.tolist()
 
 
@@ -236,13 +236,12 @@ def _v_integral(c: np.ndarray, mu: float) -> np.ndarray:
     """I of ``_k_tilde_rows`` at each entry of the array c (overwritten),
     mu != 0: one einsum row reduction of (2c + s)^{-mu} against the nodes
     and weights of this mu on ``_v_rule``, whose sum order does not depend
-    on the number of rows (a BLAS product's does)."""
+    on the number of rows (a BLAS product's does).  Every c must be finite."""
     z, wz, r1, wr1, _ = _v_rule()
     k = 1.0 / (1.0 + mu)
     s = z ** k
     nodes = np.concatenate([s, r1])
     w = np.concatenate([k * wz * np.exp(-s), wr1 * r1 ** mu])
-    np.minimum(c, _C_CAP, out=c)
     c *= 2.0
     terms = np.add.outer(c, nodes)
     np.power(terms, -mu, out=terms)
@@ -251,37 +250,40 @@ def _v_integral(c: np.ndarray, mu: float) -> np.ndarray:
 
 def k_tilde_lambda(x, tau, lam, spec: QuadratureSpec) -> float:
     """Evaluate K~_lambda(x, tau) in the v = coth u form on the fixed rule
-    of ``_v_rule``.  ``lam`` is a ``Lambda`` or a 3-sequence of reals."""
+    of ``_v_rule``.  No field of ``spec`` is read.  ``lam`` is a ``Lambda``
+    or a 3-sequence of reals."""
     x = _x4(x)
     return _k_tilde_rows(x[None, :], _tau_ray(tau, lam), spec)[0]
 
 
 def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float | None = None) -> float:
     """|H~_lambda K~_lambda| at x, zero away from x = 0 up to stencil and
-    quadrature error: K~(x) |(4 L(h/2) - L(h))/3 - 4|x|^2|tau|^2 - 4 lambda.tau|,
-    the Richardson extrapolation (O(h^4)) of the 17-point stencil
+    quadrature error.  K~ = F(s) depends on x only through s = |x|^2, so its
+    Laplacian is 4s F'' + 8F', and the return is the Richardson
+    extrapolation (O(h^4)) K~(x) |(4 L(d/2) - L(d))/3 - 4s|tau|^2 - 4 lambda.tau|,
 
-        L(s) = sum_l [rho(x + s e_l) + rho(x - s e_l) - 2] / s^2,
-        rho_i - 1 = (|x|^2 expm1(-|tau| d_i) - d_i)/(|x|^2 + d_i) q_i + q_i - 1
+        L(d) = 4s (p + m)/d^2 + 4 (p - m)/d,    d = 2h|x|,
+        rho_i - 1 = (s expm1(-|tau| d_i) - d_i)/(s + d_i) q_i + q_i - 1,
 
-    on the ratios rho_i = K~(x_i)/K~(x), with d_i = |x_i|^2 - |x|^2 formed
-    exactly (+-2s x_l + s^2) and q_i = I(c_i)/I(c) (``_k_tilde_rows``): 1 at
+    on the ratios rho_i = F(s + d_i)/F(s) at d_i = +-d, +-d/2 (p and m are
+    rho - 1 at +d and -d) and q_i = I(c_i)/I(c) (``_k_tilde_rows``): 1 at
     lambda.tau = 0, where the call runs on Python floats, and otherwise one
-    ``_v_integral`` pass.  No row rounds away or underflows: where K~(x) is
-    subnormal only that factor loses bits, and where it underflows the
-    residual is 0.0.  The default step is min(1e-3, 0.02/(|tau||x|)); an
-    explicit ``h`` is used as given.  ``lam`` is a ``Lambda`` or a
-    3-sequence of reals.  ValueError where |x| < 0.3, where a finite x's
-    |x|^2 overflows, where an explicit step is not positive and finite,
-    where the step collapses the stencil (x_l +- h/2 == x_l, or
-    (h/2)^2 == 0, as for an x that is not finite), or where a ratio is
-    not finite (a step far too large).
+    ``_v_integral`` pass on the 5 values of c.  No row rounds away or
+    underflows: where K~(x) is subnormal only that factor loses bits, and
+    where it underflows the residual is 0.0, with no I pass.  The default
+    step is min(1e-3, 0.02/(|tau||x|)); an explicit ``h`` is used as given.
+    No field of ``spec`` is read.  ``lam`` is a ``Lambda`` or a 3-sequence
+    of reals.  ValueError where |x| < 0.3, where a finite x's |x|^2
+    overflows, where an explicit step is not positive and finite, where it
+    collapses the stencil (s +- h|x| == s, or (h|x|)^2 == 0, as for an x
+    that is not finite), or where a row reaches s = 0 or a ratio is not
+    finite (a step far too large).
     """
     x = _x4(x)
-    xl = x.tolist()
-    x0, x1, x2, x3 = xl
+    x0, x1, x2, x3 = x.tolist()
     s0 = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
-    if not (math.sqrt(s0) >= 0.3):
+    xnorm = math.sqrt(s0)
+    if not (xnorm >= 0.3):
         raise ValueError("|x| >= 0.3 required away from the singular support")
     if s0 == math.inf:     # raises for a finite x; an inf one fails the step guard
         _sq_guard(x, "x")
@@ -289,37 +291,33 @@ def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float | None = None) 
         raise ValueError("step must be positive and finite")
     tsq, tnorm, lt = _tau_ray(tau, lam)
     if h is None:
-        h = min(1e-3, 0.02 / (tnorm * math.sqrt(s0)))
-    half = 0.5 * h
-    quarter = half * half
-    if (quarter == 0.0 or x0 + half == x0 or x0 - half == x0 or x1 + half == x1
-            or x1 - half == x1 or x2 + half == x2 or x2 - half == x2
-            or x3 + half == x3 or x3 - half == x3):
+        h = min(1e-3, 0.02 / (tnorm * xnorm))
+    half = h * xnorm
+    delta = 2.0 * half
+    if not (s0 + half > s0 > s0 - half and half * half > 0.0):
         raise ValueError("step underflows at this point")
-    hh = h * h
-    a0, a1, a2, a3 = h * x0, h * x1, h * x2, h * x3
-    ds = [hh + 2.0 * a0, hh - 2.0 * a0, hh + 2.0 * a1, hh - 2.0 * a1,
-          hh + 2.0 * a2, hh - 2.0 * a2, hh + 2.0 * a3, hh - 2.0 * a3,
-          quarter + a0, quarter - a0, quarter + a1, quarter - a1,
-          quarter + a2, quarter - a2, quarter + a3, quarter - a3]
-    rate = -tnorm
     try:
-        dr = [(s0 * math.expm1(rate * d) - d) / (s0 + d) for d in ds]
-    except (OverflowError, ZeroDivisionError):   # a row at 0, or past the float range
-        dr = [math.nan]
+        p, m, p2, m2 = [(s0 * math.expm1(-tnorm * d) - d) / (s0 + d) if s0 + d > 0.0
+                        else math.nan for d in (delta, -delta, half, -half)]
+    except OverflowError:      # a row past the float range
+        p = m = p2 = m2 = math.nan
     c0 = tnorm * s0
     k0 = math.exp(-c0) / (4.0 * math.pi ** 2 * s0)
-    if lt == 0.0:
-        i0 = 1.0
+    if lt == 0.0 or k0 == 0.0 or not math.isfinite(p + m + p2 + m2):
+        i0 = 1.0    # q_i = 1; no I pass where K~(x) underflows or a ratio is not finite
         k0 *= _v_rule()[4]
     else:
-        c = np.array([c0] + [c0 + tnorm * d for d in ds])
-        i0, *i = _v_integral(c, 0.5 * lt / tnorm).tolist()
-        dr = [r * v + (v - i0) for r, v in zip(dr, i)]    # I0 (rho_i - 1)
-    lap = (4.0 * sum(dr[8:]) / quarter - sum(dr[:8]) / hh) / 3.0
+        cd, ch = tnorm * delta, tnorm * half
+        i0, ip, im, ip2, im2 = _v_integral(
+            np.array([c0, c0 + cd, c0 - cd, c0 + ch, c0 - ch]), 0.5 * lt / tnorm).tolist()
+        p, m = p * ip + (ip - i0), m * im + (im - i0)              # I0 (rho_i - 1)
+        p2, m2 = p2 * ip2 + (ip2 - i0), m2 * im2 + (im2 - i0)
+    lap = (4.0 * (4.0 * s0 * (p2 + m2) / (half * half) + 4.0 * (p2 - m2) / half)
+           - (4.0 * s0 * (p + m) / (delta * delta) + 4.0 * (p - m) / delta)) / 3.0
     res = k0 * abs(lap - (4.0 * s0 * tsq + 4.0 * lt) * i0)
     if not math.isfinite(res):
-        raise ValueError("step too large at this point: a stencil ratio is not finite")
+        raise ValueError("step too large at this point: a stencil row reaches s = 0 "
+                         "or a ratio is not finite")
     return res
 
 

@@ -106,7 +106,7 @@ def test_kernel_defect_fails_annihilation_lambda(spec, monkeypatch, defect):
 def test_hermite_sign_defect_fails_annihilation(spec, monkeypatch):
     # K~ with the sign of mu = lambda.tau/(2|tau|) flipped on its one I path
     # solves the Hermite equation of -lambda, not of lambda: the check reads
-    # about 0.8, against a true 1.3e-9
+    # about 0.8, against a true 2.3e-11
     real = greens._v_integral
     assert _check(spec, "greens", "hermite_annihilation")().passed
     monkeypatch.setattr(greens, "_v_integral", lambda c, mu: real(c, -mu))

@@ -66,7 +66,7 @@ def test_full_report_independent_of_blas_threads(tmp_path, src_env):
 
 # sha256 of the sorted-key compact JSON of the `verify --suite all` report;
 # a change that moves any bit of the report re-pins it and says why
-REPORT_SHA256 = "161056816167df96cee40b9ed4f2ed88823f4d394b597a9b161860875560db99"
+REPORT_SHA256 = "777d98fc09625602e0b2709f0bc6a39dfc3044410aac7e6560e23156610dccca"
 
 
 def test_full_report_digest_pinned(tmp_path, capsys):
@@ -204,6 +204,17 @@ def test_eval_klambda(capsys):
     assert line.startswith("k_lambda:")
     value = float(line.split()[1])
     assert abs(value - 1.0 / (4.0 * math.pi ** 4)) <= 1e-9
+
+
+def test_eval_help_names_the_flags_each_kernel_reads(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["eval", "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for claim in ("ktilde reads none", "klambda reads only --sphere-order",
+                  "heis reads --rel-tol (the pinch floor) and --abs-tol (the tail end)",
+                  "None reads --max-subdiv"):
+        assert claim in text
 
 
 def test_eval_heis(capsys):

@@ -116,6 +116,21 @@ def test_k_tilde_matches_tricomi_form(spec, rng, a):
         assert abs(got - want) <= 1e-9 * want
 
 
+@pytest.mark.parametrize("a", [-1.95, -0.5, 0.9, 1.95])
+def test_v_integral_matches_tricomi_u_past_underflow(a):
+    # I itself against 2c G(1+mu) U(1+mu, 2, 2c), mu = a/2, on one row pass:
+    # c from 1e-6 to 750, past where e^{-c} and with it K~ underflow, and
+    # c = 1e4, where I taken at c capped to 1e3 was 0.68 to 8.4 off
+    mp = pytest.importorskip("mpmath")
+    mu = a / 2.0
+    cs = np.append(np.geomspace(1e-6, 750.0, 25), 1e4)
+    got = greens._v_integral(cs.copy(), mu)
+    with mp.workdps(30):
+        for c, g in zip(cs.tolist(), got.tolist()):
+            want = 2 * mp.mpf(c) * mp.gamma(1 + mu) * mp.hyperu(1 + mu, 2, 2 * mp.mpf(c))
+            assert abs(g - want) <= 1e-10 * want
+
+
 def test_k_tilde_lambda0_closed_form(spec):
     # the u-panel form was 0.78 off at c = 1e-4; at lambda.tau = 0 the
     # integral of the v-form is the rule's constant 1 - 1.1e-16
@@ -531,6 +546,20 @@ def test_hermite_residual_rejects_collapsed_step(spec, x, h):
             hermite_residual(x, np.array([1.0, 0.0, 0.0]), (0.5, 0.0, 0.0), spec, h=h)
 
 
+@pytest.mark.parametrize("lam", [LAM0, (0.5, -0.3, 0.2)])
+@pytest.mark.parametrize("c, h", [(1.0, 1.0), (1.0, 0.5), (740.0, 0.49)])
+def test_hermite_residual_rejects_step_too_large(spec, lam, c, h):
+    # |x| = 1: the row s - 2h|x| reaches s = 0 at h = 1/2 and lies below it
+    # at h = 1, and at c = 740, h = 0.49 the row's e^{|tau| d} overflows while
+    # K~(x) is still subnormal.  Each raises the step error, with no
+    # RuntimeWarning from an I pass on such a row
+    tau = c * np.array([0.36, 0.48, 0.8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="step too large"):
+            hermite_residual(X_UNIT, tau, lam, spec, h=h)
+
+
 def test_k_tilde_underflow_returns_finite_zero(spec):
     # at c = |tau||x|^2 >~ 745 e^{-c} underflows: K~ and its residual are a
     # finite 0.0, not an error.  Pinned so that raising there (ROADMAP item
@@ -569,51 +598,62 @@ def test_delta_residual_verify_values_pinned(spec):
             == 1.8827788529960547e-07)
 
 
-def _hermite_stencil_mp(x, tau, lam, h):
-    """The Richardson-extrapolated 17-point Hermite stencil of
-    ``hermite_residual`` applied to the exact K~ (``_k_tilde_mp``), by
-    mpmath at 40 digits: its O(h^4) truncation alone.  Returns it and K~(x)
-    as mpfs."""
+def _hermite_stencil_mp(x, tau, lam, h, cartesian=False):
+    """The Richardson-extrapolated Hermite stencil (4 D(h/2) - D(h))/3 of
+    ``hermite_residual`` applied to the exact K~ = F(s) (``_k_tilde_mp``),
+    by mpmath at 40 digits: its O(h^4) truncation alone, signed.  D(h) is
+    4s F'' + 8F' from the rows s +- 2h|x| at s = |x|^2, less
+    (4s|tau|^2 + 4 lambda.tau) F; with ``cartesian``, the Laplacian is the
+    former 17-point stencil's, from the rows x +- h e_l.  Returns it and
+    K~(x) as mpfs."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         x = [mp.mpf(float(v)) for v in x]
         tau = [mp.mpf(float(v)) for v in tau]
         tnorm = mp.sqrt(mp.fsum(v * v for v in tau))
         lt = mp.fsum(mp.mpf(float(a)) * b for a, b in zip(lam, tau))
+        s0 = mp.fsum(v * v for v in x)
 
-        def k(xs):
-            return _k_tilde_mp(mp, mp.fsum(v * v for v in xs), tnorm, lt / tnorm)
+        def f(s):
+            return _k_tilde_mp(mp, s, tnorm, lt / tnorm)
 
-        k0 = k(x)
+        k0 = f(s0)
 
         def d(step):
-            lap = mp.fsum(k([v + sign * step if j == l else v for j, v in enumerate(x)]) - k0
-                          for l in range(4) for sign in (1, -1)) / step ** 2
-            return lap - (4 * mp.fsum(v * v for v in x) * tnorm ** 2 + 4 * lt) * k0
+            if cartesian:
+                lap = mp.fsum(f(mp.fsum((v + sign * step if j == l else v) ** 2
+                                        for j, v in enumerate(x))) - k0
+                              for l in range(4) for sign in (1, -1)) / step ** 2
+            else:
+                ds = 2 * step * mp.sqrt(s0)
+                p, m = f(s0 + ds) - k0, f(s0 - ds) - k0
+                lap = 4 * s0 * (p + m) / ds ** 2 + 4 * (p - m) / ds
+            return lap - (4 * s0 * tnorm ** 2 + 4 * lt) * k0
 
         step = mp.mpf(h)
-        return abs((4 * d(step / 2) - d(step)) / 3), k0
+        return (4 * d(step / 2) - d(step)) / 3, k0
 
 
 # (x, tau, lambda, step, pinned value); the default step is 1e-3 at these
 # points
 _HERMITE_PINS = [
-    (X_UNIT, (1.0, 0.0, 0.0), (0.5, 0.0, 0.0), None, 4.0180437179654495e-11),
+    (X_UNIT, (1.0, 0.0, 0.0), (0.5, 0.0, 0.0), None, 7.366072767585797e-13),
     ((0.8, -0.3, 0.5, 0.2), (0.4, -0.7, 0.3), (0.3, -0.2, 0.4), None,
-     1.7647583010369564e-11),
+     1.8166257959941144e-12),
     # lambda = 0, where three quarters of perfbench's residuals run, and an
     # explicit step
-    ((0.8, -0.3, 0.5, 0.2), (0.4, -0.7, 0.3), LAM0, None, 1.573034719780824e-15),
-    ((0.8, -0.3, 0.5, 0.2), (0.4, -0.7, 0.3), LAM0, 4e-3, 7.0657234171193e-13),
+    ((0.8, -0.3, 0.5, 0.2), (0.4, -0.7, 0.3), LAM0, None, 6.278380557959032e-15),
+    ((0.8, -0.3, 0.5, 0.2), (0.4, -0.7, 0.3), LAM0, 4e-3, 4.6484781106992515e-14),
 ]
 
 
 def test_hermite_residual_values_pinned(spec):
     # each pin is the stencil of the exact K~ up to rounding.  Each ratio
-    # rho_i - 1 is formed to a few eps relative, and the +-e_l pairs cancel
-    # its O(h) part, so the x-factor leaves about eps/h relative to
-    # K~(1 + 4|x|^2|tau|^2); at lambda.tau != 0 each I(c_i)/I(c) carries a
-    # few eps of its own, which the stencil divides by h^2
+    # rho_i - 1 is formed to a few eps relative, and the +-d pairs cancel
+    # its O(d) part, so the x-factor leaves about eps/h relative to
+    # K~(1 + 4|x|^2|tau|^2) at d = 2h|x|; at lambda.tau != 0 each
+    # I(c_i)/I(c) carries a few eps of its own, which the stencil divides
+    # by h^2
     eps = np.finfo(float).eps
     for x, tau, lam, h, pinned in _HERMITE_PINS:
         x, tau = np.array(x), np.array(tau)
@@ -624,7 +664,25 @@ def test_hermite_residual_values_pinned(spec):
         bound = 256.0 * eps / (step if not any(lam) else step * step)
         want, k0 = _hermite_stencil_mp(x, tau, lam, step)
         scale = float(k0) * (1.0 + 4.0 * float(x @ x) * float(tau @ tau))
-        assert abs(got - float(want)) <= bound * scale
+        assert abs(got - abs(float(want))) <= bound * scale
+
+
+@pytest.mark.parametrize("x, tau, lam", [
+    (X_UNIT, (1.0, 0.0, 0.0), (0.5, 0.0, 0.0)),
+    ((0.8, -0.3, 0.5, 0.2), (0.4, -0.7, 0.3), (0.3, -0.2, 0.4)),
+])
+def test_hermite_s_stencil_matches_cartesian_stencil(x, tau, lam):
+    # the stencil in s = |x|^2 and the former 17-point stencil in x, both
+    # on the exact K~ at lambda.tau != 0: each falls about 16x per halving
+    # of h (O(h^4)), and so does their difference, so the two agree to
+    # their truncation and measure the same operator
+    steps = (0.04, 0.02, 0.01)
+    s_stencil = [_hermite_stencil_mp(x, tau, lam, h)[0] for h in steps]
+    cartesian = [_hermite_stencil_mp(x, tau, lam, h, cartesian=True)[0] for h in steps]
+    diff = [a - b for a, b in zip(s_stencil, cartesian)]
+    for vals in (s_stencil, cartesian, diff):
+        for coarse, fine in zip(vals, vals[1:]):
+            assert 15.0 <= coarse / fine <= 17.0
 
 
 @pytest.mark.parametrize("lam", [LAM0, (0.5, -0.3, 0.2)])
@@ -643,6 +701,40 @@ def test_hermite_residual_at_large_c(spec, c, lam):
     with mp.workdps(30):
         kref = _k_tilde_mp(mp, 1.0, tnorm, float(np.dot(lam, tau)) / tnorm)
         assert float(mp.mpf(r) / (kref * (1 + 4 * mp.mpf(c) ** 2))) <= 1e-6
+
+
+def test_hermite_residual_sweep_at_check_bound(spec):
+    # about 400 points of the kernel-stencil benchmark's sampling map: x and
+    # t on the gauge sphere |x|^4 + |t|^2 = r^4 at a uniform angle, r
+    # log-uniform on [0.3, 10], |x| >= 0.3; lambda = 0 on three points in
+    # four and a random lambda (|lambda| < 1.95) on the rest.  Each residual
+    # is within the hermite_annihilation check's 1e-6 of K~ (1 + 4|x|^2|tau|^2),
+    # K~ in closed form at lambda.tau = 0 and from mpmath otherwise
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(24)
+    n = 460
+    phi = 0.5 * math.pi * rng.random(n)
+    r = 0.3 * (10.0 / 0.3) ** rng.random(n)
+
+    def units(dim):
+        v = rng.normal(size=(n, dim))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    xs = units(4) * (r * np.sqrt(np.cos(phi)))[:, None]
+    ts = units(3) * (r * r * np.sin(phi))[:, None]
+    lams = np.zeros((n, 3))
+    lams[3::4] = units(3)[3::4] * 1.95 * rng.random(n)[3::4, None]
+    keep = np.linalg.norm(xs, axis=1) >= 0.3
+    assert 380 <= keep.sum() <= 440
+    with mp.workdps(30):
+        for x, tau, lam in zip(xs[keep], ts[keep], lams[keep]):
+            lam = tuple(float(v) for v in lam)
+            res = hermite_residual(x, tau, lam, spec)
+            xsq, tnorm = float(x @ x), float(np.linalg.norm(tau))
+            lt = float(np.dot(lam, tau))
+            kref = (_k_tilde_mp(mp, xsq, tnorm, lt / tnorm) if lt
+                    else mp.exp(-mp.mpf(tnorm) * xsq) / (4 * mp.pi ** 2 * xsq))
+            assert mp.mpf(res) <= 1e-6 * kref * (1 + 4 * mp.mpf(xsq) * tnorm ** 2)
 
 
 def test_hermite_residual_default_step(spec):
@@ -665,7 +757,7 @@ def test_hermite_residual_default_step(spec):
 
 def test_hermite_residual_i_path_calls(spec, monkeypatch):
     # at lambda.tau = 0 the stencil calls no I-row function; otherwise it
-    # calls the one I path of K~ once, at the 17 values of c
+    # calls the one I path of K~ once, at the 5 values of c
     calls = []
     for name in ("_v_integral", "_k_tilde_rows"):
         real = getattr(greens, name)
@@ -680,7 +772,7 @@ def test_hermite_residual_i_path_calls(spec, monkeypatch):
         hermite_residual(x, tau, lam, spec)
     assert calls == []
     hermite_residual(x, tau, (0.3, -0.2, 0.4), spec)
-    assert calls == [("_v_integral", 17)]
+    assert calls == [("_v_integral", 5)]
 
 
 @pytest.mark.parametrize("tau, lam", [

@@ -103,8 +103,9 @@ DEFECTS = {
                        lambda real: lambda xs, ray, spec: [1.001 * v for v in real(xs, ray, spec)],
                        {"hermite_kernel_value"}),
     # K~'s own prefactor 1/(4 pi^2 |x|^2), which the Hermite stencil does
-    # not read, and the stencil's x-factor e^{-|tau| d} s/(s + d) with its
-    # s/(s + d) dropped
+    # not read; the stencil's x-factor e^{-|tau| d} s/(s + d) with its
+    # s/(s + d) dropped; and its first-derivative term 8F' halved at the
+    # step d (the check reads 0.58)
     "k_tilde_prefactor_2pi^2": ("_k_tilde_rows",
                                 lambda real: _rewritten(real, "4.0 * math.pi ** 2",
                                                         "2.0 * math.pi ** 2"),
@@ -112,6 +113,9 @@ DEFECTS = {
     "hermite_x_factor": ("hermite_residual",
                          lambda real: _rewritten(real, "/ (s0 + d)", "/ s0"),
                          {"hermite_annihilation"}),
+    "hermite_first_derivative": ("hermite_residual",
+                                 lambda real: _rewritten(real, "4.0 * (p - m)", "2.0 * (p - m)"),
+                                 {"hermite_annihilation"}),
     # heis_k_quadrature's two half-lines on one rule: the u < 0 side
     # without its conjugate, the +-lambda exp rows swapped, and the rule cut
     # at the faster side's tail end (1.4e-7 against the rel_tol bound of
