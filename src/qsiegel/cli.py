@@ -6,16 +6,17 @@ Three subcommands:
   table    tabulate kernel values over a coordinate grid to CSV
   eval     evaluate one kernel at one point
 
-Exit codes: 0 all checks pass, 1 check failure, 2 usage or precondition
-error, 3 numerical non-convergence.  Reports are deterministic for fixed
-flags; wall-clock metadata lives in a separate "meta" object so the
-"report" object is byte-identical across runs.
+Exit codes: 0 all checks pass, 1 check failure, 2 usage, precondition or
+output-path error, 3 numerical non-convergence.  Reports are deterministic
+for fixed flags; wall-clock metadata lives in a separate "meta" object so
+the "report" object is byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import time
@@ -29,7 +30,7 @@ from .quad import QuadratureSpec, QuadratureError
 from .siegel import SiegelPoint
 from . import szego, greens, checks
 
-__all__ = ["main", "emit_table"]
+__all__ = ["main"]
 
 _SKIP_X0 = "x=0 outside reduced-representation domain"
 
@@ -52,8 +53,9 @@ def _vector(text: str, n: int, what: str) -> np.ndarray:
     return np.array(vals)
 
 
-# Work memory of the sphere rules grows as order^2 (the K_lambda weight
-# tables of an order-128 rule hold 4160 orbits per u-node).
+# Work memory of the sphere rules grows as order^2 (an order-128 rule has
+# 2 * 128^2 nodes; one k_lambda point then peaks at about 11 MiB at
+# |lambda| = 1.95).
 _MAX_SPHERE_ORDER = 128
 
 
@@ -163,117 +165,72 @@ def _quat_cells(v: Quaternion):
     return [repr(float(x)) for x in v.components()]
 
 
-def _klambda_rows(grid, spec):
+def _klambda_value(xn, t1, l1, spec):
+    if xn == 0.0:
+        raise ValueError(_SKIP_X0)
+    x = np.array([xn, 0.0, 0.0, 0.0])
+    t = np.array([t1, 0.0, 0.0])
+    v = greens.k_lambda(x, t, (l1, 0.0, 0.0), spec)
     hi = replace(spec, sphere_order=spec.sphere_order + 8)
-    for xn in grid["xnorm"]:
-        for t1 in grid["t"]:
-            for l1 in grid["lam"]:
-                inputs = [repr(float(xn)), repr(float(t1)), repr(float(l1))]
-                if xn == 0.0:
-                    yield inputs + [""] * 5 + ["skipped", _SKIP_X0]
-                    continue
-                if abs(l1) >= 2.0:
-                    yield inputs + [""] * 5 + ["skipped",
-                                               "lambda outside the |lambda| < 2 ball"]
-                    continue
-                x = np.array([xn, 0.0, 0.0, 0.0])
-                t = np.array([t1, 0.0, 0.0])
-                try:
-                    v = greens.k_lambda(x, t, (l1, 0.0, 0.0), spec)
-                    v2 = greens.k_lambda(x, t, (l1, 0.0, 0.0), hi)
-                except QuadratureError as e:
-                    yield inputs + [""] * 5 + ["error", str(e)]
-                    continue
-                yield inputs + _quat_cells(v) + [repr(float((v2 - v).norm())),
-                                                 "ok", ""]
+    return v, (greens.k_lambda(x, t, (l1, 0.0, 0.0), hi) - v).norm()
 
 
-def _heis_rows(grid, spec):
-    for xn in grid["xnorm"]:
-        for t in grid["t"]:
-            for lam in grid["lam"]:
-                inputs = [repr(float(xn)), repr(float(t)), repr(float(lam))]
-                if xn == 0.0:
-                    yield inputs + [""] * 5 + ["skipped", _SKIP_X0]
-                    continue
-                x = np.array([xn, 0.0, 0.0, 0.0])
-                try:
-                    v = greens.heis_k_closed(x, t, lam)
-                    q = greens.heis_k_quadrature(x, t, lam, spec)
-                except ValueError as e:
-                    yield inputs + [""] * 5 + ["skipped", str(e)]
-                    continue
-                except QuadratureError as e:
-                    yield inputs + [""] * 5 + ["error", str(e)]
-                    continue
-                yield inputs + _quat_cells(v) + [repr(float((q - v).norm())),
-                                                 "ok", ""]
+def _heis_value(xn, t, lam, spec):
+    if xn == 0.0:
+        raise ValueError(_SKIP_X0)
+    x = np.array([xn, 0.0, 0.0, 0.0])
+    v = greens.heis_k_closed(x, t, lam)
+    return v, (greens.heis_k_quadrature(x, t, lam, spec) - v).norm()
 
 
-def _szego_rows(grid, spec):
-    for h in grid["height"]:
-        inputs = [repr(float(h))]
-        if h <= 0.0:
-            yield inputs + [""] * 5 + ["skipped",
-                                       "height <= 0 outside the domain"]
-            continue
-        p = SiegelPoint(Quaternion(0.0), Quaternion(h))
-        try:
-            v = szego.szego_kernel(p, p)
-        except ValueError as e:
-            yield inputs + [""] * 5 + ["skipped", str(e)]
-            continue
-        yield inputs + _quat_cells(v) + [repr(0.0), "ok", ""]
+def _szego_value(h, spec):
+    if h <= 0.0:
+        raise ValueError("height <= 0 outside the domain")
+    p = SiegelPoint(Quaternion(0.0), Quaternion(h))
+    return szego.szego_kernel(p, p), 0.0
 
 
+# kind -> (CSV axis names, evaluator of one grid point to (value, err_est))
 _TABLE_KINDS = {
-    "klambda": (("xnorm", "t1", "lambda1"), _klambda_rows),
-    "heis": (("xnorm", "t", "lambda"), _heis_rows),
-    "szego": (("height",), _szego_rows),
+    "klambda": (("xnorm", "t1", "lambda1"), _klambda_value),
+    "heis": (("xnorm", "t", "lambda"), _heis_value),
+    "szego": (("height",), _szego_value),
 }
 
 
-def emit_table(kind: str, grid: dict, out: str, spec: QuadratureSpec) -> int:
-    """Write a CSV table of kernel values to the path ``out`` ("-" for
-    stdout); returns the number of data rows.
-
-    grid holds one float list per axis: klambda/heis use xnorm, t, lam;
-    szego uses height.  Precondition-violating points become rows marked
-    "skipped" with a reason, never silently dropped, and points whose
-    evaluation raises QuadratureError rows marked "error" with its message.
-    An empty grid gives a header-only file.  Raises QuadratureError once
-    the table is complete if any row is an "error" row.
-    """
-    if kind not in _TABLE_KINDS:
-        raise ValueError(f"unknown table kind {kind!r}")
-    axes, rows = _TABLE_KINDS[kind]
-    header = list(axes) + ["k_t", "k_i1", "k_i2", "k_i3",
-                           "err_est", "status", "note"]
-    fh = sys.stdout if out == "-" else open(out, "w")
+def run_table(args) -> int:
+    """Write one CSV row per point of the kind's grid, in nested-loop
+    order.  A point whose evaluator raises ValueError or ZeroDivisionError
+    is written with status skipped, one that raises QuadratureError with
+    status error, each with the message as its note; an empty grid gives
+    a header-only file.  Raises QuadratureError once the table is complete
+    if any row is an error row."""
+    spec = _build_spec(args)
+    axes, evaluate = _TABLE_KINDS[args.kind]
+    grid = [args.height] if args.kind == "szego" else [args.xnorm, args.t, args.lam]
+    fh = sys.stdout if args.out == "-" else open(args.out, "w")
+    count = errors = 0
     try:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        count = errors = 0
-        for row in rows(grid, spec):
-            w.writerow(row)
+        w.writerow(list(axes) + ["k_t", "k_i1", "k_i2", "k_i3",
+                                 "err_est", "status", "note"])
+        for point in itertools.product(*grid):
+            try:
+                v, err = evaluate(*point, spec)
+                cells = _quat_cells(v) + [repr(float(err)), "ok", ""]
+            except (ValueError, ZeroDivisionError) as e:
+                cells = [""] * 5 + ["skipped", str(e)]
+            except QuadratureError as e:
+                cells = [""] * 5 + ["error", str(e)]
+                errors += 1
+            w.writerow([repr(float(c)) for c in point] + cells)
             count += 1
-            errors += row[-2] == "error"
     finally:
         if fh is not sys.stdout:
             fh.close()
     if errors:
         raise QuadratureError(f"{errors} of {count} table rows did not converge; "
                               f"they are written with status error")
-    return count
-
-
-def run_table(args) -> int:
-    spec = _build_spec(args)
-    if args.kind == "szego":
-        grid = {"height": args.height}
-    else:
-        grid = {"xnorm": args.xnorm, "t": args.t, "lam": args.lam}
-    emit_table(args.kind, grid, args.out, spec)
     return 0
 
 
@@ -385,7 +342,7 @@ def main(argv=None) -> int:
     except QuadratureError as e:
         print(f"numerical non-convergence: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

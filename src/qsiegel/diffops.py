@@ -509,17 +509,13 @@ def _delta_lambda_lines(f, p, lam, h):
     lam = Lambda.from_seq(lam).as_tuple()
     axes = [k for k in range(3) if lam[k] != 0.0]
     h = float(h)
-    # negated, so that a NaN step fails it too
-    if not (0.0 < h < math.inf):
-        raise ValueError("step must be positive and finite")
     pts = p.reshape(N_COORDS, -1)
     n = pts.shape[1]
     steps = (h, 0.5 * h)
     # every coordinate a line or an axis moves by exactly s
     moved = pts[[0, 1, 2, 3] + [4 + k for k in axes]]
     for s in steps:
-        if s * s == 0.0 or np.any((moved + s == moved) | (moved - s == moved)):
-            raise ValueError("step underflows at this point")
+        _check_steps(moved, s)
 
     # the four line directions v_l, then the unit t_k axes of the lambda term
     dirs = np.zeros((4 + len(axes), N_COORDS, n))

@@ -199,7 +199,7 @@ def _tau_ray(tau, lam) -> tuple:
     return tsq, tnorm, lt
 
 
-def _k_tilde_rows(xs: np.ndarray, ray: tuple, spec: QuadratureSpec) -> list:
+def _k_tilde_rows(xs: np.ndarray, ray: tuple) -> list:
     """K~_lambda(x, tau) at every row x of ``xs`` (shape (N, 4)) on the ray
     ``_tau_ray(tau, lambda)`` the rows share, in the v = coth u form
 
@@ -208,9 +208,8 @@ def _k_tilde_rows(xs: np.ndarray, ray: tuple, spec: QuadratureSpec) -> list:
     with c = |tau||x|^2 and mu = lambda.tau/(2|tau|).  At mu = 0 I is the
     constant I0 of ``_v_rule``; otherwise I is one ``_v_integral`` pass on
     the rows whose value does not underflow, so each row equals its
-    single-row value.  The rule is the same for every ``spec``.  Raises
-    ValueError where a row is 0 or not finite, or where a finite row's
-    |x|^2 overflows.
+    single-row value.  Raises ValueError where a row is 0 or not finite,
+    or where a finite row's |x|^2 overflows.
     """
     _, tnorm, lt = ray
     xsq = np.einsum("ij,ij->i", xs, xs)
@@ -253,7 +252,7 @@ def k_tilde_lambda(x, tau, lam, spec: QuadratureSpec) -> float:
     of ``_v_rule``.  No field of ``spec`` is read.  ``lam`` is a ``Lambda``
     or a 3-sequence of reals."""
     x = _x4(x)
-    return _k_tilde_rows(x[None, :], _tau_ray(tau, lam), spec)[0]
+    return _k_tilde_rows(x[None, :], _tau_ray(tau, lam))[0]
 
 
 def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float | None = None) -> float:

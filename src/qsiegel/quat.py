@@ -126,11 +126,6 @@ class Quaternion:
     def to_array(self) -> np.ndarray:
         return np.array(self.components(), dtype=float)
 
-    @staticmethod
-    def from_seq(seq) -> "Quaternion":
-        t, a, b, c = (float(v) for v in seq)
-        return Quaternion(t, a, b, c)
-
     def __repr__(self):
         return f"Quaternion({self.t!r}, {self.a!r}, {self.b!r}, {self.c!r})"
 

@@ -62,15 +62,18 @@ def r_pair(q: SiegelPoint, omega: SiegelPoint) -> Quaternion:
 
 def szego_kernel(q: SiegelPoint, omega: SiegelPoint) -> Quaternion:
     """S(q, omega) = k * r(q, omega)^-5; raises ZeroDivisionError at the
-    pole r = 0 and ValueError when an argument has a NaN or infinite
-    component (r is then NaN or infinite)."""
+    pole r = 0, or so near it that r^-5 overflows, and ValueError when an
+    argument has a NaN or infinite component (r is then NaN or infinite)."""
     r = r_pair(q, omega)
     n2 = r.norm_sq()
     if not n2 < math.inf:
         raise ValueError("Szego kernel of a NaN or infinite point")
     if n2 < 1e-280:
         raise ZeroDivisionError("Szego kernel pole: r(q, omega) = 0")
-    return real_power(r, -5.0) * K_ANALYTIC
+    try:
+        return real_power(r, -5.0) * K_ANALYTIC
+    except OverflowError:
+        raise ZeroDivisionError("Szego kernel pole: r(q, omega)^-5 overflows") from None
 
 
 def k_eps(g: GroupElement, eps: float) -> Quaternion:

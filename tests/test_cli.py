@@ -337,6 +337,41 @@ def test_table_keeps_rows_that_raise(capsys):
     assert "1 of 2 table rows" in captured.err
 
 
+@pytest.mark.parametrize("argv, statuses", [
+    # a valid point, |x| = 0, a non-finite |x| and |lambda| >= 2
+    (["--kind", "klambda", "--xnorm", "0,1,inf", "--t", "0", "--lam", "0,2.5"],
+     ["skipped", "skipped", "ok", "skipped", "skipped", "skipped"]),
+    # a valid point, |x| = 0, a non-finite |x| and lambda on the pole lattice
+    (["--kind", "heis", "--xnorm", "0,1,nan", "--t", "1", "--lam", "0,2"],
+     ["skipped", "skipped", "ok", "skipped", "skipped", "skipped"]),
+    # a valid height, height <= 0, a non-finite height and one at the pole
+    (["--kind", "szego", "--height", "1,0,nan,1e-150,1e-100"],
+     ["ok", "skipped", "skipped", "skipped", "skipped"]),
+])
+def test_table_writes_one_row_per_grid_point(argv, statuses, capsys):
+    # every kind walks its grid with one row policy: a point that its
+    # kernel rejects is a skipped row with the kernel's own message, never
+    # an abort of the table
+    assert cli.main(["table", "--out", "-"] + argv) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert [r[-2] for r in rows[1:]] == statuses
+    assert all(r[-1] for r in rows[1:] if r[-2] == "skipped")
+    if argv[1] == "klambda":
+        assert rows[4][-1].startswith("lambda decay condition fails")
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--kind", "szego", "--out"],
+    ["verify", "--suite", "algebra", "--json"],
+])
+def test_unwritable_output_path_is_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "out"
+    assert cli.main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_eval_bad_vector_length():
     with pytest.raises(SystemExit) as e:
         cli.main(["eval", "klambda", "--x", "1,2,3"])

@@ -526,13 +526,13 @@ def test_k_tilde_rows_reject_any_non_finite_row(spec):
     xs = np.tile(_X, (9, 1))
     xs[6, 2] = math.nan
     with pytest.raises(ValueError):
-        _k_tilde_rows(xs, _tau_ray(_T, Lambda(*_LAM)), spec)
+        _k_tilde_rows(xs, _tau_ray(_T, Lambda(*_LAM)))
 
 
 @pytest.mark.parametrize("x, h", [
     (X_UNIT, 1e-17),                        # 1 + h == 1: the stencil collapses
     (X_UNIT, 1e-170),                       # h*h == 0
-    (-X_UNIT, 8e-17),                       # only -1 - h == -1 collapses
+    (-X_UNIT, 8e-17),                       # only s + h|x| == s collapses (s = 1)
     (X_UNIT, math.inf),
     (X_UNIT, 0.0),
     (X_UNIT, -1e-3),
@@ -572,8 +572,8 @@ def test_k_tilde_underflow_returns_finite_zero(spec):
 @pytest.mark.parametrize("lam", [(-0.95, 0.0, 0.0), (0.45, 0.0, 0.0)])
 def test_k_tilde_overflowing_c_returns_zero(spec, lam):
     # at c = |tau||x|^2 = 1e308, 2c overflows to inf, and inf^{-mu} is inf
-    # for mu < 0: the integral is taken at a capped c, so the value is 0.0
-    # with no RuntimeWarning, not 0 * inf
+    # for mu < 0: e^{-c} underflows, so _k_tilde_rows takes no I on the row
+    # and the value is 0.0 with no RuntimeWarning, not 0 * inf
     tau = np.array([1e108, 0.0, 0.0])
     assert k_tilde_lambda(1e100 * X_UNIT, tau, lam, spec) == 0.0
 
@@ -849,7 +849,7 @@ def test_batched_rows_match_single_points(rng):
         for lam in (Lambda(0.4, -0.3, 0.2), Lambda(0.0, 1.95, 0.0),
                     Lambda(0.0, 0.0, 0.0)):
             c0, ck = _k_lambda_components(xs, ts, lam, spec)
-            kt = _k_tilde_rows(xs, _tau_ray(ts[0], lam), spec)
+            kt = _k_tilde_rows(xs, _tau_ray(ts[0], lam))
             for i in range(63):
                 assert (k_lambda(xs[i], ts[i], lam, spec).components()
                         == (c0[i], *ck[i]))
@@ -932,7 +932,7 @@ def test_k_tilde_rows_match_per_row_reference(spec, rng, a):
         tau = c / float(x @ x) * n
         lam = Lambda(*(a * n))
         xs = x + 1e-3 * _STENCIL_OFFSETS
-        got = _k_tilde_rows(xs, _tau_ray(tau, lam), spec)
+        got = _k_tilde_rows(xs, _tau_ray(tau, lam))
         want = _k_tilde_rows_per_row(xs, tau, lam)
         for g, v in zip(got, want):
             assert abs(g - v) <= bound * (1.0 + c) * abs(v)

@@ -100,7 +100,7 @@ DEFECTS = {
                                              "nodes * (nodes @ lam3)[:, None]"),
                      _BOTH_ROUTES),
     "k_tilde_x1.001": ("_k_tilde_rows",
-                       lambda real: lambda xs, ray, spec: [1.001 * v for v in real(xs, ray, spec)],
+                       lambda real: lambda xs, ray: [1.001 * v for v in real(xs, ray)],
                        {"hermite_kernel_value"}),
     # K~'s own prefactor 1/(4 pi^2 |x|^2), which the Hermite stencil does
     # not read; the stencil's x-factor e^{-|tau| d} s/(s + d) with its

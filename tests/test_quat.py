@@ -150,7 +150,6 @@ def test_component_views():
     q = Quaternion(1.0, 2.0, 3.0, 4.0)
     assert q.components() == (1.0, 2.0, 3.0, 4.0)
     assert q.imag() == (2.0, 3.0, 4.0)
-    assert Quaternion.from_seq([1, 2, 3, 4]) == q
     np.testing.assert_array_equal(q.to_array(), [1.0, 2.0, 3.0, 4.0])
 
 
