@@ -24,7 +24,7 @@ from .siegel import (SiegelPoint, BallPoint, cayley_to_siegel, cayley_to_ball,
                      act, height, boundary_point, boundary_coords, rotate)
 from . import diffops
 from .diffops import (make_x, hbar_field, h_field, commutator, QuatDiffOp,
-                      QPoly, apply_op, Lambda, box_b_identity_residual,
+                      QPoly, apply_op, box_b_identity_residual,
                       crf_tangency_residual, cauchy_fueter_sphere, dq_eval)
 from . import szego
 from . import greens

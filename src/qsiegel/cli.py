@@ -32,8 +32,6 @@ from . import szego, greens, checks
 
 __all__ = ["main"]
 
-_SKIP_X0 = "x=0 outside reduced-representation domain"
-
 
 def _float_list(text: str):
     """Comma-separated floats; empty string means an empty axis."""
@@ -70,10 +68,9 @@ def _sphere_order(text: str) -> int:
     return order
 
 
-def _build_spec(args) -> QuadratureSpec:
+def _build_spec(args, **budget) -> QuadratureSpec:
     return QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                          max_subdivisions=args.max_subdiv,
-                          sphere_order=args.sphere_order)
+                          sphere_order=args.sphere_order, **budget)
 
 
 def _add_spec_flags(p: argparse.ArgumentParser):
@@ -84,8 +81,6 @@ def _add_spec_flags(p: argparse.ArgumentParser):
     p.add_argument("--sphere-order", type=_sphere_order, default=32,
                    help="Gauss-Legendre order of the sphere rules, 2 to "
                         f"{_MAX_SPHERE_ORDER}; work memory grows as its square (default 32)")
-    p.add_argument("--max-subdiv", type=int, default=4000,
-                   help="integrand evaluations allowed per 1-D integral before giving up (default 4000)")
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +124,7 @@ def _write_out(path: str, text: str):
 
 
 def run_verify(args) -> int:
-    spec = _build_spec(args)
+    spec = _build_spec(args, max_subdivisions=args.max_subdiv)
     t0 = time.time()
     report = checks.run_suite(args.suite, spec, threads=args.threads)
     runtime = time.time() - t0
@@ -166,8 +161,6 @@ def _quat_cells(v: Quaternion):
 
 
 def _klambda_value(xn, t1, l1, spec):
-    if xn == 0.0:
-        raise ValueError(_SKIP_X0)
     x = np.array([xn, 0.0, 0.0, 0.0])
     t = np.array([t1, 0.0, 0.0])
     v = greens.k_lambda(x, t, (l1, 0.0, 0.0), spec)
@@ -176,9 +169,8 @@ def _klambda_value(xn, t1, l1, spec):
 
 
 def _heis_value(xn, t, lam, spec):
-    if xn == 0.0:
-        raise ValueError(_SKIP_X0)
-    x = np.array([xn, 0.0, 0.0, 0.0])
+    # x = 0 is a skipped row at every t: at t != 0 the quadrature pinches
+    x = greens._x4(np.array([xn, 0.0, 0.0, 0.0]))[0]
     v = greens.heis_k_closed(x, t, lam)
     return v, (greens.heis_k_quadrature(x, t, lam, spec) - v).norm()
 
@@ -276,6 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--threads", type=int, default=1,
                     help="run checks concurrently; report order is fixed")
     _add_spec_flags(pv)
+    pv.add_argument("--max-subdiv", type=int, default=4000,
+                    help="integrand evaluations allowed per 1-D integral before giving up (default 4000)")
     pv.set_defaults(func=run_verify)
 
     pt = sub.add_parser("table", help="tabulate kernel values to CSV")
@@ -298,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Evaluate one kernel at one point.  Of the quadrature flags, "
                     "ktilde reads none (its rule is fixed); klambda reads only "
                     "--sphere-order; heis reads --rel-tol (the pinch floor) and "
-                    "--abs-tol (the tail end).  None reads --max-subdiv.")
+                    "--abs-tol (the tail end).")
     pe.add_argument("kernel", choices=["klambda", "ktilde", "heis"])
     pe.add_argument("--x", required=True,
                     help="4 components a,b,c,d" )

@@ -53,7 +53,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -62,7 +61,6 @@ from .quat import Quaternion, ZERO, ONE, I1, I2, I3, scalar_product
 from .quad import QuadratureSpec, QuadratureError, sphere3_angles
 
 __all__ = [
-    "Lambda",
     "QPoly",
     "QuatDiffOp",
     "make_x",
@@ -81,27 +79,10 @@ N_COORDS = 7
 _IMAG = (I1, I2, I3)
 
 
-@dataclass(frozen=True)
-class Lambda:
-    """Parameter triple of the sub-Laplacian family."""
-
-    l1: float = 0.0
-    l2: float = 0.0
-    l3: float = 0.0
-
-    def as_tuple(self) -> tuple:
-        return (self.l1, self.l2, self.l3)
-
-    def norm(self) -> float:
-        return math.hypot(self.l1, self.l2, self.l3)
-
-    @staticmethod
-    def from_seq(seq) -> "Lambda":
-        """A Lambda from a 3-sequence of reals; a Lambda passes through."""
-        if isinstance(seq, Lambda):
-            return seq
-        a, b, c = (float(v) for v in seq)
-        return Lambda(a, b, c)
+def _lam3(lam) -> tuple:
+    """lambda, a 3-sequence of reals, as three Python floats."""
+    l1, l2, l3 = map(float, lam)
+    return l1, l2, l3
 
 
 def _as_quat(v) -> Quaternion:
@@ -506,7 +487,7 @@ def _delta_lambda_lines(f, p, lam, h):
     p = np.asarray(p, dtype=float)
     if p.ndim not in (1, 2) or p.shape[0] != N_COORDS:
         raise ValueError("point must have 7 coordinates, or be a (7, N) batch")
-    lam = Lambda.from_seq(lam).as_tuple()
+    lam = _lam3(lam)
     axes = [k for k in range(3) if lam[k] != 0.0]
     h = float(h)
     pts = p.reshape(N_COORDS, -1)
@@ -557,7 +538,7 @@ def _delta_lambda_lines(f, p, lam, h):
 def delta_lambda_apply(f, p, lam, h=1e-4, form: str = "direct") -> Quaternion:
     """Apply Delta_lambda at p by finite differences.
 
-    ``lam`` is a Lambda or a 3-sequence.  form="direct" takes second
+    ``lam`` is a 3-sequence of reals.  form="direct" takes second
     differences of f along the straight lines of the four X_l, on which
     X_l is constant, and first differences along the t_k axes with
     lambda_k != 0, at the steps h and h/2, and Richardson-extrapolates
@@ -574,11 +555,11 @@ def delta_lambda_apply(f, p, lam, h=1e-4, form: str = "direct") -> Quaternion:
         return _delta_lambda_lines(f, p, lam, h)[0]
     if form != "nested":
         raise ValueError(f"unknown form {form!r}")
-    lam = Lambda.from_seq(lam)
+    lam = _lam3(lam)
     total = ZERO
     for xl in _x_fields():
         total = total + apply_op(xl, lambda q, _xl=xl: apply_op(_xl, f, q, h), p, h)
-    return total + apply_op(_dt_op([4.0 * l for l in lam.as_tuple()]), f, p, h)
+    return total + apply_op(_dt_op([4.0 * l for l in lam]), f, p, h)
 
 
 def box_b_identity_residual(f, p, h=1e-3) -> float:

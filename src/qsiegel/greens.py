@@ -76,9 +76,20 @@ Large-u factors are computed with e^{-2u}, never e^{2u}:
 e^{-(2 +- lambda)u} times c/(1 + c e^{-2u})^2 in the Heisenberg-type forms,
 which neither overflow nor cancel.
 
-An x that is not finite, or finite with an overflowing |x|^2, raises
-ValueError with no numpy warning (``_x_sq``; ``_k_tilde_rows`` for K~), and
-so does such a t in ``delta_lambda_residual_on_k``.
+Each argument is checked in one place, on Python floats, with no numpy
+warning; a refusal raises ValueError.  ``_x4`` refuses an x that is not
+finite or whose |x|^2 overflows, and x = 0 or an x != 0 whose |x|^2
+underflows to 0 (it would be evaluated as x = 0), except in
+``heis_k_closed`` and ``heis_k_quadrature`` at t != 0, where the kernel
+is regular at x = 0.  ``_t3`` refuses a t that is not finite, ``_tau_ray``
+a tau that is not finite or whose |tau|^2 is 0 or overflows, and ``_lam``
+a lambda with |lambda| >= 2 or a NaN component.
+``_k_tilde_rows`` tests all its rows at once and raises ``_x4``'s refusal
+of the first row that fails.  Each evaluator adds only its own rule:
+|x| >= 1 (``fourier_consistency``), |x| >= 0.3 (``hermite_residual``), a
+probe point away from the origin and a finite |t|^2
+(``delta_lambda_residual_on_k``), the Heisenberg-type poles and pinch
+floor.
 """
 
 from __future__ import annotations
@@ -90,7 +101,7 @@ import numpy as np
 
 from .quat import Quaternion
 from .quad import QuadratureSpec, QuadratureError, panel_grid, sphere2_nodes
-from .diffops import Lambda, _delta_lambda_lines
+from .diffops import _delta_lambda_lines
 
 __all__ = [
     "k_tilde_lambda",
@@ -104,43 +115,60 @@ __all__ = [
     "delta_lambda_residual_on_k",
 ]
 
-def _check_lambda_ball(l1: float, l2: float, l3: float):
-    # negated, so that a NaN component fails it too
+def _finite(comps, name: str) -> None:
+    """Raise ValueError unless every entry of ``comps``, Python floats, is
+    finite."""
+    for c in comps:
+        if not math.isfinite(c):
+            raise ValueError(f"{name} must be finite")
+
+
+def _x4(x, zero_ok: bool = False) -> tuple:
+    """(x as a (4,) float array, |x|^2 summed on Python floats), for a
+    finite x whose |x|^2 does not overflow.  x = 0, and an x != 0 whose
+    |x|^2 underflows to 0 (it would be evaluated as x = 0), pass only where
+    ``zero_ok``.  Python floats overflow and underflow without a numpy
+    warning.  The value paths that sum |x|^2 as ``x @ x`` keep that sum,
+    which can differ from this one in the last bit."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (4,):
+        raise ValueError("x must have 4 components")
+    x0, x1, x2, x3 = comps = x.tolist()
+    xsq = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+    if not 0.0 < xsq < math.inf:
+        _finite(comps, "x")
+        if xsq:
+            raise ValueError("|x|^2 overflows: x is finite but too large")
+        if not zero_ok:
+            if any(comps):
+                raise ValueError("|x|^2 underflows to 0: x is nonzero but too small")
+            raise ValueError("x=0 outside reduced-representation domain")
+    return x, xsq
+
+
+def _t3(t) -> tuple:
+    """(t as a (3,) float array, |t|^2 summed on Python floats), for a t of
+    finite entries; |t|^2 may overflow to inf."""
+    t = np.asarray(t, dtype=float)
+    if t.shape != (3,):
+        raise ValueError("t must have 3 components")
+    t1, t2, t3 = comps = t.tolist()
+    tsq = t1 * t1 + t2 * t2 + t3 * t3
+    if not tsq < math.inf:      # cheaper than a test per entry
+        _finite(comps, "t")
+    return t, tsq
+
+
+def _lam(lam) -> tuple:
+    """lambda, a 3-sequence of reals, as three Python floats with
+    |lambda| < 2, tested negated so that a NaN component fails it too."""
+    l1, l2, l3 = lam
+    l1, l2, l3 = float(l1), float(l2), float(l3)       # faster than map()
     norm = math.hypot(l1, l2, l3)
     if not (norm < 2.0):
         raise ValueError(
             f"lambda decay condition fails: |lambda| = {norm:.6g} is not < 2")
-
-
-def _x4(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (4,):
-        raise ValueError("x must have 4 components")
-    return x
-
-
-def _sq_guard(v: np.ndarray, name: str) -> None:
-    """Raise ValueError where the vector v is finite but |v|^2 overflows,
-    tested on Python floats, which overflow to inf without a numpy warning.
-    A non-finite v passes, for the caller's guard to reject."""
-    comps = v.tolist()
-    if not sum(c * c for c in comps) < math.inf and all(map(math.isfinite, comps)):
-        raise ValueError(f"|{name}|^2 overflows: {name} is finite but too large")
-
-
-def _x_sq(x: np.ndarray) -> float:
-    """|x|^2 = x @ x of a 4-vector, for the x guards of the evaluators,
-    after ``_sq_guard``.  A non-finite x gives its NaN or inf, which the
-    caller's guard rejects."""
-    _sq_guard(x, "x")
-    return float(x @ x)
-
-
-def _t3(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if t.shape != (3,):
-        raise ValueError("t must have 3 components")
-    return t
+    return l1, l2, l3
 
 
 def _tail_end(decay_rate: float, spec: QuadratureSpec, slack: float = 10.0) -> float:
@@ -151,6 +179,9 @@ def _tail_end(decay_rate: float, spec: QuadratureSpec, slack: float = 10.0) -> f
 
 # ---------------------------------------------------------------------------
 # Hermite-space kernel
+
+_FOUR_PI_SQ = 4.0 * math.pi ** 2
+
 
 @lru_cache(maxsize=1)
 def _v_rule():
@@ -181,18 +212,20 @@ def _v_rule():
 
 
 def _tau_ray(tau, lam) -> tuple:
-    """(|tau|^2, |tau|, lambda.tau) as Python floats, for a lambda (a
-    ``Lambda`` or any 3-sequence of reals) with |lambda| < 2, a nonzero and
-    finite tau of three components, and a positive decay rate
-    2 + lambda.tau/|tau|.  The lambda guard is ``_check_lambda_ball``'s,
-    which a NaN component fails; no ``Lambda`` is built."""
-    l1, l2, l3 = lam.as_tuple() if isinstance(lam, Lambda) else map(float, lam)
-    t1, t2, t3 = _t3(tau).tolist()
-    _check_lambda_ball(l1, l2, l3)
+    """(|tau|^2, |tau|, lambda.tau) as Python floats, for a lambda with
+    |lambda| < 2, a finite tau of three components whose |tau|^2 neither
+    is 0 nor overflows, and a positive decay rate 2 + lambda.tau/|tau|.
+    The one check of tau, the argument of the Hermite-space kernel."""
+    l1, l2, l3 = _lam(lam)
+    tau = np.asarray(tau, dtype=float)
+    if tau.shape != (3,):
+        raise ValueError("tau must have 3 components")
+    t1, t2, t3 = comps = tau.tolist()
     tsq = t1 * t1 + t2 * t2 + t3 * t3
     tnorm = math.sqrt(tsq)
     if not (0.0 < tnorm < math.inf):
-        raise ValueError("tau must be nonzero and finite")
+        _finite(comps, "tau")
+        raise ValueError("|tau|^2 must be nonzero and finite")
     lt = l1 * t1 + l2 * t2 + l3 * t3
     if not (lt / tnorm > -2.0):
         raise ValueError(f"lambda decay condition fails on this ray: {lt / tnorm:.6g} <= -2")
@@ -208,26 +241,23 @@ def _k_tilde_rows(xs: np.ndarray, ray: tuple) -> list:
     with c = |tau||x|^2 and mu = lambda.tau/(2|tau|).  At mu = 0 I is the
     constant I0 of ``_v_rule``; otherwise I is one ``_v_integral`` pass on
     the rows whose value does not underflow, so each row equals its
-    single-row value.  Raises ValueError where a row is 0 or not finite,
-    or where a finite row's |x|^2 overflows.
+    single-row value.  Raises the ValueError of ``_x4`` at the first row
+    that it rejects.
     """
     _, tnorm, lt = ray
     xsq = np.einsum("ij,ij->i", xs, xs)
     # the sum is NaN or inf when any row is, at a fraction of a per-row test
     xl = xsq.tolist()
     if 0.0 in xl or not (sum(xl) < math.inf):
-        if 0.0 not in xl and np.isfinite(xs).all():
-            raise ValueError("|x|^2 overflows: x is finite but too large")
-        raise ValueError("x = 0 or non-finite x outside reduced-representation domain")
+        for x in xs:     # a sum that overflows over valid rows passes
+            _x4(x)
     c = tnorm * xsq
-    val = np.exp(-c)
-    xsq *= 4.0 * math.pi ** 2
-    val /= xsq
+    # not in place: on a few rows numpy's in-place ops cost twice as much
+    val = np.exp(-c) / (xsq * (4.0 * math.pi ** 2))
     if lt == 0.0:
-        val *= _v_rule()[4]
-    else:
-        live = val > 0.0
-        val[live] *= _v_integral(c[live], 0.5 * lt / tnorm)
+        return (val * _v_rule()[4]).tolist()
+    live = val > 0.0
+    val[live] *= _v_integral(c[live], 0.5 * lt / tnorm)
     return val.tolist()
 
 
@@ -249,10 +279,9 @@ def _v_integral(c: np.ndarray, mu: float) -> np.ndarray:
 
 def k_tilde_lambda(x, tau, lam, spec: QuadratureSpec) -> float:
     """Evaluate K~_lambda(x, tau) in the v = coth u form on the fixed rule
-    of ``_v_rule``.  No field of ``spec`` is read.  ``lam`` is a ``Lambda``
-    or a 3-sequence of reals."""
-    x = _x4(x)
-    return _k_tilde_rows(x[None, :], _tau_ray(tau, lam))[0]
+    of ``_v_rule``.  No field of ``spec`` is read.  ``lam`` is a 3-sequence
+    of reals."""
+    return _k_tilde_rows(_x4(x)[0][None, :], _tau_ray(tau, lam))[0]
 
 
 def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float | None = None) -> float:
@@ -271,21 +300,16 @@ def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float | None = None) 
     underflows: where K~(x) is subnormal only that factor loses bits, and
     where it underflows the residual is 0.0, with no I pass.  The default
     step is min(1e-3, 0.02/(|tau||x|)); an explicit ``h`` is used as given.
-    No field of ``spec`` is read.  ``lam`` is a ``Lambda`` or a 3-sequence
-    of reals.  ValueError where |x| < 0.3, where a finite x's |x|^2
-    overflows, where an explicit step is not positive and finite, where it
-    collapses the stencil (s +- h|x| == s, or (h|x|)^2 == 0, as for an x
-    that is not finite), or where a row reaches s = 0 or a ratio is not
-    finite (a step far too large).
+    No field of ``spec`` is read.  ``lam`` is a 3-sequence of reals.
+    ValueError where ``_x4`` rejects x, where |x| < 0.3, where an explicit
+    step is not positive and finite, where it collapses the stencil
+    (s +- h|x| == s, or (h|x|)^2 == 0), or where a row reaches s = 0 or a
+    ratio is not finite (a step far too large).
     """
-    x = _x4(x)
-    x0, x1, x2, x3 = x.tolist()
-    s0 = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+    s0 = _x4(x)[1]
     xnorm = math.sqrt(s0)
-    if not (xnorm >= 0.3):
+    if xnorm < 0.3:
         raise ValueError("|x| >= 0.3 required away from the singular support")
-    if s0 == math.inf:     # raises for a finite x; an inf one fails the step guard
-        _sq_guard(x, "x")
     if h is not None and not (0.0 < h < math.inf):
         raise ValueError("step must be positive and finite")
     tsq, tnorm, lt = _tau_ray(tau, lam)
@@ -301,7 +325,7 @@ def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float | None = None) 
     except OverflowError:      # a row past the float range
         p = m = p2 = m2 = math.nan
     c0 = tnorm * s0
-    k0 = math.exp(-c0) / (4.0 * math.pi ** 2 * s0)
+    k0 = math.exp(-c0) / (_FOUR_PI_SQ * s0)
     if lt == 0.0 or k0 == 0.0 or not math.isfinite(p + m + p2 + m2):
         i0 = 1.0    # q_i = 1; no I pass where K~(x) underflows or a ratio is not finite
         k0 *= _v_rule()[4]
@@ -397,7 +421,7 @@ def _u_integral_lambda(g, b):
     return scale * (cos * re - sin * im), scale * (sin * re + cos * im)
 
 
-def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
+def _k_lambda_components(xs, ts, lam, spec: QuadratureSpec):
     """Polar-reduced kernel components at the points (xs[i], ts[i]).
 
     Writing P(n, u) = (|x|^2 coth u - i t.n)^-4
@@ -416,7 +440,8 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
     part.  The naive weight exp(-lambda.n u) on both is exact only for a
     one-dimensional centre; ``delta_lambda_residual_on_k`` measures it.
 
-    ``xs`` and ``ts`` hold one point per row, shapes (N, 4) and (N, 3).
+    ``xs`` and ``ts`` hold one point per row, shapes (N, 4) and (N, 3);
+    ``lam`` is a 3-sequence of reals.
 
     * Homogeneity: each row runs at |x| = 1 with b = t.n/|x|^2 and is
       multiplied by |x|^-8, which overflows to inf below |x| ~ 1e-39.
@@ -444,7 +469,7 @@ def _k_lambda_components(xs, ts, lam: Lambda, spec: QuadratureSpec):
     with np.errstate(over="ignore", invalid="ignore"):
         b = np.stack([np.einsum("nk,k->n", nodes, t) / sq for t, sq in zip(ts, xsq)])
         scale = 6.0 / (2.0 * math.pi) ** 5 * np.power(xsq, -4.0)
-        lam3 = np.asarray(lam.as_tuple())
+        lam3 = np.asarray(lam, dtype=float)
         if lam3.any():
             ln = nodes * lam3[None, :]                # (lambda o n) per node
             g = np.sqrt(np.einsum("nk,nk->n", ln, ln))
@@ -470,15 +495,9 @@ def k_lambda(x, t, lam, spec: QuadratureSpec) -> Quaternion:
     where a component is not finite (|x| below about 1e-39, or
     |t|/|x|^2 above about 1e154).
     """
-    x = _x4(x)
-    t = _t3(t)
-    lam = Lambda.from_seq(lam)
-    _check_lambda_ball(*lam.as_tuple())
-    if not (0.0 < _x_sq(x) < math.inf):
-        raise ValueError("x = 0 or non-finite x outside reduced-representation domain")
-    if not np.isfinite(t).all():
-        raise ValueError("t must be finite")
-    c0, ck = _k_lambda_components(x[None, :], t[None, :], lam, spec)
+    x, _ = _x4(x)
+    t, _ = _t3(t)
+    c0, ck = _k_lambda_components(x[None, :], t[None, :], _lam(lam), spec)
     if not (np.isfinite(c0[0]) and np.isfinite(ck[0]).all()):
         raise QuadratureError("k_lambda is not finite at this point")
     return Quaternion(float(c0[0]), float(ck[0, 0]), float(ck[0, 1]), float(ck[0, 2]))
@@ -494,13 +513,9 @@ def k0_sphere(x, t, spec: QuadratureSpec) -> float:
     the rule is the one folded onto antipodal pairs.  Raises
     QuadratureError where the value is not finite (|x| below about 1e-39).
     """
-    x = _x4(x)
-    t = _t3(t)
-    xsq = _x_sq(x)
-    if not (0.0 < xsq < math.inf):
-        raise ValueError("x = 0 or non-finite x outside reduced-representation domain")
-    if not np.isfinite(t).all():
-        raise ValueError("t must be finite")
+    x, _ = _x4(x)
+    t, _ = _t3(t)
+    xsq = float(x @ x)
     nodes, wS = sphere2_nodes(spec.sphere_order, fold=True)
     # z^-3 and the prefactor overflow where |x| is tiny; the value is then
     # not finite, which raises, so numpy need not warn on the way
@@ -541,14 +556,11 @@ def heis_k_closed(x, t: float, lam: float) -> Quaternion:
     The product G((2+lam)/2) G((2-lam)/2) is the reflection formula at
     z = lam/2, which also holds for |lam| > 2 between the poles.
     """
-    x = _x4(x)
-    t = float(t)
-    lam = float(lam)
-    xsq = _x_sq(x)
-    if not (xsq < math.inf and abs(t) < math.inf and abs(lam) < math.inf):
-        raise ValueError("x, t and lambda must be finite")
-    if xsq == 0.0 and t == 0.0:
-        raise ValueError("(x, t) = 0 is the kernel singularity")
+    t, lam = float(t), float(lam)
+    x, _ = _x4(x, zero_ok=t != 0.0)     # (x, t) = 0 is the kernel singularity
+    _finite((t,), "t")
+    _finite((lam,), "lambda")
+    xsq = float(x @ x)
     for g in ((2.0 + lam) / 2.0, (2.0 - lam) / 2.0):
         if g <= 0.5 and abs(g - round(g)) < _POLE_TOL:
             raise ValueError(f"lambda = {lam} lies on the pole lattice +-(2+2k)")
@@ -619,16 +631,11 @@ def heis_k_quadrature(x, t: float, lam: float, spec: QuadratureSpec) -> Quaterni
     cancels to about 0.18 eps/cos^2 phi, so QuadratureError is raised where
     0.5 eps/cos^2 phi exceeds rel_tol, below cos phi = 3.3e-4 at 1e-9.
     """
-    x = _x4(x)
-    t = float(t)
-    lam = float(lam)
-    if not (abs(lam) < 2.0):
-        raise ValueError("|lambda| < 2 required")
-    xsq = _x_sq(x)
-    if not (xsq < math.inf and abs(t) < math.inf):
-        raise ValueError("x and t must be finite")
-    if xsq == 0.0 and t == 0.0:
-        raise ValueError("(x, t) = 0 is the kernel singularity")
+    t, lam = float(t), float(lam)
+    x, _ = _x4(x, zero_ok=t != 0.0)     # x = 0 at t != 0 pinches below
+    _finite((t,), "t")
+    _lam((lam, 0.0, 0.0))
+    xsq = float(x @ x)
     cphi = xsq / math.hypot(xsq, t)
     if not (cphi * cphi * spec.rel_tol >= _PINCH_EPS):
         raise QuadratureError(
@@ -655,16 +662,13 @@ def heis_contour_sign_check(x, t: float, lam: float, spec: QuadratureSpec) -> di
     The direct form matches the closed form at the flipped sign; both
     printed displays are mutually consistent at the printed sign.  The
     integrand at -u is the conjugate of that at u, so both half-lines run
-    on the ``_heis_rule`` of cos phi = 1 (first panel 0.5).
+    on the ``_heis_rule`` of cos phi = 1 (first panel 0.5).  Needs x != 0.
     """
-    x = _x4(x)
-    t = float(t)
-    lam = float(lam)
-    if not (abs(lam) < 2.0):
-        raise ValueError("|lambda| < 2 required")
-    xsq = _x_sq(x)
-    if not (xsq < math.inf and abs(t) < math.inf):
-        raise ValueError("x and t must be finite")
+    t, lam = float(t), float(lam)
+    x, _ = _x4(x)       # at x = 0 the direct integral diverges at u = 0
+    _finite((t,), "t")
+    _lam((lam, 0.0, 0.0))
+    xsq = float(x @ x)
     u, w4, em = _heis_rule(1.0, lam, spec)
     # 2 e^{-u} (|x|^2 cosh u - i t sinh u)
     br = xsq * (1.0 + em) - 1j * t * (1.0 - em)
@@ -705,27 +709,24 @@ def fourier_consistency(x, t, lam, spec: QuadratureSpec) -> float:
     Raises QuadratureError when the estimated truncation tail exceeds the
     tolerance the check runs at (the deviation target is 1e-2).
     """
-    x = _x4(x)
-    t = _t3(t)
-    lam = Lambda.from_seq(lam)
-    _check_lambda_ball(*lam.as_tuple())
-    xsq = _x_sq(x)
-    if not (1.0 <= math.sqrt(xsq) < math.inf):
-        raise ValueError("finite |x| >= 1 keeps the oscillatory integral tame")
-    if not np.isfinite(t).all():
-        raise ValueError("t must be finite")
+    x, _ = _x4(x)
+    t, _ = _t3(t)
+    lam = _lam(lam)
+    xsq = float(x @ x)
+    if math.sqrt(xsq) < 1.0:
+        raise ValueError("|x| >= 1 keeps the oscillatory integral tame")
     ref = k_lambda(x, t, lam, spec)
 
     order = spec.sphere_order
     nodes, wS = sphere2_nodes(order, fold=True)
     reps, orbit = _sign_orbits(order)
-    ln = nodes * np.asarray(lam.as_tuple())[None, :]
+    ln = nodes * np.asarray(lam)[None, :]
     g = np.linalg.norm(ln, axis=1)
     axis = np.where(g[:, None] > 0.0,
                     ln / np.where(g[:, None] > 0.0, g[:, None], 1.0), 0.0)
     # the u-panel rule, with coth u and the weight w times
     # 1/sinh^2 u = 4 e^{-2u}/em^2, em = expm1(-2u)
-    u, w = panel_grid(0.0, 0.5, _tail_end(2.0 - lam.norm(), spec))
+    u, w = panel_grid(0.0, 0.5, _tail_end(2.0 - math.hypot(*lam), spec))
     em = np.expm1(-2.0 * u)
     coth = (2.0 + em) / (-em)
     wu4 = 4.0 * w / (em * em)
@@ -782,13 +783,12 @@ def delta_lambda_residual_on_k(x, t, lam, spec: QuadratureSpec, h=0.005):
     finite t whose |t|^2 overflows, raises ValueError; a centre value that
     underflows to 0 raises QuadratureError.
     """
-    x = _x4(x)
-    t = _t3(t)
-    lam = Lambda.from_seq(lam)
-    _check_lambda_ball(*lam.as_tuple())
-    xsq = _x_sq(x)
-    _sq_guard(t, "t")
-    hnorm_sq = xsq + float(np.linalg.norm(t))
+    x, _ = _x4(x)
+    t, tsq = _t3(t)
+    lam = _lam(lam)
+    if tsq == math.inf:
+        raise ValueError("|t|^2 overflows: t is finite but too large")
+    hnorm_sq = float(x @ x) + float(np.linalg.norm(t))
     if not (0.5 <= math.sqrt(hnorm_sq) < math.inf and float(np.linalg.norm(x)) > 0.3):
         raise ValueError("probe point too close to the kernel singularity or not finite")
 

@@ -212,9 +212,22 @@ def test_eval_help_names_the_flags_each_kernel_reads(capsys):
     assert exit_info.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
     for claim in ("ktilde reads none", "klambda reads only --sphere-order",
-                  "heis reads --rel-tol (the pinch floor) and --abs-tol (the tail end)",
-                  "None reads --max-subdiv"):
+                  "heis reads --rel-tol (the pinch floor) and --abs-tol (the tail end)"):
         assert claim in text
+    assert "--max-subdiv" not in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "klambda", "--x", "1,0,0,0"],
+    ["table", "--kind", "heis", "--out", "-"],
+])
+def test_max_subdiv_is_verify_only(argv, capsys):
+    # no kernel that eval or table runs has a node budget: the flag is
+    # refused as unknown, exit 2
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv + ["--max-subdiv", "1"])
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_eval_heis(capsys):
@@ -230,6 +243,29 @@ def test_eval_precondition_is_usage_error(capsys):
     rc = cli.main(["eval", "klambda", "--x", "0,0,0,0"])
     assert rc == 2
     assert "reduced-representation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "klambda", "--x", "1e-200,0,0,0"],
+    ["eval", "ktilde", "--x", "1e-200,0,0,0"],
+    ["eval", "heis", "--x", "1e-200,0,0,0", "--t", "0"],
+])
+def test_eval_underflowing_x_is_named(argv, capsys):
+    # x = 1e-200 e_0 is finite and nonzero, but |x|^2 underflows to 0: the
+    # message names the underflow, not x = 0 or a singularity
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: |x|^2 underflows to 0: x is nonzero but too small\n"
+    assert captured.out == ""
+
+
+def test_table_underflowing_x_note_differs_from_x0(capsys):
+    assert cli.main(["table", "--kind", "klambda", "--out", "-",
+                     "--xnorm=-1e-200,0", "--t", "0", "--lam", "0"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert [r[-2] for r in rows[1:]] == ["skipped", "skipped"]
+    assert rows[1][-1] == "|x|^2 underflows to 0: x is nonzero but too small"
+    assert rows[2][-1] == "x=0 outside reduced-representation domain"
 
 
 @pytest.mark.parametrize("argv", [

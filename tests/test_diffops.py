@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qsiegel.quat import Quaternion, ONE, I1, I2, I3, scalar_product
-from qsiegel.diffops import (N_COORDS, Lambda, make_x, hbar_field, h_field,
+from qsiegel.diffops import (N_COORDS, make_x, hbar_field, h_field,
                              commutator, QuatDiffOp, QPoly, apply_op,
                              delta_lambda_apply, box_b_identity_residual,
                              crf_tangency_residual, dq_eval,
@@ -120,13 +120,13 @@ def test_hbar_on_coordinate_functions():
 def test_delta_lambda_on_polynomials():
     # f = x0 t1: the operator reduces to -4 x1 + 4 lambda_1 i1 x0
     p = np.array([0.7, -0.4, 0.2, 0.5, 0.3, -0.6, 0.1])
-    lam = Lambda(0.8, -0.3, 0.4)
+    lam = (0.8, -0.3, 0.4)
 
     def f(q):
         return Quaternion(q[0] * q[4])
 
     got = delta_lambda_apply(f, p, lam, h=1e-4)
-    want = Quaternion(-4.0 * p[1]) + I1 * (4.0 * lam.l1 * p[0])
+    want = Quaternion(-4.0 * p[1]) + I1 * (4.0 * lam[0] * p[0])
     assert (got - want).norm() <= 1e-6
 
     # f = t1^2: 8|x|^2 + 8 lambda_1 t1 i1
@@ -135,13 +135,13 @@ def test_delta_lambda_on_polynomials():
 
     got = delta_lambda_apply(g, p, lam, h=1e-4)
     xsq = float(np.dot(p[:4], p[:4]))
-    want = Quaternion(8.0 * xsq) + I1 * (8.0 * lam.l1 * p[4])
+    want = Quaternion(8.0 * xsq) + I1 * (8.0 * lam[0] * p[4])
     assert (got - want).norm() <= 1e-5
 
 
 def test_delta_lambda_forms_agree():
     p = np.array([0.7, -0.4, 0.2, 0.5, 0.3, -0.6, 0.1])
-    lam = Lambda(0.5, 0.2, -0.1)
+    lam = (0.5, 0.2, -0.1)
 
     def f(q):
         return Quaternion(np.sin(q[0]) * q[4], 0.0, q[2] * q[5], 0.0)
@@ -299,10 +299,10 @@ X_E0 = np.array([1.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0])
 @pytest.mark.parametrize("p, lam, points", [
     # centre, then +-h and +-h/2 along the four X_l lines (16) and along
     # the t_k axes with lambda_k != 0 (4 each)
-    (P_GENERIC, Lambda(0.5, 0.2, -0.1), 29),
-    (X_E0, Lambda(0.5, 0.2, -0.1), 29),
-    (P_GENERIC, Lambda(0.0, 0.0, 0.0), 17),
-    (X_E0, Lambda(0.5, 0.3, 0.0), 25),
+    (P_GENERIC, (0.5, 0.2, -0.1), 29),
+    (X_E0, (0.5, 0.2, -0.1), 29),
+    (P_GENERIC, (0.0, 0.0, 0.0), 17),
+    (X_E0, (0.5, 0.3, 0.0), 25),
 ], ids=["generic", "x_unit", "lambda0", "verify_lambda"])
 def test_delta_lambda_direct_one_call_per_stencil(p, lam, points):
     calls = []
@@ -380,7 +380,7 @@ def test_delta_lambda_direct_is_fourth_order():
         return Quaternion(np.sin(q[0] + q[4]), np.cos(q[1] - q[5]) * q[2],
                           np.exp(0.3 * q[6]) * q[3], q[0] * q[1])
 
-    lam = Lambda(0.5, 0.2, -0.1)
+    lam = (0.5, 0.2, -0.1)
     want = delta_lambda_apply(f, P_GENERIC, lam, h=1e-3)
     errs = [(delta_lambda_apply(f, P_GENERIC, lam, h=h) - want).norm()
             for h in (0.08, 0.04)]
@@ -390,7 +390,7 @@ def test_delta_lambda_direct_is_fourth_order():
 def test_delta_lambda_direct_batch_matches_single_points(rng):
     pts = rng.normal(size=(N_COORDS, 5))
     pts[:4, 2] = (1.0, 0.0, 0.0, 0.0)
-    lam = Lambda(0.5, 0.0, -0.1)
+    lam = (0.5, 0.0, -0.1)
     calls = []
 
     def f(q):
@@ -431,7 +431,7 @@ def test_delta_lambda_direct_ignores_unused_t_axes():
 
 
 def test_delta_lambda_real_array_field():
-    lam = Lambda(0.8, -0.3, 0.4)
+    lam = (0.8, -0.3, 0.4)
     a = delta_lambda_apply(lambda q: q[0] * q[4], P_GENERIC, lam, h=1e-4)
     b = delta_lambda_apply(lambda q: Quaternion(q[0] * q[4]), P_GENERIC, lam, h=1e-4)
     assert a == b
@@ -439,7 +439,7 @@ def test_delta_lambda_real_array_field():
 
 @pytest.mark.parametrize("const", [ONE, 2.5])
 def test_delta_lambda_constant_field_broadcasts(const):
-    got = delta_lambda_apply(lambda q: const, P_GENERIC, Lambda(0.5, 0.2, -0.1), h=1e-3)
+    got = delta_lambda_apply(lambda q: const, P_GENERIC, (0.5, 0.2, -0.1), h=1e-3)
     assert got.norm() == 0.0
 
 
@@ -450,14 +450,14 @@ def test_delta_lambda_non_finite_batch_entry_raises():
         return Quaternion(t, q[1], q[2], q[3])
 
     with pytest.raises(ValueError, match="non-finite"):
-        delta_lambda_apply(f, P_GENERIC, Lambda(0.5, 0.2, -0.1), h=1e-3)
+        delta_lambda_apply(f, P_GENERIC, (0.5, 0.2, -0.1), h=1e-3)
 
 
 def test_delta_lambda_direct_returns_centre_value():
     def f(q):
         return Quaternion(q[0] * q[4], q[1], 0.0, q[6])
 
-    lam = Lambda(0.3, 0.0, 0.0)
+    lam = (0.3, 0.0, 0.0)
     value, centre = _delta_lambda_lines(f, P_GENERIC, lam, 1e-3)
     assert value == delta_lambda_apply(f, P_GENERIC, lam, h=1e-3)
     assert centre == f(P_GENERIC)
@@ -471,7 +471,7 @@ def _key(**orders):
 
 def test_delta_lambda_operator_is_the_coordinate_form():
     # sum_l dx_l^2 + 4|x|^2 sum_k dt_k^2 + 4 sum_k ((w i_k . dx) + lambda_k i_k) dt_k
-    lam = Lambda(0.5, -0.25, 0.75)
+    lam = (0.5, -0.25, 0.75)
     xsq4 = QPoly()
     for j in range(4):
         e = [0, 0, 0, 0]
@@ -484,7 +484,7 @@ def test_delta_lambda_operator_is_the_coordinate_form():
     for k, ik in enumerate((I1, I2, I3)):
         t = f"t{k + 1}"
         want[_key(**{t: 2})] = xsq4
-        want[_key(**{t: 1})] = QPoly.const(ik * (4.0 * lam.as_tuple()[k]))
+        want[_key(**{t: 1})] = QPoly.const(ik * (4.0 * lam[k]))
         for l in range(4):
             # (w i_k)_l = sum_j x_j (e_j i_k)_l
             coeff = QPoly()
@@ -496,7 +496,7 @@ def test_delta_lambda_operator_is_the_coordinate_form():
                 want[_key(**{f"x{l}": 1, t: 1})] = coeff
     op = _sum_x_squared()
     for k, ik in enumerate((I1, I2, I3)):
-        op = op + _dt_op(k, ik * (4.0 * lam.as_tuple()[k]))
+        op = op + _dt_op(k, ik * (4.0 * lam[k]))
     assert set(op.terms) == set(want)
     for key, poly in want.items():
         assert op.terms[key] == poly, key
@@ -562,7 +562,7 @@ def test_apply_op_rejects_bad_shape_and_order():
 
 @pytest.mark.parametrize("run, calls", [
     (lambda f: box_b_identity_residual(f, P_GENERIC), 2),
-    (lambda f: delta_lambda_apply(f, P_GENERIC, Lambda(0.5, 0.2, -0.1), h=1e-3,
+    (lambda f: delta_lambda_apply(f, P_GENERIC, (0.5, 0.2, -0.1), h=1e-3,
                                   form="nested"), 5),
 ], ids=["box_b", "nested"])
 def test_nested_stencils_call_the_field_once_per_operator(run, calls):
@@ -580,9 +580,8 @@ def test_nested_stencils_call_the_field_once_per_operator(run, calls):
 def test_delta_lambda_accepts_a_sequence(form):
     lam = (0.5, 0.0, 0.0)
     got = delta_lambda_apply(_poly_field, P_GENERIC, lam, h=1e-3, form=form)
-    assert got == delta_lambda_apply(_poly_field, P_GENERIC, Lambda(*lam), h=1e-3,
-                                     form=form)
-    assert Lambda.from_seq(Lambda(*lam)) == Lambda(*lam)
+    for arg in (list(lam), np.array(lam)):
+        assert got == delta_lambda_apply(_poly_field, P_GENERIC, arg, h=1e-3, form=form)
 
 
 Q0 = Quaternion(0.2, -0.1, 0.3, 0.05)

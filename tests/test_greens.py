@@ -13,7 +13,6 @@ import pytest
 from qsiegel.quat import Quaternion
 from qsiegel.quad import (QuadratureError, QuadratureSpec, integrate_1d,
                           integrate_nested, panel_grid, sphere2_nodes)
-from qsiegel.diffops import Lambda
 from qsiegel import greens
 from qsiegel.greens import (k_tilde_lambda, hermite_residual, k_lambda,
                             k0_sphere, heis_k_closed, heis_k_quadrature,
@@ -391,7 +390,7 @@ def test_k_lambda_components_match_full_sphere_power(order):
         assert 0.0 < np.linalg.norm(lam) <= 1.95 + 1e-12
     assert all(np.linalg.norm(lam) == 0.0 for lam in lams0)
     for lam in lams + lams0:
-        c0, ck = _k_lambda_components(np.array(xs), np.array(ts), Lambda(*lam), spec)
+        c0, ck = _k_lambda_components(np.array(xs), np.array(ts), lam, spec)
         for i in range(len(xs)):
             want = _k_lambda_full_sphere(xs[i], ts[i], lam, order)
             got = np.array([c0[i], *ck[i]])
@@ -526,7 +525,7 @@ def test_k_tilde_rows_reject_any_non_finite_row(spec):
     xs = np.tile(_X, (9, 1))
     xs[6, 2] = math.nan
     with pytest.raises(ValueError):
-        _k_tilde_rows(xs, _tau_ray(_T, Lambda(*_LAM)))
+        _k_tilde_rows(xs, _tau_ray(_T, _LAM))
 
 
 @pytest.mark.parametrize("x, h", [
@@ -786,12 +785,12 @@ def test_hermite_residual_i_path_calls(spec, monkeypatch):
     (np.zeros(3), (0.3, 0.0, 0.0)),                       # tau = 0
 ])
 def test_lambda_and_tuple_agree(spec, tau, lam):
-    # a Lambda and a tuple of its components give the same float, or the
-    # same error
+    # a tuple, a list and an array of the same components give the same
+    # float, or the same error
     x = np.array([0.8, -0.3, 0.5, 0.2])
     for f in (k_tilde_lambda, hermite_residual):
         outcomes = []
-        for arg in (Lambda(*lam), lam, list(lam), np.array(lam)):
+        for arg in (lam, list(lam), np.array(lam)):
             try:
                 outcomes.append(f(x, tau, arg, spec))
             except ValueError as e:
@@ -846,8 +845,7 @@ def test_batched_rows_match_single_points(rng):
     ts = rng.normal(size=(63, 3))
     for order in (7, 33):
         spec = QuadratureSpec(sphere_order=order)
-        for lam in (Lambda(0.4, -0.3, 0.2), Lambda(0.0, 1.95, 0.0),
-                    Lambda(0.0, 0.0, 0.0)):
+        for lam in ((0.4, -0.3, 0.2), (0.0, 1.95, 0.0), (0.0, 0.0, 0.0)):
             c0, ck = _k_lambda_components(xs, ts, lam, spec)
             kt = _k_tilde_rows(xs, _tau_ray(ts[0], lam))
             for i in range(63):
@@ -864,11 +862,11 @@ def test_k_lambda_negative_zero_lambda_is_lambda0(order, rng):
     spec = QuadratureSpec(sphere_order=order)
     xs = rng.normal(size=(5, 4))
     ts = rng.normal(size=(5, 3))
-    want = _k_lambda_components(xs, ts, Lambda(0.0, 0.0, 0.0), spec)
+    want = _k_lambda_components(xs, ts, (0.0, 0.0, 0.0), spec)
     assert np.all(np.signbit(want[1])) and not want[1].any()
     for lam in ((-0.0, 0.0, 0.0), (0.0, -0.0, -0.0), (-0.0, -0.0, -0.0),
                 (1e-200, 0.0, -1e-170)):
-        got = _k_lambda_components(xs, ts, Lambda(*lam), spec)
+        got = _k_lambda_components(xs, ts, lam, spec)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
     assert k_lambda(xs[0], ts[0], (-0.0, 0.0, 0.0), spec).components() == (
@@ -898,7 +896,7 @@ def _k_tilde_rows_per_row(xs, tau, lam):
     ``_v_rule``, each node's substitution and weight inside its term."""
     z, wz, r1, wr1, _ = greens._v_rule()
     tnorm = float(np.linalg.norm(tau))
-    mu = 0.5 * float(np.dot(lam.as_tuple(), tau)) / tnorm
+    mu = 0.5 * float(np.dot(lam, tau)) / tnorm
     k = 1.0 / (1.0 + mu)
     out = []
     for x in xs:
@@ -930,7 +928,7 @@ def test_k_tilde_rows_match_per_row_reference(spec, rng, a):
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
         tau = c / float(x @ x) * n
-        lam = Lambda(*(a * n))
+        lam = tuple((a * n).tolist())
         xs = x + 1e-3 * _STENCIL_OFFSETS
         got = _k_tilde_rows(xs, _tau_ray(tau, lam))
         want = _k_tilde_rows_per_row(xs, tau, lam)
@@ -939,7 +937,7 @@ def test_k_tilde_rows_match_per_row_reference(spec, rng, a):
 
 
 @pytest.mark.parametrize("order", [7, 32])
-def test_k_lambda_independent_of_block_size(order, monkeypatch):
+def test_fourier_consistency_independent_of_block_size(order, monkeypatch):
     # k_lambda itself has no blocks; its Fourier-route check sums the
     # r-nodes block by block into per-node sums, so one r-node per block,
     # a ragged split and one block for all agree to rounding: no r-node
