@@ -453,17 +453,14 @@ def _greens(spec: QuadratureSpec):
         return _value_check("kernel_value", v.t, 1.0 / (4.0 * math.pi ** 4),
                             1e-7, "rel", "lambda=0, |x|=1, t=0")
 
-    def k0_agreement():
-        rng = np.random.default_rng(401)
-        worst = 0.0
-        for _ in range(5):
-            x = rng.normal(size=4)
-            x *= rng.uniform(0.5, 2.0) / np.linalg.norm(x)
-            t = rng.uniform(-2.0, 2.0, size=3)
-            a = greens.k0_sphere(x, t, spec)
-            b = greens.k_lambda(x, t, (0, 0, 0), spec)
-            worst = max(worst, abs(a - b.t) / abs(a))
-        return _bound_check("sphere_form_agreement", worst, 1e-6)
+    def kaplan_value():
+        that = np.array([0.3, -0.4, 0.866])
+        t = 2.0 * that / np.linalg.norm(that)
+        v = greens.k_lambda(np.array([1.0, 0, 0, 0]), t, (0, 0, 0), spec)
+        return _value_check("kernel_value_kaplan", v.t,
+                            1.0 / (4.0 * math.pi ** 4 * (1.0 + float(t @ t)) ** 2),
+                            1e-9, "rel", "lambda=0, |x|=1, t=2t^ off every axis: "
+                            "Kaplan's 1/(4 pi^4 (|x|^4+|t|^2)^2)")
 
     def homogeneity():
         x = np.array([0.9, 0.4, -0.3, 0.6])
@@ -500,11 +497,12 @@ def _greens(spec: QuadratureSpec):
                             "closed form vs contour quadrature, 27 points")
 
     def k0_sign_erratum():
-        v = greens.k0_sphere(np.array([1.0, 0, 0, 0]), np.zeros(3), spec)
+        # at t = 0 the sphere form's integrand is |x|^-6, constant on S^2
+        v = 2.0 * 4.0 * math.pi / (2.0 * math.pi) ** 5
         return _erratum("sphere_form_sign", v,
                         {"positive": v, "printed_negative": -v},
-                        "positive by direct u-quadrature (integrand positive); "
-                        "value 1/(4 pi^4)")
+                        "positive: at |x|=1, t=0 the sphere form is "
+                        "2 * 4 pi/(2 pi)^5 = 1/(4 pi^4), Kaplan's value")
 
     def heis_sign_erratum():
         d = greens.heis_contour_sign_check(np.array([0.8, 0.2, -0.5, 0.3]),
@@ -532,18 +530,20 @@ def _greens(spec: QuadratureSpec):
                             "normalized Delta_lambda residual, O(h^4) line stencil, "
                             "lambda=(0.5,0.3,0)")
 
-    def fourier():
-        d = greens.fourier_consistency(np.array([1.2, 0.4, -0.3, 0.2]),
-                                       np.array([0.3, -0.2, 0.1]),
-                                       (0.4, 0.2, -0.1), spec)
-        return _bound_check("fourier_route_consistency", d, 1e-2,
-                            "truncated inverse transform vs direct kernel")
+    def axial_value():
+        v = greens.k_lambda(np.array([1.0, 0, 0, 0]), np.array([2.0, 0, 0]),
+                            (0.8, 0.0, 0.0), spec)
+        want = greens._k_lambda_axial(1.0, 2.0, 0.8, spec)
+        return _bound_check("kernel_value_axial", (v - want).norm() / want.norm(),
+                            max(1e-9, spec.rel_tol),
+                            "lambda=(0.8,0,0), |x|=1, t=(2,0,0): relative distance "
+                            "to the defining form integrated over (n_1, u)")
 
     return [("hermite_kernel_value", ktilde_value),
             ("hermite_kernel_scaling", ktilde_scaling),
             ("hermite_annihilation", hermite_res),
             ("kernel_value", klambda_value),
-            ("sphere_form_agreement", k0_agreement),
+            ("kernel_value_kaplan", kaplan_value),
             ("kernel_homogeneity_degree", homogeneity),
             ("lambda0_reality", reality),
             ("central_conjugation", conjugation),
@@ -552,7 +552,7 @@ def _greens(spec: QuadratureSpec):
             ("contour_lambda_sign", heis_sign_erratum),
             ("kernel_annihilation_lambda0", delta_res_0),
             ("kernel_annihilation_lambda", delta_res_1),
-            ("fourier_route_consistency", fourier)]
+            ("kernel_value_axial", axial_value)]
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,9 @@ Three evaluators and their cross-checks:
   (Kaplan's kernel); the lambda-coupling is derived in
   ``_k_lambda_components``.  The reduced representation needs |x| > 0
   and |lambda| < 2; values at x = 0 are deliberately not extrapolated.
+  Its value oracle, ``_k_lambda_axial``, integrates the same defining
+  form on the axis x = |x| e_0, t = (r, 0, 0), lambda = (l, 0, 0) over
+  (n_1, u) on ``quad.integrate_nested``, with no node or formula shared.
 
 * ``heis_k_closed`` / ``heis_k_quadrature`` -- the Heisenberg-type
   degeneration in the {1, i1} plane: the Gamma-product closed form
@@ -55,26 +58,25 @@ Three evaluators and their cross-checks:
   QuadratureError where the pinch |t| >> |x|^2 makes its sum cancel
   beyond rel_tol.
 
-The u-integrals of ``fourier_consistency`` and the Heisenberg-type forms
-run on Gauss-Legendre panels doubling away from 0 (``quad.panel_grid``),
-truncated where the integrand's decay factor falls below abs_tol/10
-(abs_tol/40 for the Heisenberg-type forms).  Every rule is a function of
-the inputs, so evaluations are deterministic.  The rules of ``k_lambda``
-and ``k_tilde_lambda`` do not depend on (x, t), so their values vary
-smoothly inside finite-difference stencils; the Heisenberg-type rule does,
-through its discrete key, and no stencil differentiates it.  Both stencils
-are Richardson-extrapolated from the steps h and h/2, O(h^4).
+The Heisenberg-type forms run on Gauss-Legendre panels doubling away
+from 0 (``quad.panel_grid``), truncated where the integrand's decay factor
+falls below abs_tol/40.  Every rule is a function of the inputs, so
+evaluations are deterministic.  The rules of ``k_lambda`` and
+``k_tilde_lambda`` do not depend on (x, t), so their values vary smoothly
+inside finite-difference stencils; the Heisenberg-type rule does, through
+its discrete key, and no stencil differentiates it.  Both stencils are
+Richardson-extrapolated from the steps h and h/2, O(h^4).
 ``delta_lambda_residual_on_k`` evaluates all its points in one call; every
-quadrature sum but ``k0_sphere``'s is an einsum, whose sum order does not
+quadrature sum of the evaluators is an einsum, whose sum order does not
 depend on the number of rows, so each of them is ``k_lambda``'s value at
 its point bit for bit.  ``hermite_residual`` returns the absolute |H K~|:
 K~ = F(|x|^2), so it is K~(x) times a 5-row stencil in s = |x|^2 of the
 ratios F(s_i)/F(s) at the step min(1e-3, 0.02/(|tau||x|)) from the local
 scale; no row rounds away or underflows.
-Large-u factors are computed with e^{-2u}, never e^{2u}:
-4 e^{-(2+a)u} / (1-e^{-2u})^2 in ``fourier_consistency``, and
-e^{-(2 +- lambda)u} times c/(1 + c e^{-2u})^2 in the Heisenberg-type forms,
-which neither overflow nor cancel.
+Large-u factors are computed with e^{-2u}, never e^{2u}: e^{-(2 +- lambda)u}
+times c/(1 + c e^{-2u})^2 in the Heisenberg-type forms, and e^{-(2 +- g)u}
+times (e^{-2u} - 1)^2/D^4 in ``_k_lambda_axial``, which neither overflow
+nor cancel.
 
 Each argument is checked in one place, on Python floats, with no numpy
 warning; a refusal raises ValueError.  ``_x4`` refuses an x that is not
@@ -85,11 +87,11 @@ is regular at x = 0.  ``_t3`` refuses a t that is not finite, ``_tau_ray``
 a tau that is not finite or whose |tau|^2 is 0 or overflows, and ``_lam``
 a lambda with |lambda| >= 2 or a NaN component.
 ``_k_tilde_rows`` tests all its rows at once and raises ``_x4``'s refusal
-of the first row that fails.  Each evaluator adds only its own rule:
-|x| >= 1 (``fourier_consistency``), |x| >= 0.3 (``hermite_residual``), a
-probe point away from the origin and a finite |t|^2
-(``delta_lambda_residual_on_k``), the Heisenberg-type poles and pinch
-floor.
+of the first row that fails; a row whose c or 4 pi^2 |x|^2 overflows
+has e^{-c} = 0 and gives 0.0.  Each evaluator adds only its own rule:
+|x| >= 0.3 (``hermite_residual``), a probe point away from the origin and
+a finite |t|^2 (``delta_lambda_residual_on_k``), the Heisenberg-type
+poles and pinch floor.
 """
 
 from __future__ import annotations
@@ -100,18 +102,17 @@ from functools import lru_cache
 import numpy as np
 
 from .quat import Quaternion
-from .quad import QuadratureSpec, QuadratureError, panel_grid, sphere2_nodes
+from .quad import (QuadratureSpec, QuadratureError, integrate_nested, panel_grid,
+                   sphere2_nodes)
 from .diffops import _delta_lambda_lines
 
 __all__ = [
     "k_tilde_lambda",
     "hermite_residual",
     "k_lambda",
-    "k0_sphere",
     "heis_k_closed",
     "heis_k_quadrature",
     "heis_contour_sign_check",
-    "fourier_consistency",
     "delta_lambda_residual_on_k",
 ]
 
@@ -128,8 +129,8 @@ def _x4(x, zero_ok: bool = False) -> tuple:
     finite x whose |x|^2 does not overflow.  x = 0, and an x != 0 whose
     |x|^2 underflows to 0 (it would be evaluated as x = 0), pass only where
     ``zero_ok``.  Python floats overflow and underflow without a numpy
-    warning.  The value paths that sum |x|^2 as ``x @ x`` keep that sum,
-    which can differ from this one in the last bit."""
+    warning.  Every scalar value path reads |x|^2 from here, so its value
+    does not depend on the CPU's BLAS dot kernel."""
     x = np.asarray(x, dtype=float)
     if x.shape != (4,):
         raise ValueError("x must have 4 components")
@@ -169,12 +170,6 @@ def _lam(lam) -> tuple:
         raise ValueError(
             f"lambda decay condition fails: |lambda| = {norm:.6g} is not < 2")
     return l1, l2, l3
-
-
-def _tail_end(decay_rate: float, spec: QuadratureSpec, slack: float = 10.0) -> float:
-    """u* with e^{-decay_rate * u*} = abs_tol/slack, the relative level at
-    which the integrand tail is discarded."""
-    return math.log(slack / spec.abs_tol) / decay_rate
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +237,20 @@ def _k_tilde_rows(xs: np.ndarray, ray: tuple) -> list:
     constant I0 of ``_v_rule``; otherwise I is one ``_v_integral`` pass on
     the rows whose value does not underflow, so each row equals its
     single-row value.  Raises the ValueError of ``_x4`` at the first row
-    that it rejects.
+    that it rejects.  A row whose c or 4 pi^2 |x|^2 overflows has e^{-c} = 0
+    (c >= 6.8e144 there, |tau| being at least 1.5e-162) and gives 0.0.
     """
     _, tnorm, lt = ray
     xsq = np.einsum("ij,ij->i", xs, xs)
-    # the sum is NaN or inf when any row is, at a fraction of a per-row test
     xl = xsq.tolist()
-    if 0.0 in xl or not (sum(xl) < math.inf):
+    top = max(tnorm, _FOUR_PI_SQ)
+    # the sum is NaN or inf when any row is, at a fraction of a per-row test
+    if 0.0 in xl or not (sum(xl) * top < math.inf):
         for x in xs:     # a sum that overflows over valid rows passes
             _x4(x)
+        # Python floats overflow without a warning; at |x|^2 = inf every
+        # step below is exact, and e^{-c} = 0
+        xsq = np.array([v if v * top < math.inf else math.inf for v in xl])
     c = tnorm * xsq
     # not in place: on a few rows numpy's in-place ops cost twice as much
     val = np.exp(-c) / (xsq * (4.0 * math.pi ** 2))
@@ -346,36 +346,6 @@ def hermite_residual(x, tau, lam, spec: QuadratureSpec, h: float | None = None) 
 
 # ---------------------------------------------------------------------------
 # group-space kernel, polar-reduced
-
-# Grid points per block, r x node, in fourier_consistency's transform sums.
-_BLOCK_POINTS = 16384
-
-
-@lru_cache(maxsize=32)
-def _sign_orbits(order: int):
-    """Orbits of the folded S^2 rule under n1 -> -n1 and n2 -> -n2.
-
-    Node (i, k) of ``sphere2_nodes(order, fold=True)`` (ring i, azimuth k,
-    index 2*order*i + k) meets its images at azimuths order-k, 2*order-k
-    and k+order (mod 2*order) of the same ring; an image outside the
-    folded rule (on the odd-order equator) stands for its antipode, which
-    is in it.  Members of an orbit share their weight and (n1^2, n2^2,
-    n3^2), hence g(n) = |lambda o n|; orbits hold 1, 2 or 4 nodes.
-    Returns read-only ``reps``, the lowest node index of each orbit in
-    ascending order, and ``orbit``, the position in ``reps`` of each node.
-    """
-    m = 2 * order
-    half = order * order
-    i, k = np.divmod(np.arange(half), m)
-    images = []
-    for kk in (k, (order - k) % m, (m - k) % m, (k + order) % m):
-        j = i * m + kk
-        images.append(np.where(j < half, j, (order - 1 - i) * m + (kk + order) % m))
-    reps, orbit = np.unique(np.minimum.reduce(images), return_inverse=True)
-    reps.setflags(write=False)
-    orbit.setflags(write=False)
-    return reps, orbit
-
 
 def _u_integral_lambda0(B):
     """int_0^inf Re (1 + s - i b)^-4 ds = Re (1 - i b)^-3 / 3 at B = b^2,
@@ -503,29 +473,56 @@ def k_lambda(x, t, lam, spec: QuadratureSpec) -> Quaternion:
     return Quaternion(float(c0[0]), float(ck[0, 0]), float(ck[0, 1]), float(ck[0, 2]))
 
 
-def k0_sphere(x, t, spec: QuadratureSpec) -> float:
-    """lambda = 0 kernel via the v = coth u substitution:
+def _k_lambda_axial(xnorm: float, r: float, l: float, spec: QuadratureSpec) -> Quaternion:
+    """K_lambda at x = xnorm e_0, t = (r, 0, 0), lambda = (l, 0, 0): the
+    value oracle of ``k_lambda``, from the defining form of
+    ``_k_lambda_components`` on ``quad.integrate_nested``, with no node and
+    no formula code shared.
 
-        K_0(x,t) = (2/((2 pi)^5 |x|^2)) int_{S^2} [|x|^2 - i_n (t.n)]^-3 dsigma
+    On this axis the form depends on n only through mu = n_1, with
+    b = r mu/xnorm^2 and g = |l mu|, and both parts are even in mu (the
+    odd one with its axis sign(l mu) e_1), so with c = 6/(2 pi)^5
 
-    (real part; the imaginary part cancels under n -> -n).  The sign is
-    the quadrature-verified positive one.  The real part is even in n, so
-    the rule is the one folded onto antipodal pairs.  Raises
-    QuadratureError where the value is not finite (|x| below about 1e-39).
+        K_0 =  4 pi c xnorm^-8 int_0^1 dmu int_0^inf cosh(g u) sinh^-2 u Re P du,
+        K_1 = -4 pi c sign(l) xnorm^-8 int_0^1 dmu int_0^inf sinh(g u) sinh^-2 u Im P du,
+
+    P = (coth u - i b)^-4, and K_2 = K_3 = 0.  With em = e^{-2u} - 1,
+    cosh(g u) sinh^-2 u P = 2 (e^{-(2-g)u} + e^{-(2+g)u}) em^2 / D^4 and
+    D = 2 + em + i b em (sinh: the difference), which neither overflow nor
+    cancel at any u.  mu is split at the ridge |b| = 1 where |r| > xnorm^2.
+    Reads ``spec``'s tolerances and budget.  Raises QuadratureError where an
+    integral has not converged; the error estimate is not read, since K_1's
+    inner integrals pass through 0 as mu -> 0 and make it pessimistic.
     """
-    x, _ = _x4(x)
-    t, _ = _t3(t)
-    xsq = float(x @ x)
-    nodes, wS = sphere2_nodes(spec.sphere_order, fold=True)
-    # z^-3 and the prefactor overflow where |x| is tiny; the value is then
-    # not finite, which raises, so numpy need not warn on the way
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        z = xsq + 1j * np.abs(nodes @ t)
-        p = z ** -3.0
-        val = 2.0 / ((2.0 * math.pi) ** 5 * xsq) * float(np.dot(wS, p.real))
-    if not math.isfinite(val):
-        raise QuadratureError("k0_sphere is not finite at this point")
-    return val
+    s = xnorm * xnorm
+
+    def terms(mu, u):
+        g = abs(l) * mu
+        em = np.expm1(-2.0 * u)
+        p = em * em / (2.0 + em + 1j * (r * mu / s) * em) ** 4
+        return 2.0 * np.exp(-(2.0 - g) * u), 2.0 * np.exp(-(2.0 + g) * u), p
+
+    def even(mu, u):
+        slow, fast, p = terms(mu, u)
+        return (slow + fast) * p.real
+
+    def odd(mu, u):
+        slow, fast, p = terms(mu, u)
+        return (slow - fast) * p.imag
+
+    cuts = (0.0, s / abs(r), 1.0) if abs(r) > s else (0.0, 1.0)
+    parts = []
+    for f in (even, odd):
+        total = 0.0
+        for lo, hi in zip(cuts, cuts[1:]):
+            res = integrate_nested([(lo, hi), (0.0, math.inf)], f, spec)
+            if not res.converged:
+                raise QuadratureError(f"axial K_lambda: the integral over n_1 in "
+                                      f"({lo:.3g}, {hi:.3g}) did not converge")
+            total += res.value
+        parts.append(total)
+    scale = 4.0 * math.pi * 6.0 / (2.0 * math.pi) ** 5 / s ** 4
+    return Quaternion(scale * parts[0], -math.copysign(scale, l) * parts[1], 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +554,9 @@ def heis_k_closed(x, t: float, lam: float) -> Quaternion:
     z = lam/2, which also holds for |lam| > 2 between the poles.
     """
     t, lam = float(t), float(lam)
-    x, _ = _x4(x, zero_ok=t != 0.0)     # (x, t) = 0 is the kernel singularity
+    xsq = _x4(x, zero_ok=t != 0.0)[1]     # (x, t) = 0 is the kernel singularity
     _finite((t,), "t")
     _finite((lam,), "lambda")
-    xsq = float(x @ x)
     for g in ((2.0 + lam) / 2.0, (2.0 - lam) / 2.0):
         if g <= 0.5 and abs(g - round(g)) < _POLE_TOL:
             raise ValueError(f"lambda = {lam} lies on the pole lattice +-(2+2k)")
@@ -598,7 +594,8 @@ def _heis_rule(cphi: float, lam: float, spec: QuadratureSpec):
     comes from a small discrete set of keys, shared by nearby points.
     """
     first = math.ldexp(1.0, math.frexp(0.5 * min(1.0, cphi))[1] - 1)
-    m, e = math.frexp(_tail_end(2.0 - abs(lam), spec, 40.0) / first)
+    tail_end = math.log(40.0 / spec.abs_tol) / (2.0 - abs(lam))
+    m, e = math.frexp(tail_end / first)
     return _heis_panels(first, math.ldexp(first, e if m > 0.5 else e - 1))
 
 
@@ -632,10 +629,9 @@ def heis_k_quadrature(x, t: float, lam: float, spec: QuadratureSpec) -> Quaterni
     0.5 eps/cos^2 phi exceeds rel_tol, below cos phi = 3.3e-4 at 1e-9.
     """
     t, lam = float(t), float(lam)
-    x, _ = _x4(x, zero_ok=t != 0.0)     # x = 0 at t != 0 pinches below
+    xsq = _x4(x, zero_ok=t != 0.0)[1]     # x = 0 at t != 0 pinches below
     _finite((t,), "t")
     _lam((lam, 0.0, 0.0))
-    xsq = float(x @ x)
     cphi = xsq / math.hypot(xsq, t)
     if not (cphi * cphi * spec.rel_tol >= _PINCH_EPS):
         raise QuadratureError(
@@ -665,10 +661,9 @@ def heis_contour_sign_check(x, t: float, lam: float, spec: QuadratureSpec) -> di
     on the ``_heis_rule`` of cos phi = 1 (first panel 0.5).  Needs x != 0.
     """
     t, lam = float(t), float(lam)
-    x, _ = _x4(x)       # at x = 0 the direct integral diverges at u = 0
+    x, xsq = _x4(x)       # at x = 0 the direct integral diverges at u = 0
     _finite((t,), "t")
     _lam((lam, 0.0, 0.0))
-    xsq = float(x @ x)
     u, w4, em = _heis_rule(1.0, lam, spec)
     # 2 e^{-u} (|x|^2 cosh u - i t sinh u)
     br = xsq * (1.0 + em) - 1j * t * (1.0 - em)
@@ -686,90 +681,7 @@ def heis_contour_sign_check(x, t: float, lam: float, spec: QuadratureSpec) -> di
 
 
 # ---------------------------------------------------------------------------
-# Fourier-route consistency and the PDE residual
-
-# fourier_consistency inverts the transform over |tau| < _TAU_RADIUS
-_TAU_RADIUS = 16.0
-
-
-def fourier_consistency(x, t, lam, spec: QuadratureSpec) -> float:
-    """Relative deviation between k_lambda and the truncated inverse
-    transform of the partial-transform kernel over |tau| < R = 16.
-
-    The transform couples to the center through left multiplication by
-    i_(lambda o tau), so its inversion splits per direction n into the
-    even/odd pair of scalar solutions at parameter a = +-|lambda o n|:
-    the even half pairs with cos(r t.n) into the real component, the odd
-    half with sin(r t.n) along the unit axis (lambda o n)/|lambda o n|.
-    A dot-product weight exp(-(lambda.n) u) with the naive phase axis n
-    reproduces the kernel only when the center is one-dimensional.  Every
-    sphere sum is of a term even in n (odd half, sine and axis are odd
-    together), so the rule is the one folded onto antipodal pairs.
-
-    Raises QuadratureError when the estimated truncation tail exceeds the
-    tolerance the check runs at (the deviation target is 1e-2).
-    """
-    x, _ = _x4(x)
-    t, _ = _t3(t)
-    lam = _lam(lam)
-    xsq = float(x @ x)
-    if math.sqrt(xsq) < 1.0:
-        raise ValueError("|x| >= 1 keeps the oscillatory integral tame")
-    ref = k_lambda(x, t, lam, spec)
-
-    order = spec.sphere_order
-    nodes, wS = sphere2_nodes(order, fold=True)
-    reps, orbit = _sign_orbits(order)
-    ln = nodes * np.asarray(lam)[None, :]
-    g = np.linalg.norm(ln, axis=1)
-    axis = np.where(g[:, None] > 0.0,
-                    ln / np.where(g[:, None] > 0.0, g[:, None], 1.0), 0.0)
-    # the u-panel rule, with coth u and the weight w times
-    # 1/sinh^2 u = 4 e^{-2u}/em^2, em = expm1(-2u)
-    u, w = panel_grid(0.0, 0.5, _tail_end(2.0 - math.hypot(*lam), spec))
-    em = np.expm1(-2.0 * u)
-    coth = (2.0 + em) / (-em)
-    wu4 = 4.0 * w / (em * em)
-    # e^{-(2 +- g)u} depends on n only through g, so once per sign-flip orbit
-    e_plus = np.exp(-np.outer(2.0 + g[reps], u))
-    e_minus = np.exp(-np.outer(2.0 - g[reps], u))
-    tn = np.einsum("nk,k->n", nodes, t)
-    step = max(1, _BLOCK_POINTS // len(nodes))
-
-    def transform_sums(r, wr):
-        # K~(x, r n; a) = (r/4pi^2) sum_u T[r,u] E_a[n,u] at a = +-g(n); the
-        # r-nodes are walked in blocks, each block's terms summed over r per
-        # node, so no array spans every r-node and every sphere node
-        per_node = np.zeros((3, len(nodes)))
-        for s in range(0, len(r), step):
-            rb = r[s:s + step]
-            T = np.exp(-xsq * np.outer(rb, coth)) * wu4[None, :]
-            kt_plus = np.einsum("ru,ou->ro", T, e_plus)
-            kt_minus = np.einsum("ru,ou->ro", T, e_minus)
-            # the r-weight wr r^2 and the prefactor r/(4 pi^2), per orbit
-            rw = (wr[s:s + step] * rb * rb * rb / (4.0 * math.pi ** 2))[:, None]
-            even = (0.5 * rw * (kt_plus + kt_minus))[:, orbit]
-            odd = (0.5 * rw * (kt_minus - kt_plus))[:, orbit]
-            ang = np.outer(rb, tn)
-            per_node[0] += np.einsum("rn,rn->n", even, np.cos(ang))
-            per_node[1] += np.einsum("rn,rn->n", odd, np.sin(ang))
-            per_node[2] += np.einsum("rn->n", np.abs(even) + np.abs(odd))
-        c0 = float(np.einsum("n,n->", per_node[0], wS))
-        ck = -np.einsum("n,n,nk->k", per_node[1], wS, axis)
-        return c0, ck, float(np.einsum("n,n->", per_node[2], wS))
-
-    r, wr = panel_grid(0.0, 0.5, _TAU_RADIUS)
-    c0, ck, _ = transform_sums(r, wr)
-    rshell, wshell = panel_grid(_TAU_RADIUS, 0.5, _TAU_RADIUS + 2.0)
-    _, _, shell_mass = transform_sums(rshell, wshell)
-    scale = 1.0 / (2.0 * math.pi) ** 3
-    tail_bound = 2.0 * scale * shell_mass
-    if tail_bound > 0.1 * ref.norm():
-        raise QuadratureError(
-            f"truncation-dominated: tail bound {tail_bound:.3e} vs |K| {ref.norm():.3e}")
-    val = Quaternion(scale * c0, *(scale * ck))
-    return (val - ref).norm() / ref.norm()
-
+# PDE residual
 
 def delta_lambda_residual_on_k(x, t, lam, spec: QuadratureSpec, h=0.005):
     """Normalized residual |Delta_lambda K_lambda| * ||p||^2 / |K| at (x, t).
@@ -783,13 +695,13 @@ def delta_lambda_residual_on_k(x, t, lam, spec: QuadratureSpec, h=0.005):
     finite t whose |t|^2 overflows, raises ValueError; a centre value that
     underflows to 0 raises QuadratureError.
     """
-    x, _ = _x4(x)
+    x, xsq = _x4(x)
     t, tsq = _t3(t)
     lam = _lam(lam)
     if tsq == math.inf:
         raise ValueError("|t|^2 overflows: t is finite but too large")
-    hnorm_sq = float(x @ x) + float(np.linalg.norm(t))
-    if not (0.5 <= math.sqrt(hnorm_sq) < math.inf and float(np.linalg.norm(x)) > 0.3):
+    hnorm_sq = xsq + math.sqrt(tsq)
+    if not (0.5 <= math.sqrt(hnorm_sq) < math.inf and math.sqrt(xsq) > 0.3):
         raise ValueError("probe point too close to the kernel singularity or not finite")
 
     def f(q):

@@ -37,9 +37,9 @@ CRITERIA = {
          "szego/radial_shell_integral")),
     7: ("reproducing value (K_ANALYTIC/(32 verify_k))", ("szego/reproducing_value",)),
     8: ("one-dimensional center oracle", ("greens/heisenberg_oracle",)),
-    9: ("kernel route consistency",
-        ("greens/kernel_value", "greens/sphere_form_agreement",
-         "greens/kernel_homogeneity_degree", "greens/fourier_route_consistency")),
+    9: ("kernel value oracles",
+        ("greens/kernel_value", "greens/kernel_value_kaplan",
+         "greens/kernel_value_axial", "greens/kernel_homogeneity_degree")),
     10: ("operator annihilation residuals",
          ("greens/hermite_annihilation", "greens/kernel_annihilation_lambda0",
           "greens/kernel_annihilation_lambda")),

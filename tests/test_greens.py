@@ -15,10 +15,9 @@ from qsiegel.quad import (QuadratureError, QuadratureSpec, integrate_1d,
                           integrate_nested, panel_grid, sphere2_nodes)
 from qsiegel import greens
 from qsiegel.greens import (k_tilde_lambda, hermite_residual, k_lambda,
-                            k0_sphere, heis_k_closed, heis_k_quadrature,
-                            heis_contour_sign_check, fourier_consistency,
-                            delta_lambda_residual_on_k,
-                            _k_lambda_components, _k_tilde_rows, _sign_orbits,
+                            heis_k_closed, heis_k_quadrature,
+                            heis_contour_sign_check, delta_lambda_residual_on_k,
+                            _k_lambda_axial, _k_lambda_components, _k_tilde_rows,
                             _tau_ray)
 
 X_UNIT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -333,12 +332,12 @@ def test_k_lambda_continuous_at_lambda0(order):
 
 def test_k_lambda_builds_no_u_rule(spec, monkeypatch):
     # every u-integral of k_lambda is in closed form: no u-rule, panel grid
-    # or orbit table is built, at lambda = 0 or not, for single points and
-    # stencils
+    # or nested integral is built, at lambda = 0 or not, for single points
+    # and stencils
     def boom(*args):
         raise AssertionError("k_lambda built a u-rule")
 
-    for name in ("panel_grid", "_sign_orbits"):
+    for name in ("panel_grid", "integrate_nested"):
         monkeypatch.setattr(greens, name, boom)
     x, t = np.array([0.9, 0.4, -0.3, 0.6]), np.array([0.7, -1.2, 0.5])
     for lam in (LAM0, (-0.0, 0.0, -0.0), (0.5, 0.3, 0.0), (1.2, -0.9, 0.8)):
@@ -397,33 +396,38 @@ def test_k_lambda_components_match_full_sphere_power(order):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_k_lambda_matches_sphere_form(spec, rng):
-    for _ in range(5):
-        x = rng.normal(size=4)
-        x *= float(rng.uniform(0.5, 2.0)) / np.linalg.norm(x)
-        t = rng.uniform(-2.0, 2.0, size=3)
-        a = k0_sphere(x, t, spec)
-        b = k_lambda(x, t, LAM0, spec)
-        assert abs(a - b.t) <= 1e-6 * abs(a)
-        assert b.imag_norm() <= 1e-9 * abs(a)
+@pytest.mark.parametrize("r", [0.5, 2.0, 7.0, 20.0])
+def test_axial_oracle_matches_kaplan_at_lambda0(spec, r):
+    v = _k_lambda_axial(1.0, r, 0.0, spec)
+    want = 1.0 / (4.0 * math.pi ** 4 * (1.0 + r * r) ** 2)
+    assert abs(v.t - want) <= 5e-12 * want
+    assert v.imag_norm() == 0.0
 
 
-@pytest.mark.parametrize("scale", [1e-40, 1e-60])
-def test_k0_sphere_non_finite_raises(spec, scale):
-    # the value is |x|^-8 times a finite sphere sum: at 1e-40 the product
-    # overflows, at 1e-60 already z^-3 = |x|^-6; both raise, and numpy
-    # warns nothing on the way
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(QuadratureError):
-            k0_sphere(scale * X_UNIT, T_ZERO, spec)
+@pytest.mark.parametrize("l", [0.8, 1.5])
+@pytest.mark.parametrize("r", [0.5, 2.0])
+def test_axial_oracle_matches_k_lambda_at_order_128(spec, l, r):
+    # on other nodes and with no shared formula; at the default order 32
+    # k_lambda reads 5.2e-11 at l = 0.8, r = 2
+    want = _k_lambda_axial(1.0, r, l, spec)
+    got = k_lambda(X_UNIT, np.array([r, 0.0, 0.0]), (l, 0.0, 0.0),
+                   QuadratureSpec(sphere_order=128))
+    assert want.b == want.c == 0.0 and want.a != 0.0
+    assert (got - want).norm() <= 1e-12 * want.norm()
 
 
-def test_k0_sphere_heisenberg_marginal(spec):
-    # the sphere form at t = 0 carries the full homogeneous-norm power
-    v = k0_sphere(2.0 * X_UNIT, T_ZERO, spec)
-    want = 1.0 / (4.0 * math.pi ** 4 * 2.0 ** 8)
-    assert abs(v - want) <= 1e-8 * want
+def test_axial_oracle_homogeneity_and_conjugation(spec):
+    # x -> 2x, t -> 4t leaves b and the n_1 split as they are: the value
+    # scales by 2^-8 exactly; t -> -t conjugates it
+    a = _k_lambda_axial(1.0, 2.0, 0.8, spec)
+    b = _k_lambda_axial(2.0, 8.0, 0.8, spec)
+    assert b.components() == tuple(v / 256.0 for v in a.components())
+    assert _k_lambda_axial(1.0, -2.0, 0.8, spec) == a.conj()
+
+
+def test_axial_oracle_raises_on_budget():
+    with pytest.raises(QuadratureError, match="did not converge"):
+        _k_lambda_axial(1.0, 2.0, 0.8, QuadratureSpec(max_subdivisions=50))
 
 
 def test_k_lambda_homogeneity(spec):
@@ -487,8 +491,8 @@ _LAM = (0.3, 0.0, 0.0)
     lambda s: delta_lambda_residual_on_k(_NAN4, _T, _LAM, s),
     lambda s: delta_lambda_residual_on_k(_X, _NAN3, _LAM, s),
     lambda s: delta_lambda_residual_on_k(_X, _T, _NAN3, s),
-    lambda s: k0_sphere(_NAN4, _T, s),
-    lambda s: k0_sphere(_X, _NAN3, s),
+    lambda s: hermite_residual(_X, _INF3, _LAM, s),
+    lambda s: delta_lambda_residual_on_k(_X, _INF3, _LAM, s),
     lambda s: heis_k_closed(_NAN4, 0.5, 0.3),
     lambda s: heis_k_closed(_X, math.nan, 0.3),
     lambda s: heis_k_closed(_X, 0.5, math.nan),
@@ -511,9 +515,7 @@ def test_huge_finite_t_is_not_a_domain_error(spec):
         warnings.simplefilter("error")
         huge = np.array([1e200, 0.0, 0.0])
         for call in (lambda: k_lambda(X_UNIT, huge, _LAM, spec),
-                     lambda: k_lambda(X_UNIT, huge, LAM0, spec),
-                     lambda: k0_sphere(X_UNIT, huge, spec),
-                     lambda: fourier_consistency(X_UNIT, huge, _LAM, spec)):
+                     lambda: k_lambda(X_UNIT, huge, LAM0, spec)):
             with pytest.raises(QuadratureError, match="not finite"):
                 call()
         for lam in (_LAM, LAM0):
@@ -575,6 +577,21 @@ def test_k_tilde_overflowing_c_returns_zero(spec, lam):
     # and the value is 0.0 with no RuntimeWarning, not 0 * inf
     tau = np.array([1e108, 0.0, 0.0])
     assert k_tilde_lambda(1e100 * X_UNIT, tau, lam, spec) == 0.0
+
+
+@pytest.mark.parametrize("x, tau, lam", [
+    (1e154 * X_UNIT, np.array([1.0, 0.0, 0.0]), (0.0, 0.3, 0.0)),    # lambda.tau = 0
+    (1e154 * X_UNIT, np.array([1.0, 0.0, 0.0]), (0.5, 0.0, 0.0)),
+    (1e100 * X_UNIT, np.array([1e150, 0.0, 0.0]), (-0.5, 0.0, 0.0)),  # c overflows
+])
+def test_k_tilde_overflowing_row_returns_zero(spec, x, tau, lam):
+    # where 4 pi^2 |x|^2 or c = |tau||x|^2 overflows e^{-c} is 0: the value
+    # is 0.0 with no RuntimeWarning, and a finite row batched with it keeps
+    # its single-row value
+    assert k_tilde_lambda(x, tau, lam, spec) == 0.0
+    xs = np.array([x, _X])
+    assert _k_tilde_rows(xs, _tau_ray(tau, lam)) == [
+        0.0, k_tilde_lambda(_X, tau, lam, spec)]
 
 
 def test_delta_residual_lambda0(spec):
@@ -807,13 +824,11 @@ def test_finite_x_with_overflowing_square_raises(spec):
         warnings.simplefilter("error")
         for call in (lambda: k_lambda(big, t, _LAM, spec),
                      lambda: k_lambda(big, t, LAM0, spec),
-                     lambda: k0_sphere(big, t, spec),
                      lambda: k_tilde_lambda(big, t, _LAM, spec),
                      lambda: hermite_residual(big, t, _LAM, spec, h=1e190),
                      lambda: heis_k_closed(big, 0.5, 0.3),
                      lambda: heis_k_quadrature(big, 0.5, 0.3, spec),
                      lambda: heis_contour_sign_check(big, 0.5, 0.3, spec),
-                     lambda: fourier_consistency(big, t, _LAM, spec),
                      lambda: delta_lambda_residual_on_k(big, t, _LAM, spec)):
             with pytest.raises(ValueError, match="overflows"):
                 call()
@@ -873,7 +888,7 @@ def test_k_lambda_negative_zero_lambda_is_lambda0(order, rng):
         want[0][0], *want[1][0])
 
 
-@pytest.mark.parametrize("name", ["_v_rule", "_sign_orbits", "_heis_panels"])
+@pytest.mark.parametrize("name", ["_v_rule", "_heis_panels"])
 def test_kernel_tables_cached_and_not_built_at_import(name, src_env):
     code = ("import qsiegel, qsiegel.greens as g; "
             f"assert g.{name}.cache_info().currsize == 0")
@@ -936,50 +951,6 @@ def test_k_tilde_rows_match_per_row_reference(spec, rng, a):
             assert abs(g - v) <= bound * (1.0 + c) * abs(v)
 
 
-@pytest.mark.parametrize("order", [7, 32])
-def test_fourier_consistency_independent_of_block_size(order, monkeypatch):
-    # k_lambda itself has no blocks; its Fourier-route check sums the
-    # r-nodes block by block into per-node sums, so one r-node per block,
-    # a ragged split and one block for all agree to rounding: no r-node
-    # is dropped or counted twice
-    spec = QuadratureSpec(sphere_order=order)
-    x, t = np.array([1.2, 0.4, -0.3, 0.2]), np.array([0.3, -0.2, 0.1])
-    lams = ((0.4, 0.2, -0.1), LAM0)
-    wants = [fourier_consistency(x, t, lam, spec) for lam in lams]
-    for points in (1, 1000, 10 ** 7):
-        monkeypatch.setattr(greens, "_BLOCK_POINTS", points)
-        for lam, want in zip(lams, wants):
-            assert abs(fourier_consistency(x, t, lam, spec) - want) <= 1e-13
-
-
-@pytest.mark.parametrize("order", [2, 7, 8, 32, 33, 128])
-def test_sign_orbits_partition_the_folded_rule(order):
-    nodes, w = sphere2_nodes(order, fold=True)
-    reps, orbit = _sign_orbits(order)
-    assert not reps.flags.writeable and not orbit.flags.writeable
-    assert orbit.shape == (len(nodes),)
-    assert np.array_equal(orbit[reps], np.arange(len(reps)))   # one rep each
-    assert np.all(reps == np.sort(reps)) and np.all(np.diff(reps) > 0)
-    sizes = np.bincount(orbit)
-    assert set(sizes.tolist()) <= {1, 2, 4}
-    # every member shares its representative's weight and squares
-    sq = nodes * nodes
-    assert np.max(np.abs(sq - sq[reps][orbit])) <= 1e-15
-    assert np.max(np.abs(w - w[reps][orbit])) <= 1e-15
-    assert np.all(reps[orbit] <= np.arange(len(nodes)))        # lowest index
-    # a sign flip of n1 or n2 maps each node to a member of its orbit, found
-    # by its coordinates among the folded nodes and their antipodes
-    def key(v):
-        return tuple(np.round(v, 10) + 0.0)
-    index = {key(-n): j for j, n in enumerate(nodes)}
-    index.update({key(n): j for j, n in enumerate(nodes)})
-    for flip in ((-1.0, 1.0, 1.0), (1.0, -1.0, 1.0)):
-        image = [index[key(n * np.array(flip))] for n in nodes]
-        assert np.array_equal(orbit[image], orbit)
-    if order == 32:
-        assert len(reps) == 272
-
-
 @pytest.mark.parametrize("order, lam, parent_mib", [
     (32, (0.0, 0.0, 0.0), 5.8), (32, (1.95, 0.0, 0.0), 11.5),
     (128, (0.0, 0.0, 0.0), 91.0), (128, (0.0, 0.0, 1.95), 181.0)])
@@ -1007,40 +978,6 @@ def test_delta_residual_second_order(spec):
     assert 14.0 <= r1 / r2 <= 18.0
 
 
-def test_fourier_route_consistency(spec):
-    d = fourier_consistency(np.array([1.5, 0.0, 0.0, 0.0]), T_ZERO, LAM0, spec)
-    assert d <= 1e-6
-
-
-def test_fourier_route_nonzero_data(spec):
-    d = fourier_consistency(np.array([1.2, 0.4, -0.3, 0.2]),
-                            np.array([0.3, -0.2, 0.1]), (0.4, 0.2, -0.1), spec)
-    assert d <= 1e-4
-
-
-def test_fourier_consistency_memory(spec):
-    # orbit exp tables and r-node blocks: no r x node array spans every
-    # r-node (whole-grid tables peak at 11.9 MiB at these arguments)
-    args = (np.array([1.2, 0.4, -0.3, 0.2]), np.array([0.3, -0.2, 0.1]),
-            (0.4, 0.2, -0.1), spec)
-    fourier_consistency(*args)                        # fill the rule caches
-    tracemalloc.start()
-    try:
-        fourier_consistency(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2 ** 20
-
-
-def test_fourier_route_lambda0_nonzero_t(spec):
-    # at lambda = 0 the odd half vanishes identically; the reconstruction
-    # must stay real even though the phase factors do not
-    d = fourier_consistency(np.array([1.3, 0.2, -0.4, 0.1]),
-                            np.array([0.5, -0.3, 0.2]), LAM0, spec)
-    assert d <= 1e-6
-
-
 # ---------------------------------------------------------------------------
 # one-dimensional center reduction
 
@@ -1052,6 +989,24 @@ def test_heis_closed_lambda0_form(spec):
             want = 1.0 / (4.0 * math.pi ** 3 * (xn ** 4 + t * t))
             assert abs(v.t - want) <= 1e-12 * want
             assert abs(v.a) <= 1e-15 * want and v.b == v.c == 0.0
+
+
+def test_heis_closed_sums_x_square_on_python_floats():
+    # at this x the left-to-right sum of squares is 1 ulp above the
+    # correctly rounded one, which a BLAS dot may return instead; the value
+    # is the formula at the left-to-right sum, bit for bit
+    x, t, lam = np.array([0.1, 0.1, 0.4, 0.1]), 0.05, -0.4
+
+    def formula(xsq):
+        v = (greens._gamma_product(lam / 2.0) / (4.0 * math.pi ** 3)
+             * complex(xsq, -t) ** (-(2.0 + lam) / 2.0)
+             * complex(xsq, t) ** (-(2.0 - lam) / 2.0))
+        return (v.real, v.imag, 0.0, 0.0)
+
+    a, b, c, d = x.tolist()
+    want = formula(a * a + b * b + c * c + d * d)
+    assert want != formula(math.fsum([a * a, b * b, c * c, d * d]))
+    assert heis_k_closed(x, t, lam).components() == want
 
 
 def test_heis_oracle_grid(spec):

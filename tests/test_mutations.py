@@ -3,18 +3,15 @@
 Each defect below is patched into one evaluator of ``qsiegel.greens`` or
 ``qsiegel.diffops``, and ``run_suite`` of that suite must then fail, in
 the checks named with it.  A suite that passes broken code proves nothing
-about working code.
-
-Known gap, not asserted here: K_lambda scaled by 1.01 at lambda != 0
-still passes every check.  The annihilation residual is normalized by
-|K|, the conjugation and homogeneity checks are scale-free, and the
-Fourier route, whose oracle shares K_lambda's sphere rule, reads 9.9e-3
-against its bound of 1e-2.  An exact t = 0 oracle at lambda != 0
-(ROADMAP item 1) and an independent Fourier route (item 2) close it.
+about working code.  Every non-erratum greens check fails under some
+defect, except the four that the README lists as holding by
+construction.
 """
 
 import inspect
 import math
+import pathlib
+import re
 import textwrap
 
 import numpy as np
@@ -28,6 +25,31 @@ def _scaled_c0_at_lambda0(real):
         c0, ck = real(xs, ts, lam, spec)
         return (c0 * 1.001 if not any(lam) else c0), ck
     return defect
+
+
+def _scaled_at_lambda(real):
+    def defect(xs, ts, lam, spec):
+        c0, ck = real(xs, ts, lam, spec)
+        return (c0 * 1.01, ck * 1.01) if any(lam) else (c0, ck)
+    return defect
+
+
+def _per_node_factor(real):
+    # each node's u-integrals times 1 + 0.05 g^2, a defect of the
+    # lambda-coupling that no identity in (x, t) sees
+    def u_integral(g, b):
+        even, odd = real(g, b)
+        return even * (1.0 + 0.05 * g * g), odd * (1.0 + 0.05 * g * g)
+    return u_integral
+
+
+def _alternating_weights(real):
+    # the weights of each ring of the S^2 rule times 1 +- 5%, alternating
+    # along the ring's even number of equal weights, so that the sum is kept
+    def nodes(order, fold=False):
+        n, w = real(order, fold)
+        return n, w * (1.0 + 0.05 * (-1.0) ** np.arange(len(w)))
+    return nodes
 
 
 def _on_components(fn):
@@ -64,24 +86,35 @@ def _u_integral_defect(half=0.5, phase_sign=1.0, im_sign=1.0, g2=0.5):
     return defect
 
 
-_BOTH_ROUTES = {"kernel_annihilation_lambda", "fourier_route_consistency"}
+_BOTH_ROUTES = {"kernel_annihilation_lambda", "kernel_value_axial"}
 
 # (name of the patched greens function, wrapper of the real one, checks
 # that must fail)
 DEFECTS = {
     "c0_x1.001_at_lambda0": ("_k_lambda_components", _scaled_c0_at_lambda0,
-                             {"kernel_value", "sphere_form_agreement"}),
+                             {"kernel_value", "kernel_value_kaplan"}),
     "closed_form_1-2B": ("_u_integral_lambda0",
                          lambda real: lambda B: (1.0 - 2.0 * B) / (3.0 * (1.0 + B) ** 3),
                          {"kernel_annihilation_lambda0"}),
     "closed_form_G(g)": ("_u_integral_lambda", _u_integral_defect(half=1.0),
-                         {"fourier_route_consistency"}),
+                         {"kernel_value_axial"}),
     "closed_form_-3igb": ("_u_integral_lambda", _u_integral_defect(im_sign=-1.0),
                           _BOTH_ROUTES),
     "closed_form_conjugate_phase": ("_u_integral_lambda",
                                     _u_integral_defect(phase_sign=-1.0), _BOTH_ROUTES),
     "closed_form_no_g^2": ("_u_integral_lambda", _u_integral_defect(g2=0.0),
                            _BOTH_ROUTES),
+    # the value oracle's own defects: the whole kernel, one factor per node,
+    # the S^2 weights and the S^2 order
+    "k_x1.01_at_lambda": ("_k_lambda_components", _scaled_at_lambda,
+                          {"kernel_value_axial"}),
+    "per_node_1+0.05g^2": ("_u_integral_lambda", _per_node_factor,
+                           {"kernel_value_axial"}),
+    "sphere_weights_x(1+-0.05)": ("sphere2_nodes", _alternating_weights,
+                                  {"kernel_value_axial"}),
+    "sphere_order_8": ("sphere2_nodes",
+                       lambda real: lambda order, fold=False: real(8, fold),
+                       {"kernel_value_axial"}),
     "ck_x1.1": ("_k_lambda_components", _on_components(lambda c0, ck: (c0, 1.1 * ck)),
                 {"kernel_annihilation_lambda"}),
     "ck_rolled": ("_k_lambda_components",
@@ -142,6 +175,24 @@ def test_greens_suite_fails_on_defect(spec, monkeypatch, defect):
               if c["category"] != "erratum" and not c["pass"]}
     assert not report["passed"]
     assert must_fail <= failed
+
+
+# README's list of the greens checks that hold by construction
+_BY_CONSTRUCTION = re.compile(r"^- `(\w+)`:", re.M)
+
+
+def test_every_greens_check_fails_under_some_defect(spec):
+    # a retired or renamed check cannot drop out of the matrix unnoticed
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("fail under none of those defects", 1)[1].split("\n## ", 1)[0]
+    by_construction = set(_BY_CONSTRUCTION.findall(section))
+    assert by_construction == {"hermite_kernel_scaling", "kernel_homogeneity_degree",
+                               "lambda0_reality", "central_conjugation"}
+    covered = set().union(*(must_fail for _, _, must_fail in DEFECTS.values()))
+    hard = {c["name"] for c in checks.run_suite("greens", spec)["checks"]
+            if c["category"] != "erratum"}
+    assert hard - by_construction == covered
+    assert by_construction <= hard
 
 
 def _rewritten(fn, old, new):
